@@ -18,7 +18,7 @@ import numpy as np
 
 from delaysync import closed_loop_certificate, design_protocol, simulate
 from delaysync.demos import demo_scenario
-from delaysync.errors import DelaySyncError
+from delaysync.errors import DelaySyncError, NumericError
 
 
 def steps_to_tolerance(error, tol=1e-3):
@@ -42,11 +42,11 @@ def main():
         except DelaySyncError as exc:
             print(f"{eps:>9.0e} rejected: {exc}")
             continue
-        with np.errstate(over="ignore", invalid="ignore"):
+        cert = closed_loop_certificate(design, omega_points=2048)
+        try:
             traj = simulate(cfg.model, design, cfg.graph, cfg.delays,
                             cfg.x0, cfg.xr0, 20000)
-        cert = closed_loop_certificate(design, omega_points=2048)
-        if not np.isfinite(traj.error[-1]):
+        except NumericError:
             verdict = "diverged"
         else:
             steps = steps_to_tolerance(traj.error)

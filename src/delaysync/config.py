@@ -47,21 +47,7 @@ class ScenarioConfig:
     def __eq__(self, other):
         if not isinstance(other, ScenarioConfig):
             return NotImplemented
-        return (self.mode == other.mode
-                and self.k_max == other.k_max
-                and self.epsilon == other.epsilon
-                and self.rho == other.rho
-                and self.out_dir == other.out_dir
-                and self.emit_plot_data == other.emit_plot_data
-                and np.array_equal(self.model.A, other.model.A)
-                and np.array_equal(self.model.B, other.model.B)
-                and np.array_equal(self.model.C, other.model.C)
-                and np.array_equal(self.graph.adjacency, other.graph.adjacency)
-                and np.array_equal(self.graph.roots, other.graph.roots)
-                and np.array_equal(self.delays.kappa, other.delays.kappa)
-                and self.delays.kappa_bar == other.delays.kappa_bar
-                and np.array_equal(self.x0, other.x0)
-                and np.array_equal(self.xr0, other.xr0))
+        return config_to_dict(self) == config_to_dict(other)
 
 
 def _matrix(raw, name, problems):

@@ -5,10 +5,10 @@ strictly synchronous: every quantity at step k (inputs, measurements,
 exchanges) is computed from the step-k snapshot before any state is
 written, matching the difference equations the protocols define.
 
-Delayed inputs come from a per-agent ring buffer of executed inputs.
-Inputs at negative times default to zero; initial state histories default
-to the given x(0) held constant, which only enters the recursion through
-x(0) itself.
+Delayed inputs are read back from the record of executed inputs, which
+holds zeros at negative times.  Protocol and observer states start at
+zero.  A run whose states, inputs or synchronization error leave the
+finite floats raises NumericError naming the first step and agent.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import PARTIAL_STATE
-from .errors import DimensionError, ScenarioError
+from .errors import DimensionError, NumericError, ScenarioError
 from .network import is_rooted, network_matrices
 
 
@@ -48,37 +48,32 @@ class DelayProfile:
 
 
 class InputHistory:
-    """Ring buffer of the last kappa_bar executed inputs for every agent.
+    """Record of every agent's executed inputs, zero at negative times.
 
-    `read` takes the inputs just computed at the current step so that a
-    zero delay resolves to them; `push` then records those inputs.
+    Row kappa_bar + k holds u(k), so the first kappa_bar rows are the
+    zero inputs before step 0 and a delayed read never leaves the array.
+    `push` records the inputs of the next step; `read` then resolves each
+    agent's own delay against that step.
     """
 
-    def __init__(self, n_agents, m, kappa_bar, initial=None):
+    def __init__(self, n_agents, m, kappa_bar, k_max):
         self.kappa_bar = int(kappa_bar)
-        if initial is None:
-            self._past = [np.zeros((n_agents, m)) for _ in range(self.kappa_bar)]
-        else:
-            initial = [np.asarray(u, dtype=float) for u in initial]
-            if len(initial) != self.kappa_bar:
-                raise DimensionError(
-                    f"input history must have exactly {self.kappa_bar} entries, "
-                    f"got {len(initial)}")
-            for u in initial:
-                if u.shape != (n_agents, m):
-                    raise DimensionError(
-                        f"each history entry must have shape {(n_agents, m)}, "
-                        f"got {u.shape}")
-            self._past = list(initial)
-
-    def read(self, u_now, kappa):
-        """Per-agent delayed inputs u_i(k - kappa_i), row i for agent i."""
-        stacked = np.stack([u_now, *self._past]) if self._past else u_now[None]
-        return stacked[kappa, np.arange(u_now.shape[0])]
+        self._rows = np.zeros((self.kappa_bar + k_max + 1, n_agents, m))
+        self._agents = np.arange(n_agents)
+        self._step = -1
 
     def push(self, u_now):
-        if self.kappa_bar > 0:
-            self._past = [np.asarray(u_now, dtype=float)] + self._past[:-1]
+        self._step += 1
+        self._rows[self.kappa_bar + self._step] = u_now
+
+    def read(self, kappa):
+        """Per-agent delayed inputs u_i(k - kappa_i), row i for agent i."""
+        return self._rows[self.kappa_bar + self._step - kappa, self._agents]
+
+    @property
+    def recorded(self):
+        """Inputs u(0), u(1), ... indexed [step, agent, input]."""
+        return self._rows[self.kappa_bar:]
 
 
 @dataclass(frozen=True)
@@ -94,11 +89,6 @@ class Trajectory:
     x_ref: np.ndarray
     u: np.ndarray
     error: np.ndarray
-
-
-def exosystem_step(A, x_ref):
-    """One autonomous reference step: x_ref' = A x_ref."""
-    return np.asarray(A) @ np.asarray(x_ref)
 
 
 def network_measurement(graph, states, y_ref, C=None):
@@ -118,16 +108,14 @@ def network_measurement(graph, states, y_ref, C=None):
     return rel / (2.0 + d_in)[:, None]
 
 
-def extra_exchange_full(graph, chi):
+def extra_exchange_full(net, chi):
     """Scaled expanded-Laplacian mix of the neighbors' protocol states."""
-    net = network_matrices(graph)
     return net.scale[:, None] * (net.expanded_laplacian @ chi)
 
 
-def extra_exchange_partial(graph, chi, delayed_u):
+def extra_exchange_partial(net, chi, delayed_u):
     """Both extra exchanges of the output-coupling protocol: the protocol
     states and the executed (own-delay) inputs, mixed the same way."""
-    net = network_matrices(graph)
     scale = net.scale[:, None]
     return (scale * (net.expanded_laplacian @ chi),
             scale * (net.expanded_laplacian @ delayed_u))
@@ -138,50 +126,21 @@ def control_input(design, chi):
     return -design.rho * (chi @ design.K.T)
 
 
-def full_state_protocol_step(design, chi, zeta_bar, zeta_hat, u_delayed):
-    """One synchronous update of the full-state-coupling protocol.
-
-    Returns (chi_next, u) where u is the input computed from the pre-update
-    protocol state.
-    """
-    A, B = design.model.A, design.model.B
-    u = control_input(design, chi)
-    chi_next = chi @ A.T + u_delayed @ B.T + (zeta_bar - zeta_hat) @ A.T
-    return chi_next, u
-
-
-def partial_state_protocol_step(design, xhat, chi, zeta_bar, zeta_hat1,
-                                zeta_hat2, u_delayed):
-    """One synchronous update of the output-coupling protocol.
-
-    The observer consumes the network measurement and the exchanged delayed
-    inputs; the protocol state consumes the pre-update observer state.
-    Returns (xhat_next, chi_next, u).
-    """
-    A, B, C, F = design.model.A, design.model.B, design.model.C, design.F
-    u = control_input(design, chi)
-    xhat_next = xhat @ A.T + zeta_hat2 @ B.T + (zeta_bar - xhat @ C.T) @ F.T
-    chi_next = chi @ A.T + u_delayed @ B.T + (xhat - zeta_hat1) @ A.T
-    return xhat_next, chi_next, u
-
-
-def _max_error(x, x_ref):
-    return np.linalg.norm(x - x_ref[:, None, :], axis=2).max(axis=1)
+def _agent_errors(x, x_ref):
+    return np.linalg.norm(x - x_ref[:, None, :], axis=2)
 
 
 def sync_error(traj):
     """Worst-agent synchronization error per step: max_i ||x_i(k) - x_ref(k)||."""
-    return _max_error(traj.x, traj.x_ref)
+    return _agent_errors(traj.x, traj.x_ref).max(axis=1)
 
 
-def simulate(model, design, graph, delays, x0, xr0, k_max,
-             chi0=None, xhat0=None, u_history=None):
+def simulate(model, design, graph, delays, x0, xr0, k_max):
     """Run the closed loop for k_max steps and record every state.
 
     Requires a rooted graph and a delay profile within the design's bound.
-    Protocol and observer states start at zero unless overridden; the input
-    history starts at zero unless `u_history` supplies the kappa_bar most
-    recent pre-run inputs (newest first).
+    Protocol and observer states and all inputs before step 0 are zero.
+    Raises NumericError when the run leaves the finite floats.
     """
     n, m = model.n, model.m
     N = graph.n_agents
@@ -205,14 +164,16 @@ def simulate(model, design, graph, delays, x0, xr0, k_max,
     if partial and design.F is None:
         raise ScenarioError("partial-state design is missing the observer gain")
 
-    A, C = model.A, model.C
+    # the plant and the exosystem follow `model`; the protocol and the
+    # observer run on the design's copy of it
+    A, B, C = model.A, model.B, model.C
+    Ap, Bp, Cp = design.model.A, design.model.B, design.model.C
     kappa = delays.kappa
-    buffers = InputHistory(N, m, delays.kappa_bar, initial=u_history)
+    inputs = InputHistory(N, m, delays.kappa_bar, k_max)
 
     x = x0.copy()
-    chi = np.zeros((N, n)) if chi0 is None else np.array(chi0, dtype=float)
-    xhat = (np.zeros((N, n)) if xhat0 is None else np.array(xhat0, dtype=float)) \
-        if partial else None
+    chi = np.zeros((N, n))
+    xhat = np.zeros((N, n)) if partial else None
     x_ref = xr0.copy()
 
     steps = k_max + 1
@@ -220,33 +181,46 @@ def simulate(model, design, graph, delays, x0, xr0, k_max,
     rec_chi = np.empty((steps, N, n))
     rec_xhat = np.empty((steps, N, n)) if partial else None
     rec_xr = np.empty((steps, n))
-    rec_u = np.empty((steps, N, m))
+    net = network_matrices(graph)
 
-    for k in range(steps):
-        rec_x[k], rec_chi[k], rec_xr[k] = x, chi, x_ref
-        if partial:
-            rec_xhat[k] = xhat
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            rec_x[k], rec_chi[k], rec_xr[k] = x, chi, x_ref
+            if partial:
+                rec_xhat[k] = xhat
+            inputs.push(control_input(design, chi))
+            if k == k_max:
+                break
+            u_delayed = inputs.read(kappa)
 
-        u = control_input(design, chi)
-        rec_u[k] = u
-        if k == k_max:
-            break
-        u_delayed = buffers.read(u, kappa)
+            # partial mode feeds the observer state where full mode feeds
+            # the network measurement
+            if partial:
+                zeta_bar = network_measurement(graph, x, C @ x_ref, C=C)
+                zeta_hat, zeta_hat2 = extra_exchange_partial(net, chi,
+                                                             u_delayed)
+                measured = xhat
+                xhat = xhat @ Ap.T + zeta_hat2 @ Bp.T \
+                    + (zeta_bar - xhat @ Cp.T) @ design.F.T
+            else:
+                measured = network_measurement(graph, x, x_ref)
+                zeta_hat = extra_exchange_full(net, chi)
+            chi = chi @ Ap.T + u_delayed @ Bp.T + (measured - zeta_hat) @ Ap.T
+            x = x @ A.T + u_delayed @ B.T
+            x_ref = A @ x_ref
+        # three dense N x N arrays: not kept alive through the error pass
+        del net
 
-        if partial:
-            zeta_bar = network_measurement(graph, x, C @ x_ref, C=C)
-            zeta_hat1, zeta_hat2 = extra_exchange_partial(graph, chi, u_delayed)
-            xhat, chi, _ = partial_state_protocol_step(
-                design, xhat, chi, zeta_bar, zeta_hat1, zeta_hat2, u_delayed)
-        else:
-            zeta_bar = network_measurement(graph, x, x_ref)
-            zeta_hat = extra_exchange_full(graph, chi)
-            chi, _ = full_state_protocol_step(
-                design, chi, zeta_bar, zeta_hat, u_delayed)
-
-        x = x @ A.T + u_delayed @ model.B.T
-        x_ref = exosystem_step(A, x_ref)
-        buffers.push(u)
-
+        agent_errors = _agent_errors(rec_x, rec_xr)
+    # a non-finite state or reference makes that agent's error non-finite
+    bad = ~np.isfinite(agent_errors)
+    for rec in (rec_chi, rec_xhat, inputs.recorded):
+        if rec is not None:
+            bad |= ~np.isfinite(rec).all(axis=2)
+    if bad.any():
+        k, i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NumericError(f"simulation diverged: a state, input or the sync "
+                           f"error is non-finite from step {k} (agent {i})")
     return Trajectory(x=rec_x, protocol=rec_chi, observer=rec_xhat,
-                      x_ref=rec_xr, u=rec_u, error=_max_error(rec_x, rec_xr))
+                      x_ref=rec_xr, u=inputs.recorded,
+                      error=agent_errors.max(axis=1))

@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from delaysync import load_config, parse_config, write_config
+from delaysync import (CommGraph, DelayProfile, load_config, parse_config,
+                       write_config)
 from delaysync.cli import main
 from delaysync.config import config_to_dict
 from delaysync.demos import demo_scenario
@@ -44,6 +47,25 @@ class TestConfigRoundTrip:
         assert loaded.emit_plot_data
         write_config(loaded, path)
         assert load_config(path) == loaded
+
+    def test_one_changed_entry_compares_unequal(self):
+        cfg = demo_scenario(1, "full")
+        adj = cfg.graph.adjacency.copy()
+        adj[0, 1] = 0.5
+        kappa = cfg.delays.kappa.copy()
+        kappa[0] = 0
+        changed = [
+            dataclasses.replace(cfg, graph=CommGraph(adjacency=adj,
+                                                     roots=cfg.graph.roots)),
+            dataclasses.replace(cfg, delays=DelayProfile(kappa=kappa,
+                                                         kappa_bar=2)),
+            dataclasses.replace(cfg, delays=DelayProfile(
+                kappa=cfg.delays.kappa, kappa_bar=3)),
+        ]
+        for other in changed:
+            assert other != cfg and cfg != other
+        assert demo_scenario(1, "full") == cfg
+        assert cfg.__eq__(config_to_dict(cfg)) is NotImplemented
 
 
 class TestValidation:
@@ -174,6 +196,13 @@ class TestCommands:
         assert main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "x")]) == 1
         assert "delays.kappa" in capsys.readouterr().err
+
+    def test_diverging_run_names_step_and_agent(self, tmp_path, capsys):
+        path = demo_config_file(tmp_path, **{"protocol.epsilon": 0.1})
+        assert main(["simulate", "--config", str(path), "--out",
+                     str(tmp_path / "x"), "--kmax", "3000"]) == 1
+        assert re.search(r"non-finite from step \d+ \(agent \d\)",
+                         capsys.readouterr().err)
 
     def test_bad_usage_maps_to_one(self, capsys):
         assert main(["design"]) == 1          # missing required --config

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,15 +8,13 @@ from hypothesis import strategies as st
 
 from delaysync import (AgentModel, CommGraph, DelayProfile, InputHistory,
                        ProtocolDesign, design_protocol, simulate, sync_error)
-from delaysync.demos import demo_model, _initial_states
-from delaysync.dynamics import (control_input, exosystem_step,
-                                extra_exchange_full, extra_exchange_partial,
-                                full_state_protocol_step, network_measurement,
-                                partial_state_protocol_step)
-from delaysync.errors import ScenarioError
+from delaysync.demos import demo_model, demo_scenario, _initial_states
+from delaysync.dynamics import (control_input, extra_exchange_full,
+                                extra_exchange_partial, network_measurement)
+from delaysync.errors import NumericError, ScenarioError
 from delaysync.network import network_matrices
 
-from conftest import BENCH_A, cycle3_graph
+from conftest import cycle3_graph
 
 XR0 = np.array([0.0, 1.0, 0.0])
 
@@ -59,40 +58,31 @@ class TestInputHistory:
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=5),
            st.integers(0, 12))
     def test_reads_own_delay(self, kappas, steps):
-        hist = InputHistory(len(kappas), 2, max(kappas))
+        hist = InputHistory(len(kappas), 2, max(kappas), steps)
         kap = np.array(kappas)
         for k in range(steps + 1):
-            u_now = np.full((len(kappas), 2), float(k + 1))  # stamp k -> k+1
-            got = hist.read(u_now, kap)
+            hist.push(np.full((len(kappas), 2), float(k + 1)))  # stamp k -> k+1
+            got = hist.read(kap)
             for i, ki in enumerate(kappas):
                 expected = float(k + 1 - ki) if k - ki >= 0 else 0.0
                 assert got[i, 0] == expected
-            hist.push(u_now)
-
-    def test_preloaded_history(self):
-        seed = [np.array([[9.0]]), np.array([[8.0]])]  # u(-1), u(-2)
-        hist = InputHistory(1, 1, 2, initial=seed)
-        got = hist.read(np.array([[1.0]]), np.array([2]))
-        assert got[0, 0] == 8.0
+        np.testing.assert_array_equal(hist.recorded[:, 0, 0],
+                                      np.arange(1.0, steps + 2))
 
 
 class TestExosystem:
-    def test_zero_fixed(self):
-        np.testing.assert_array_equal(exosystem_step(BENCH_A, np.zeros(3)),
-                                      np.zeros(3))
+    def test_zero_fixed(self, full_design):
+        traj = run_case1(full_design, [1, 1, 2], 5, xr0=np.zeros(3))
+        np.testing.assert_array_equal(traj.x_ref, np.zeros((6, 3)))
 
-    def test_basis_vector_reads_column(self):
-        out = exosystem_step(BENCH_A, np.array([0.0, 1.0, 0.0]))
-        np.testing.assert_allclose(out, [1.0, math.sqrt(3) / 2, 0.5])
+    def test_basis_vector_reads_column(self, full_design):
+        traj = run_case1(full_design, [1, 1, 2], 1)
+        np.testing.assert_allclose(traj.x_ref[1], [1.0, math.sqrt(3) / 2, 0.5])
 
-    def test_reference_stays_bounded(self):
+    def test_reference_stays_bounded(self, full_design):
         # undamped oscillator drives one stable mode: no growth over 10^4 steps
-        xr = XR0.copy()
-        peak = 0.0
-        for _ in range(10_000):
-            xr = exosystem_step(BENCH_A, xr)
-            peak = max(peak, np.linalg.norm(xr))
-        assert peak < 5.0
+        traj = run_case1(full_design, [1, 1, 2], 10_000)
+        assert np.linalg.norm(traj.x_ref, axis=1).max() < 5.0
 
 
 class TestMeasurements:
@@ -127,16 +117,18 @@ class TestMeasurements:
                                        atol=1e-12)
 
     def test_exchange_zero_states(self):
-        g = cycle3_graph()
-        np.testing.assert_array_equal(extra_exchange_full(g, np.zeros((3, 3))),
-                                      np.zeros((3, 3)))
-        z1, z2 = extra_exchange_partial(g, np.zeros((3, 3)), np.zeros((3, 1)))
+        net = network_matrices(cycle3_graph())
+        np.testing.assert_array_equal(
+            extra_exchange_full(net, np.zeros((3, 3))), np.zeros((3, 3)))
+        z1, z2 = extra_exchange_partial(net, np.zeros((3, 3)),
+                                        np.zeros((3, 1)))
         assert not z1.any() and not z2.any()
 
     def test_exchange_constant_states_rootless_rows_vanish(self):
         g = CommGraph(adjacency=cycle3_graph().adjacency,
                       roots=np.zeros(3, dtype=bool))
-        out = extra_exchange_full(g, np.tile([1.0, 2.0, 3.0], (3, 1)))
+        out = extra_exchange_full(network_matrices(g),
+                                  np.tile([1.0, 2.0, 3.0], (3, 1)))
         np.testing.assert_allclose(out, np.zeros((3, 3)), atol=1e-15)
 
     def test_exchange_matches_brute_force(self):
@@ -145,7 +137,7 @@ class TestMeasurements:
         chi = rng.normal(size=(3, 3))
         u_del = rng.normal(size=(3, 1))
         net = network_matrices(g)
-        z1, z2 = extra_exchange_partial(g, chi, u_del)
+        z1, z2 = extra_exchange_partial(net, chi, u_del)
         for i in range(3):
             acc1, acc2 = np.zeros(3), np.zeros(1)
             for j in range(3):
@@ -154,35 +146,54 @@ class TestMeasurements:
             scale = 1.0 / (2 + net.in_degrees[i])
             np.testing.assert_allclose(z1[i], acc1 * scale, atol=1e-12)
             np.testing.assert_allclose(z2[i], acc2 * scale, atol=1e-12)
-        np.testing.assert_allclose(extra_exchange_full(g, chi), z1)
+        np.testing.assert_allclose(extra_exchange_full(net, chi), z1)
+
+
+def run_scalar(mode, k_max, kappa=0, x0=0.9, xr0=0.5):
+    """The scalar design on one rooted agent: scale 1/2, expanded Laplacian 1."""
+    d = scalar_design(mode)
+    g = CommGraph(adjacency=np.zeros((1, 1)), roots=np.array([True]))
+    return simulate(d.model, d, g, DelayProfile.from_list([kappa], 1),
+                    np.array([[x0]]), np.array([xr0]), k_max)
 
 
 class TestProtocolSteps:
     def test_full_state_rest_is_fixed(self):
-        d = scalar_design("full")
-        zero = np.zeros((1, 1))
-        chi_next, u = full_state_protocol_step(d, zero, zero, zero, zero)
-        assert chi_next[0, 0] == 0.0 and u[0, 0] == 0.0
+        traj = run_scalar("full", 2, x0=0.0, xr0=0.0)
+        assert not traj.x.any() and not traj.protocol.any() and not traj.u.any()
 
     def test_full_state_hand_arithmetic(self):
-        d = scalar_design("full")
-        chi_next, u = full_state_protocol_step(
-            d, np.array([[1.5]]), np.array([[0.2]]), np.array([[-0.1]]),
-            np.array([[0.4]]))
-        # 0.8*1.5 + 2*0.4 + 0.8*0.2 - 0.8*(-0.1)
-        assert chi_next[0, 0] == pytest.approx(2.24, abs=1e-15)
-        assert u[0, 0] == pytest.approx(-0.225, abs=1e-15)
+        traj = run_scalar("full", 2)
+        # chi' = 0.8 chi + 2 u_del + 0.8 ((x - xr)/2 - chi/2), u = -0.15 chi
+        chi, x, u = traj.protocol[:, 0, 0], traj.x[:, 0, 0], traj.u[:, 0, 0]
+        assert chi[1] == pytest.approx(0.16, abs=1e-15)   # 0.8*0.2
+        assert u[1] == pytest.approx(-0.024, abs=1e-15)
+        # 0.8*0.16 + 2*(-0.024) + 0.8*(0.16 - 0.08)
+        assert chi[2] == pytest.approx(0.144, abs=1e-15)
+        assert x[2] == pytest.approx(0.528, abs=1e-15)    # 0.8*0.72 - 2*0.024
+        assert u[2] == pytest.approx(-0.0216, abs=1e-15)
+
+    def test_full_state_delay_holds_input_back(self):
+        traj = run_scalar("full", 2, kappa=1)
+        # u(0) = 0 reaches the plant at step 1 instead of u(1) = -0.024
+        assert traj.protocol[2, 0, 0] == pytest.approx(0.192, abs=1e-15)
+        assert traj.x[2, 0, 0] == pytest.approx(0.576, abs=1e-15)
 
     def test_partial_state_hand_arithmetic(self):
-        d = scalar_design("partial")
-        xhat_next, chi_next, u = partial_state_protocol_step(
-            d, np.array([[1.0]]), np.array([[1.5]]), np.array([[0.2]]),
-            np.array([[-0.1]]), np.array([[0.3]]), np.array([[0.4]]))
-        # 0.8*1 + 2*0.3 + 0.6*(0.2 - 0.5*1)
-        assert xhat_next[0, 0] == pytest.approx(1.22, abs=1e-15)
-        # 0.8*1.5 + 2*0.4 + 0.8*1 - 0.8*(-0.1)
-        assert chi_next[0, 0] == pytest.approx(2.88, abs=1e-15)
-        assert u[0, 0] == pytest.approx(-0.225, abs=1e-15)
+        traj = run_scalar("partial", 3)
+        # xhat' = 0.8 xhat + 2 u_del/2 + 0.6 (0.5 (x - xr)/2 - 0.5 xhat)
+        # chi'  = 0.8 chi + 2 u_del + 0.8 (xhat - chi/2)
+        xhat, chi = traj.observer[:, 0, 0], traj.protocol[:, 0, 0]
+        assert xhat[1] == pytest.approx(0.06, abs=1e-15)  # 0.6*0.1
+        assert chi[1] == 0.0
+        # 0.8*0.06 + 0.6*(0.08 - 0.03)
+        assert xhat[2] == pytest.approx(0.078, abs=1e-15)
+        assert chi[2] == pytest.approx(0.048, abs=1e-15)  # 0.8*0.06
+        assert traj.u[2, 0, 0] == pytest.approx(-0.0072, abs=1e-15)
+        # 0.8*0.078 + 2*(-0.0036) + 0.6*(0.064 - 0.039)
+        assert xhat[3] == pytest.approx(0.0702, abs=1e-15)
+        # 0.8*0.048 + 2*(-0.0072) + 0.8*(0.078 - 0.024)
+        assert chi[3] == pytest.approx(0.0672, abs=1e-15)
 
     def test_control_input_sign_and_scale(self):
         d = scalar_design("full")
@@ -190,11 +201,11 @@ class TestProtocolSteps:
             == pytest.approx(-0.3)
 
 
-def run_case1(design, kappa, k_max, x0=None):
+def run_case1(design, kappa, k_max, x0=None, xr0=XR0):
     g = cycle3_graph()
     x0 = _initial_states(3) if x0 is None else x0
     return simulate(design.model, design, g, DelayProfile.from_list(kappa),
-                    x0, XR0, k_max)
+                    x0, xr0, k_max)
 
 
 class TestSimulate:
@@ -251,6 +262,73 @@ class TestSimulate:
             simulate(full_design.model, full_design, cycle3_graph(),
                      DelayProfile.from_list([1, 1, 2]),
                      np.zeros((2, 3)), XR0, 20)
+
+
+@st.composite
+def rooted_graphs(draw, max_agents=5):
+    """Random weighted digraphs, rooted through a spanning tree out of the
+    rooted agent 0."""
+    N = draw(st.integers(1, max_agents))
+    weight = st.floats(0.1, 2.0)
+    adj = np.array(draw(st.lists(
+        st.lists(st.one_of(st.just(0.0), weight), min_size=N, max_size=N),
+        min_size=N, max_size=N)))
+    for i in range(1, N):
+        adj[i, draw(st.integers(0, i - 1))] = draw(weight)
+    np.fill_diagonal(adj, 0.0)
+    roots = [True] + draw(st.lists(st.booleans(), min_size=N - 1,
+                                   max_size=N - 1))
+    return CommGraph(adjacency=adj, roots=np.array(roots))
+
+
+class TestDelayedOracles:
+    @settings(max_examples=30, deadline=None)
+    @given(graph=rooted_graphs(), partial=st.booleans(), data=st.data())
+    def test_plant_and_input_laws(self, full_design, partial_design, graph,
+                                  partial, data):
+        design = partial_design if partial else full_design
+        A, B = design.model.A, design.model.B
+        N, k_max = graph.n_agents, 30
+        kappa = data.draw(st.lists(st.integers(0, 2), min_size=N, max_size=N))
+        x0 = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=3 * N,
+                                         max_size=3 * N))).reshape(N, 3)
+        traj = simulate(design.model, design, graph,
+                        DelayProfile.from_list(kappa, 2), x0, XR0, k_max)
+        # u(k) = -rho chi(k) K'
+        np.testing.assert_allclose(traj.u,
+                                   -design.rho * traj.protocol @ design.K.T,
+                                   rtol=0, atol=1e-12)
+        # x_i(k+1) = A x_i(k) + B u_i(k - kappa_i), zero inputs before step 0
+        for k in range(k_max):
+            for i, ki in enumerate(kappa):
+                u_del = traj.u[k - ki, i] if k >= ki else np.zeros(1)
+                np.testing.assert_allclose(traj.x[k + 1, i],
+                                           A @ traj.x[k, i] + B @ u_del,
+                                           rtol=0, atol=1e-12)
+
+
+class TestDivergence:
+    def test_raises_at_first_non_finite_step(self):
+        # pinned epsilon far above the swept one: the delayed loop blows up
+        cfg = demo_scenario(1, "full")
+        design = design_protocol(cfg.model, 2, mode="full", epsilon=0.1)
+
+        def run(k_max):
+            return simulate(cfg.model, design, cfg.graph, cfg.delays, cfg.x0,
+                            cfg.xr0, k_max)
+
+        with pytest.raises(NumericError, match=r"non-finite from step \d+ "
+                                               r"\(agent \d\)") as info:
+            run(3000)
+        step = int(re.search(r"step (\d+)", str(info.value)).group(1))
+        assert 0 < step <= 3000
+        assert np.isfinite(run(step - 1).error).all()
+
+    def test_non_finite_initial_state_names_agent(self, full_design):
+        x0 = _initial_states(3)
+        x0[1, 2] = np.nan
+        with pytest.raises(NumericError, match=r"step 0 \(agent 1\)"):
+            run_case1(full_design, [1, 1, 2], 10, x0=x0)
 
 
 def monolithic_full(design, graph):
