@@ -13,7 +13,7 @@ from .network import CommGraph, NetworkMatrices, is_rooted, laplacian, \
     network_matrices
 from .riccati import (DareSolution, GainDisc, check_lambda_stabilized,
                       dare_residual, feedback_gain, gain_disc,
-                      solve_h2_dare, solve_low_gain_dare)
+                      solve_low_gain_dare)
 from .spectral import (eigenvalues, is_schur_stable, min_singular_value,
                        omega_max, spectral_radius)
 from .verify import (CertificateReport, ConvergenceReport,
@@ -33,6 +33,6 @@ __all__ = [
     "feedback_gain", "frequency_sweep_certificate", "gain_disc",
     "is_rooted", "is_schur_stable", "laplacian", "load_config",
     "min_singular_value", "network_matrices", "omega_max", "parse_config",
-    "simulate", "solve_h2_dare", "solve_low_gain_dare", "spectral_radius",
+    "simulate", "solve_low_gain_dare", "spectral_radius",
     "sync_error", "validate_assumptions", "write_config",
 ]

@@ -10,8 +10,9 @@ admissible delay bound (kappa_bar * omega_max < pi/2); the loop gain rho
 is pushed just above 1 / (2 cos(kappa_bar * omega_max)); a band margin
 theta and a high-frequency floor mu follow; and finally epsilon is swept
 downward until the low-gain feedback is small enough for the floor and
-keeps the phase-rotated loop stable across the low band.  Each stage
-raises DesignError with a stage tag on failure.
+keeps the phase-rotated loop stable across the low band.  The Riccati
+solution accepted by the sweep is the design's; nothing is solved twice.
+Each stage raises DesignError with a stage tag on failure.
 """
 
 import math
@@ -29,6 +30,18 @@ DELAY_BOUNDARY_GUARD = 1e-9
 
 #: epsilon sweep: quarter-decade geometric grid from 1e-1 down to 1e-8
 EPSILON_SWEEP = tuple(10.0 ** e for e in np.arange(-1.0, -8.25, -0.25))
+
+#: multiplicative headroom of rho above its critical gain
+RHO_MARGIN = 1.05
+
+#: gap kept above 1/2 by rho * cos(kappa_bar * w) across the band theta
+THETA_SAFETY = 0.01
+
+#: uniform grid points on which estimate_mu samples the high band
+MU_GRID_POINTS = 2000
+
+#: interior grid points of the low band in the epsilon acceptance test
+BAND_POINTS = 400
 
 FULL_STATE = "full"
 PARTIAL_STATE = "partial"
@@ -117,22 +130,19 @@ def delay_admissible(A, kappa_bar):
     return kappa_bar * omega_max(A) < math.pi / 2.0 - DELAY_BOUNDARY_GUARD
 
 
-def choose_rho(kappa_bar, omega, margin=1.05):
-    """Loop gain strictly above both 1/2 and 1 / (2 cos(kappa_bar * omega)).
-
-    `margin` (> 1) is the multiplicative headroom above the critical gain.
-    """
-    if margin <= 1.0:
-        raise ValueError(f"margin must exceed 1, got {margin}")
+def choose_rho(kappa_bar, omega):
+    """Loop gain RHO_MARGIN times above both 1/2 and
+    1 / (2 cos(kappa_bar * omega))."""
     if not kappa_bar * omega < math.pi / 2.0 - DELAY_BOUNDARY_GUARD:
         raise DesignError("rho", f"kappa_bar*omega_max = {kappa_bar * omega:.6g} "
                           "is not below pi/2; no admissible gain exists")
-    return max(margin / (2.0 * math.cos(kappa_bar * omega)), 0.5 * margin)
+    return max(RHO_MARGIN / (2.0 * math.cos(kappa_bar * omega)),
+               0.5 * RHO_MARGIN)
 
 
-def choose_theta(rho, kappa_bar, omega, safety=0.01):
+def choose_theta(rho, kappa_bar, omega):
     """Width of the frequency band beyond omega on which the gain condition
-    rho * cos(kappa_bar * w) >= 1/2 + safety still holds.
+    rho * cos(kappa_bar * w) >= 1/2 + THETA_SAFETY still holds.
 
     With kappa_bar = 0 the condition is frequency-independent and theta is
     simply pi - omega; otherwise theta is the largest band width compatible
@@ -147,23 +157,23 @@ def choose_theta(rho, kappa_bar, omega, safety=0.01):
                           "rho*cos(kappa_bar*omega_max) > 1/2")
     if kappa_bar == 0:
         return math.pi - omega
-    gap = min(safety, 0.5 * headroom)
+    gap = min(THETA_SAFETY, 0.5 * headroom)
     theta = math.acos((0.5 + gap) / rho) / kappa_bar - omega
     return min(theta, math.pi - omega)
 
 
-def estimate_mu(A, omega, theta, grid_points=2000):
+def estimate_mu(A, omega, theta):
     """Lower bound on sigma_min(e^{jw} I - A) over the band [omega+theta, pi].
 
-    Evaluated on a uniform grid (endpoints included) and scaled by 0.9 as a
-    grid-safety factor.  Positive by construction since no eigenvalue of A
-    has its angle inside the band.
+    Evaluated on a uniform grid of MU_GRID_POINTS (endpoints included) and
+    scaled by 0.9 as a grid-safety factor.  Positive by construction since
+    no eigenvalue of A has its angle inside the band.
     """
     A = np.asarray(A, dtype=float)
     if omega + theta > math.pi + 1e-12:
         raise ValueError("omega + theta must not exceed pi")
     n = A.shape[0]
-    grid = np.linspace(omega + theta, math.pi, grid_points)
+    grid = np.linspace(omega + theta, math.pi, MU_GRID_POINTS)
     M = np.exp(1j * grid)[:, None, None] * np.eye(n)[None] - A[None]
     mu = 0.9 * float(np.linalg.svd(M, compute_uv=False)[:, -1].min())
     if mu <= 0.0:
@@ -172,10 +182,10 @@ def estimate_mu(A, omega, theta, grid_points=2000):
     return mu
 
 
-def _low_band_stable(A, BK, rho, kappa_bar, omega, theta, band_points):
+def _low_band_stable(A, BK, rho, kappa_bar, omega, theta):
     """Schur stability of A - rho * e^{-j w k} BK on the open band
     (-(omega+theta), omega+theta) for every integer delay k <= kappa_bar."""
-    band = np.linspace(-(omega + theta), omega + theta, band_points + 2)[1:-1]
+    band = np.linspace(-(omega + theta), omega + theta, BAND_POINTS + 2)[1:-1]
     for kappa in range(kappa_bar + 1):
         if kappa == 0:  # phase-independent: the whole band is one matrix
             M = (A - rho * BK)[None]
@@ -187,29 +197,27 @@ def _low_band_stable(A, BK, rho, kappa_bar, omega, theta, band_points):
     return True
 
 
-def choose_epsilon_star(A, B, rho, mu, kappa_bar, omega, theta,
-                        band_points=400, sweep=EPSILON_SWEEP):
-    """Largest epsilon on the sweep whose feedback gain satisfies both
-    acceptance conditions.
+def choose_epsilon_star(A, B, rho, mu, kappa_bar, omega, theta):
+    """Low-gain solution at the largest epsilon on EPSILON_SWEEP whose
+    feedback gain satisfies both acceptance conditions.
 
     (a) the scaled gain is below the high-band floor: rho*||BK|| <= mu/2;
     (b) A - rho*e^{-jwk} B K stays Schur stable across the low band for
         every integer delay k in [0, kappa_bar].
 
-    Raises DesignError with per-condition diagnostics if the sweep is
-    exhausted.
+    The accepted epsilon is the returned solution's `.epsilon`.  Raises
+    DesignError with per-condition diagnostics if the sweep is exhausted.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     last = None
-    for eps in sweep:
+    for eps in EPSILON_SWEEP:
         sol = solve_low_gain_dare(A, B, eps)
         BK = B @ sol.K
         cond_a = rho * np.linalg.norm(BK, 2) <= mu / 2.0
-        cond_b = _low_band_stable(A, BK, rho, kappa_bar, omega, theta,
-                                  band_points)
+        cond_b = _low_band_stable(A, BK, rho, kappa_bar, omega, theta)
         if cond_a and cond_b:
-            return float(eps)
+            return sol
         last = (eps, cond_a, cond_b)
     raise DesignError(
         "epsilon",
@@ -269,22 +277,20 @@ def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None, rho=None):
     mu = estimate_mu(model.A, w, theta)
 
     if epsilon is None:
-        eps_star = choose_epsilon_star(model.A, model.B, rho_val, mu,
-                                       kappa_bar, w, theta)
-        eps = eps_star
+        sol = choose_epsilon_star(model.A, model.B, rho_val, mu, kappa_bar,
+                                  w, theta)
     else:
-        eps = float(epsilon)
-        if not (0.0 < eps <= 1.0):
-            raise DesignError("epsilon", f"pinned epsilon = {eps:.6g} is "
+        pinned = float(epsilon)
+        if not (0.0 < pinned <= 1.0):
+            raise DesignError("epsilon", f"pinned epsilon = {pinned:.6g} is "
                               "outside (0, 1]")
-        eps_star = eps
-
-    sol = solve_low_gain_dare(model.A, model.B, eps)
+        sol = solve_low_gain_dare(model.A, model.B, pinned)
     if not is_schur_stable(model.A - rho_val * model.B @ sol.K):
         raise DesignError("epsilon", f"A - rho*B*K is not Schur stable at "
-                          f"epsilon = {eps:.6g}, rho = {rho_val:.6g}")
+                          f"epsilon = {sol.epsilon:.6g}, rho = {rho_val:.6g}")
 
     F = design_observer(model.A, model.C) if mode == PARTIAL_STATE else None
-    return ProtocolDesign(mode=mode, model=model, epsilon_star=eps_star,
-                          epsilon=eps, rho=rho_val, K=sol.K, P=sol.P, F=F,
-                          omega_max=w, kappa_bar=kappa_bar, theta=theta, mu=mu)
+    return ProtocolDesign(mode=mode, model=model, epsilon_star=sol.epsilon,
+                          epsilon=sol.epsilon, rho=rho_val, K=sol.K, P=sol.P,
+                          F=F, omega_max=w, kappa_bar=kappa_bar, theta=theta,
+                          mu=mu)

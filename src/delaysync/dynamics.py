@@ -91,17 +91,18 @@ class Trajectory:
     error: np.ndarray
 
 
-def network_measurement(graph, states, y_ref, C=None):
+def network_measurement(graph, net, states, y_ref, C=None):
     """Per-agent relative measurement, scaled by 1 / (2 + d_in(i)).
 
     Row i is
         (2 + d_in(i))^{-1} [ sum_j a_ij (y_i - y_j) + roots_i (y_i - y_ref) ]
     with y = states @ C' when C is given (output coupling) and y = states
     otherwise (full-state coupling).  Both the neighbor sum and the root
-    term share the same scaling.
+    term share the same scaling.  The in-degrees come from the graph's
+    `NetworkMatrices` `net`.
     """
     adj = graph.adjacency
-    d_in = adj.sum(axis=1)
+    d_in = net.in_degrees
     y = states if C is None else states @ np.asarray(C, dtype=float).T
     rel = d_in[:, None] * y - adj @ y
     rel += graph.roots[:, None] * (y - np.asarray(y_ref))
@@ -196,14 +197,14 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
             # partial mode feeds the observer state where full mode feeds
             # the network measurement
             if partial:
-                zeta_bar = network_measurement(graph, x, C @ x_ref, C=C)
+                zeta_bar = network_measurement(graph, net, x, C @ x_ref, C=C)
                 zeta_hat, zeta_hat2 = extra_exchange_partial(net, chi,
                                                              u_delayed)
                 measured = xhat
                 xhat = xhat @ Ap.T + zeta_hat2 @ Bp.T \
                     + (zeta_bar - xhat @ Cp.T) @ design.F.T
             else:
-                measured = network_measurement(graph, x, x_ref)
+                measured = network_measurement(graph, net, x, x_ref)
                 zeta_hat = extra_exchange_full(net, chi)
             chi = chi @ Ap.T + u_delayed @ Bp.T + (measured - zeta_hat) @ Ap.T
             x = x @ A.T + u_delayed @ B.T

@@ -4,18 +4,21 @@
 
     A'PA - P - A'PB (I + B'PB)^{-1} B'PA + eps*I = 0
 
-for eps in (0, 1], the weighting the protocol designer uses.  The general
-(Q, R) equation is exposed through `solve_h2_dare`.  The solver runs the
-structure-preserving doubling iteration and then polishes with plain
-fixed-point sweeps until the Frobenius residual meets `tol`; doubling is
-what keeps the iteration count flat as eps shrinks.
+for eps in (0, 1]: the one Riccati family the protocol designer, the
+observer and the gain-disc tools use.  The solver runs the structure-
+preserving doubling iteration of Chu, Fan, Lin et al. on the triple
+(A, BB', eps*I) and then polishes with plain fixed-point sweeps until the
+Frobenius residual meets DARE_TOL; doubling is what keeps the iteration
+count flat as eps shrinks.  The result is a `DareSolution`, so a caller
+that needs P, K or gamma at one eps solves once and passes the solution
+on.
 
-`gain_disc` and `check_lambda_stabilized` expose the complex gain region:
-for gamma = lambda_max(B'P_delta B), every lambda inside the open disc
-centred at 1 + 1/gamma with radius sqrt(1 + gamma)/gamma keeps
-A + lambda*B*F_delta Schur stable, where F_delta is the negated low-gain
-feedback.  As delta shrinks the disc swallows any compact subset of
-{Re z > 1/2}.
+`gain_disc` and `check_lambda_stabilized` expose the complex gain region
+of a solution at weight delta: for gamma = lambda_max(B'P_delta B), every
+lambda inside the open disc centred at 1 + 1/gamma with radius
+sqrt(1 + gamma)/gamma keeps A + lambda*B*F_delta Schur stable, where
+F_delta is the negated low-gain feedback.  As delta shrinks the disc
+swallows any compact subset of {Re z > 1/2}.
 """
 
 from dataclasses import dataclass
@@ -29,6 +32,12 @@ from .spectral import UNIT_CIRCLE_TOL, eigenvalues, is_schur_stable
 #: PBH rank test: the trailing singular value of [A - lambda I, B] must
 #: exceed this fraction of the leading one
 _PBH_RTOL = 1e-8
+
+#: Frobenius residual every returned Riccati solution meets
+DARE_TOL = 1e-12
+
+#: budget of combined doubling and polish iterations per solve
+DARE_MAX_ITER = 200000
 
 
 @dataclass(frozen=True)
@@ -93,59 +102,59 @@ def is_detectable(A, C):
     return is_stabilizable(A.T, C.T)
 
 
-def dare_residual(A, B, P, Q, R=None):
-    """Frobenius norm of A'PA - P - A'PB (R + B'PB)^{-1} B'PA + Q."""
+def dare_residual(A, B, P, epsilon):
+    """Frobenius norm of A'PA - P - A'PB (I + B'PB)^{-1} B'PA + eps*I."""
     A, B = _check_ab(A, B)
-    m = B.shape[1]
-    if R is None:
-        R = np.eye(m)
-    M = R + B.T @ P @ B
-    defect = A.T @ P @ A - P - A.T @ P @ B @ np.linalg.solve(M, B.T @ P @ A) + Q
+    M = np.eye(B.shape[1]) + B.T @ P @ B
+    defect = A.T @ P @ A - P - A.T @ P @ B @ np.linalg.solve(M, B.T @ P @ A) \
+        + epsilon * np.eye(A.shape[0])
     return float(np.linalg.norm(defect, "fro"))
 
 
-def feedback_gain(A, B, P, R=None):
-    """Feedback gain K = (R + B'PB)^{-1} B'PA for a given Riccati solution P.
+def feedback_gain(A, B, P):
+    """Feedback gain K = (I + B'PB)^{-1} B'PA for a given Riccati solution P.
 
-    The m-by-m system matrix R + B'PB is positive definite whenever P >= 0,
+    The m-by-m system matrix I + B'PB is positive definite whenever P >= 0,
     so the solve always succeeds.
     """
     A, B = _check_ab(A, B)
     P = np.asarray(P, dtype=float)
     if P.shape != A.shape:
         raise DimensionError(f"P must match A's shape {A.shape}, got {P.shape}")
-    m = B.shape[1]
-    if R is None:
-        R = np.eye(m)
-    return np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+    return np.linalg.solve(np.eye(B.shape[1]) + B.T @ P @ B, B.T @ P @ A)
 
 
-def solve_h2_dare(A, B, Q, R, tol=1e-12, max_iter=200000):
-    """Stabilizing solution of the general H2 DARE with weights (Q, R).
+def solve_low_gain_dare(A, B, epsilon):
+    """Stabilizing solution of the low-gain DARE with weights eps*I and I.
 
-    Q must be symmetric positive definite and R positive definite; with
-    (A, B) stabilizable the stabilizing solution exists, is unique, and is
-    returned as a symmetric matrix whose residual is at most `tol`.
-    Raises ConvergenceError (carrying the last residual) if the budget of
-    `max_iter` combined doubling/polish iterations is exhausted.
+    Requires (A, B) stabilizable and all eigenvalues of A inside the closed
+    unit disc (the model class the protocol targets); epsilon must lie in
+    (0, 1].  The returned P is symmetric with residual at most DARE_TOL and
+    the closed loop A - B K is strictly Schur stable.  Raises
+    ConvergenceError (carrying the last residual) if DARE_MAX_ITER combined
+    doubling/polish iterations do not meet the residual.
     """
     A, B = _check_ab(A, B)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (0.0 < epsilon <= 1.0):
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    mods = np.abs(eigenvalues(A))
+    if np.any(mods > 1.0 + UNIT_CIRCLE_TOL):
+        raise AssumptionError(
+            "A has an eigenvalue outside the closed unit disc "
+            f"(max modulus {mods.max():.12g})")
     if not is_stabilizable(A, B):
         raise AssumptionError("(A, B) is not stabilizable (PBH rank test "
                               "failed at a closed-loop-relevant eigenvalue)")
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
     n, m = B.shape
     eye = np.eye(n)
+    Q = epsilon * eye
 
     # structure-preserving doubling on the triple (A_k, G_k, H_k)
     Ak = A.copy()
-    G = B @ np.linalg.solve(R, B.T)
-    H = Q.copy()
+    G = B @ B.T
+    H = Q
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(DARE_MAX_ITER):
         IGH = eye + G @ H
         AX = np.linalg.solve(IGH, Ak)
         GX = np.linalg.solve(IGH, G)
@@ -160,78 +169,53 @@ def solve_h2_dare(A, B, Q, R, tol=1e-12, max_iter=200000):
 
     # fixed-point polish until the residual contract is met
     P = H
-    residual = dare_residual(A, B, P, Q, R)
+    residual = dare_residual(A, B, P, epsilon)
     stalls = 0
-    while residual > tol:
-        if iterations >= max_iter:
+    while residual > DARE_TOL:
+        if iterations >= DARE_MAX_ITER:
             raise ConvergenceError(
-                f"DARE solver exhausted {max_iter} iterations "
-                f"(residual {residual:.3e} > tol {tol:.3e})",
+                f"DARE solver exhausted {DARE_MAX_ITER} iterations "
+                f"(residual {residual:.3e} > tol {DARE_TOL:.3e})",
                 residual=residual, iterations=iterations)
-        M = R + B.T @ P @ B
+        M = np.eye(m) + B.T @ P @ B
         P_next = A.T @ P @ A + Q - A.T @ P @ B @ np.linalg.solve(M, B.T @ P @ A)
         P_next = 0.5 * (P_next + P_next.T)
         iterations += 1
-        res_next = dare_residual(A, B, P_next, Q, R)
+        res_next = dare_residual(A, B, P_next, epsilon)
         if res_next >= residual:
             stalls += 1
             if stalls >= 5:
                 raise ConvergenceError(
-                    f"DARE polish stalled at residual {residual:.3e} > tol {tol:.3e}",
-                    residual=residual, iterations=iterations)
+                    f"DARE polish stalled at residual {residual:.3e} > tol "
+                    f"{DARE_TOL:.3e}", residual=residual, iterations=iterations)
         else:
             stalls = 0
         P, residual = P_next, res_next
-    return P, residual, iterations
 
-
-def solve_low_gain_dare(A, B, epsilon, tol=1e-12, max_iter=200000):
-    """Low-gain Riccati solve with Q = eps*I, R = I.
-
-    Requires (A, B) stabilizable and all eigenvalues of A inside the closed
-    unit disc (the model class the protocol targets); epsilon must lie in
-    (0, 1].  The returned closed loop A - B K is strictly Schur stable.
-    """
-    A, B = _check_ab(A, B)
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    mods = np.abs(eigenvalues(A))
-    if np.any(mods > 1.0 + UNIT_CIRCLE_TOL):
-        raise AssumptionError(
-            "A has an eigenvalue outside the closed unit disc "
-            f"(max modulus {mods.max():.12g})")
-    n = A.shape[0]
-    P, residual, iterations = solve_h2_dare(A, B, epsilon * np.eye(n),
-                                            np.eye(B.shape[1]),
-                                            tol=tol, max_iter=max_iter)
     K = feedback_gain(A, B, P)
     gamma = float(np.linalg.eigvalsh(B.T @ P @ B).max())
     return DareSolution(P=P, epsilon=float(epsilon), K=K, gamma=gamma,
                         residual=residual, iterations=iterations)
 
 
-def gain_disc(A, B, delta):
-    """Stability-preserving complex gain disc for the delta-weighted loop.
+def gain_disc(sol):
+    """Stability-preserving complex gain disc of a low-gain solution.
 
     Returns the open disc with center 1 + 1/gamma and radius
-    sqrt(1 + gamma)/gamma, gamma = lambda_max(B'P_delta B).  Raises
-    DegenerateInputError when gamma is zero (no input authority), since the
-    disc is undefined.
+    sqrt(1 + gamma)/gamma, gamma = lambda_max(B'P_delta B) for the solution
+    `sol` at weight delta.  Raises DegenerateInputError when gamma is zero
+    (no input authority), since the disc is undefined.
     """
-    sol = solve_low_gain_dare(A, B, delta)
-    if sol.gamma <= 0.0:
+    g = sol.gamma
+    if g <= 0.0:
         raise DegenerateInputError(
             "largest eigenvalue of B'PB is zero; the gain disc is undefined")
-    g = sol.gamma
     return GainDisc(center=1.0 + 1.0 / g, radius=float(np.sqrt(1.0 + g) / g),
                     gamma=g)
 
 
-def check_lambda_stabilized(A, B, delta, lam):
+def check_lambda_stabilized(A, B, sol, lam):
     """True iff A + lambda*B*F_delta is Schur stable for the complex gain lam,
-    with F_delta the negated low-gain feedback for weight delta."""
-    sol = solve_low_gain_dare(A, B, delta)
-    F = -sol.K
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    return is_schur_stable(A + complex(lam) * (B @ F))
+    with F_delta = -K the negated gain of the low-gain solution `sol`."""
+    A, B = _check_ab(A, B)
+    return is_schur_stable(A + complex(lam) * (B @ -sol.K))

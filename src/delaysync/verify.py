@@ -2,21 +2,20 @@
 
 The certificate machinery is deliberately separate from the designer: it
 re-checks a finished design by sweeping the loop's frequency response
-rather than trusting the construction that produced it.  For a delayed
-linear recursion
+rather than trusting the construction that produced it.  The protocol's
+loop has one delayed term, -rho B K; for the delayed linear recursion
 
-    x(k+1) = A0 x(k) + sum_i A_i x(k - kappa_i)
+    x(k+1) = A0 x(k) + A1 x(k - kappa)
 
-with A0 + sum_i A_i Schur stable, asymptotic stability holds whenever
+with A0 + A1 Schur stable, asymptotic stability holds whenever
 
-    sigma_min( e^{jw} I - A0 - sum_i e^{-jw kappa_i} A_i ) > 0
+    sigma_min( e^{jw} I - A0 - e^{-jw kappa} A1 ) > 0
 
-for all w in [-pi, pi] and all integer delay combinations in the given
-ranges.  The sweep evaluates that margin on a dense grid and reports the
-minimum together with where it occurred.
+for all w in [-pi, pi].  The sweep evaluates that margin on a dense grid
+for every delay kappa in the given range and reports the minimum together
+with where it occurred.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,11 @@ import numpy as np
 from .errors import DimensionError, GridSizeError
 from .spectral import is_schur_stable
 
-#: refuse sweeps beyond this many (omega, delay-combination) evaluations
+#: refuse sweeps beyond this many (omega, delay) evaluations
 MAX_GRID_EVALUATIONS = 1_000_000
+
+#: a certificate passes iff its minimum margin exceeds this
+CERTIFICATE_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -57,73 +59,60 @@ class ConvergenceReport:
     tail_max_error: float
 
 
-def frequency_sweep_certificate(A0, terms, omega_points=4096, threshold=1e-6):
+def frequency_sweep_certificate(A0, A1, kappas, omega_points=4096):
     """Sweep the delayed loop's characteristic margin over frequency and delays.
 
-    `terms` is a sequence of (A_i, kappa_values) pairs, each kappa_values an
-    iterable of integer delays to try; the sweep covers the cartesian
-    product of all delay choices.  If the undelayed matrix A0 + sum A_i is
-    not Schur stable the certificate fails immediately with that reason.
+    The loop is x(k+1) = A0 x(k) + A1 x(k - kappa) for every integer delay
+    kappa in `kappas`.  If the undelayed matrix A0 + A1 is not Schur stable
+    the certificate fails immediately with that reason.  `argmin_kappa` is
+    the 1-tuple of the delay where the minimum occurred.
     """
     A0 = np.asarray(A0, dtype=float)
+    A1 = np.asarray(A1, dtype=float)
     if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
         raise DimensionError(f"A0 must be square, got {A0.shape}")
-    n = A0.shape[0]
-    mats, ranges = [], []
-    for Ai, kappas in terms:
-        Ai = np.asarray(Ai, dtype=float)
-        if Ai.shape != A0.shape:
-            raise DimensionError(f"delayed term must match A0's shape "
-                                 f"{A0.shape}, got {Ai.shape}")
-        mats.append(Ai)
-        ranges.append([int(k) for k in kappas])
-
-    combos = list(itertools.product(*ranges)) if ranges else [()]
-    if omega_points * len(combos) > MAX_GRID_EVALUATIONS:
+    if A1.shape != A0.shape:
+        raise DimensionError(f"delayed term must match A0's shape "
+                             f"{A0.shape}, got {A1.shape}")
+    kappas = [int(k) for k in kappas]
+    if omega_points * len(kappas) > MAX_GRID_EVALUATIONS:
         raise GridSizeError(
-            f"sweep would take {omega_points * len(combos)} evaluations "
+            f"sweep would take {omega_points * len(kappas)} evaluations "
             f"(limit {MAX_GRID_EVALUATIONS}); reduce omega_points or the "
-            "delay ranges")
+            "delay range")
 
-    if not is_schur_stable(A0 + sum(mats, np.zeros_like(A0))):
+    if not is_schur_stable(A0 + A1):
         return CertificateReport(
             passed=False, min_margin=0.0, argmin_omega=float("nan"),
             argmin_kappa=(), omega_points=omega_points,
-            kappa_combinations=len(combos), threshold=threshold,
+            kappa_combinations=len(kappas), threshold=CERTIFICATE_THRESHOLD,
             reason="undelayed system unstable")
 
     omega = np.linspace(-np.pi, np.pi, omega_points)
-    ring = np.exp(1j * omega)[:, None, None] * np.eye(n)[None]
+    ring = np.exp(1j * omega)[:, None, None] * np.eye(A0.shape[0])[None] \
+        - A0[None]
     best = np.inf
     arg_w, arg_k = float("nan"), ()
-    for combo in combos:
-        M = ring - A0[None]
-        for Ai, kap in zip(mats, combo):
-            M = M - np.exp(-1j * omega * kap)[:, None, None] * Ai[None]
+    for kappa in kappas:
+        M = ring - np.exp(-1j * omega * kappa)[:, None, None] * A1[None]
         smin = np.linalg.svd(M, compute_uv=False)[:, -1]
         idx = int(np.argmin(smin))
         if smin[idx] < best:
             best = float(smin[idx])
-            arg_w, arg_k = float(omega[idx]), tuple(combo)
-    return CertificateReport(passed=best > threshold, min_margin=best,
-                             argmin_omega=arg_w, argmin_kappa=arg_k,
-                             omega_points=omega_points,
-                             kappa_combinations=len(combos),
-                             threshold=threshold)
+            arg_w, arg_k = float(omega[idx]), (kappa,)
+    return CertificateReport(passed=best > CERTIFICATE_THRESHOLD,
+                             min_margin=best, argmin_omega=arg_w,
+                             argmin_kappa=arg_k, omega_points=omega_points,
+                             kappa_combinations=len(kappas),
+                             threshold=CERTIFICATE_THRESHOLD)
 
 
-def closed_loop_certificate(design, kappa_bar=None, omega_points=4096,
-                            threshold=1e-6):
+def closed_loop_certificate(design, omega_points=4096):
     """Certificate for a designed loop: A0 = A with the single delayed term
-    -rho B K over every integer delay up to kappa_bar (the design's bound
-    unless overridden for diagnostic probing)."""
-    if kappa_bar is None:
-        kappa_bar = design.kappa_bar
-    A = design.model.A
-    BK = design.model.B @ design.K
+    -rho B K over every integer delay up to the design's kappa_bar."""
     return frequency_sweep_certificate(
-        A, [(-design.rho * BK, range(kappa_bar + 1))],
-        omega_points=omega_points, threshold=threshold)
+        design.model.A, -design.rho * (design.model.B @ design.K),
+        range(design.kappa_bar + 1), omega_points=omega_points)
 
 
 def convergence_report(traj, tail_fraction=0.01, tol=1e-3):

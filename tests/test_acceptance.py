@@ -72,7 +72,8 @@ def test_criterion_3_gain_disc_soundness():
     for _ in range(5):
         A, B = random_admissible_model(rng)
         for delta in (1.0, 0.1, 0.01):
-            disc = gain_disc(A, B, delta)
+            sol = solve_low_gain_dare(A, B, delta)
+            disc = gain_disc(sol)
             samples = 0
             while samples < 100:
                 z = complex(rng.uniform(disc.center - disc.radius,
@@ -82,7 +83,7 @@ def test_criterion_3_gain_disc_soundness():
                     continue
                 samples += 1
                 checked += 1
-                if not check_lambda_stabilized(A, B, delta, z):
+                if not check_lambda_stabilized(A, B, sol, z):
                     violations += 1
     elapsed = time.perf_counter() - t0
     _report(3, violations == 0, elapsed, 10.0,

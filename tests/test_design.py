@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import delaysync.design
 from delaysync import (AgentModel, choose_epsilon_star, choose_rho,
                        choose_theta, delay_admissible, design_observer,
                        design_protocol, estimate_mu, is_schur_stable,
                        omega_max, validate_assumptions)
+from delaysync.demos import demo_model
 from delaysync.design import EPSILON_SWEEP, _low_band_stable
 from delaysync.errors import AssumptionError, DesignError
 from delaysync.riccati import solve_low_gain_dare
@@ -54,10 +56,6 @@ class TestChooseRho:
         for kappa_bar, w in [(0, 0.0), (1, 0.3), (2, math.pi / 6), (3, 0.5)]:
             rho = choose_rho(kappa_bar, w)
             assert rho * math.cos(kappa_bar * w) > 0.5
-
-    def test_margin_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            choose_rho(1, 0.1, margin=1.0)
 
     def test_inadmissible_product_rejected(self):
         with pytest.raises(DesignError):
@@ -119,22 +117,27 @@ class TestChooseEpsilonStar:
     def test_zero_dynamics_accepts_top_of_sweep(self):
         A = np.zeros((2, 2))
         B = np.array([[1.0], [0.0]])
-        eps = choose_epsilon_star(A, B, 0.525, 0.9, 0, 0.0, math.pi)
-        assert eps >= 1e-2
+        sol = choose_epsilon_star(A, B, 0.525, 0.9, 0, 0.0, math.pi)
+        assert sol.epsilon >= 1e-2
 
     def test_bench_sweep_accepts_and_is_monotone(self):
         w = math.pi / 6
         rho = 1.05
         theta = choose_theta(rho, 2, w)
         mu = estimate_mu(BENCH_A, w, theta)
-        eps_star = choose_epsilon_star(BENCH_A, BENCH_B, rho, mu, 2, w, theta)
+        accepted = choose_epsilon_star(BENCH_A, BENCH_B, rho, mu, 2, w, theta)
+        eps_star = accepted.epsilon
         assert eps_star > 0
+        # the accepted solution is the solve at eps*
+        sol = solve_low_gain_dare(BENCH_A, BENCH_B, eps_star)
+        assert np.array_equal(accepted.K, sol.K)
+        assert np.array_equal(accepted.P, sol.P)
         # every sweep point at or below the accepted value is also accepted
         for eps in [e for e in EPSILON_SWEEP if e <= eps_star]:
             sol = solve_low_gain_dare(BENCH_A, BENCH_B, eps)
             BK = BENCH_B @ sol.K
             assert rho * np.linalg.norm(BK, 2) <= mu / 2
-            assert _low_band_stable(BENCH_A, BK, rho, 2, w, theta, 400)
+            assert _low_band_stable(BENCH_A, BK, rho, 2, w, theta)
 
     def test_exhausted_sweep_reports_diagnostics(self):
         with pytest.raises(DesignError, match="condition"):
@@ -235,6 +238,33 @@ class TestDesignProtocol:
             validate_assumptions(bad)
         msg = str(err.value)
         assert "stabilizable" in msg and "detectable" in msg
+
+    def test_one_solve_per_sweep_point(self, monkeypatch):
+        # the swept design reuses the solution the sweep accepted, and a
+        # pinned epsilon is solved exactly once
+        model = demo_model("full")
+        calls = []
+
+        def counting(A, B, epsilon):
+            calls.append(epsilon)
+            return solve_low_gain_dare(A, B, epsilon)
+
+        monkeypatch.setattr(delaysync.design, "solve_low_gain_dare", counting)
+        d = design_protocol(model, 2)
+        assert calls == list(EPSILON_SWEEP[:24])
+        assert d.epsilon == d.epsilon_star == EPSILON_SWEEP[23]
+        assert d.epsilon == pytest.approx(10.0 ** -6.75)
+        w = omega_max(model.A)
+        theta = choose_theta(d.rho, 2, w)
+        accepted = choose_epsilon_star(model.A, model.B, d.rho,
+                                       estimate_mu(model.A, w, theta), 2, w,
+                                       theta)
+        assert np.array_equal(d.K, accepted.K)
+        assert np.array_equal(d.P, accepted.P)
+
+        calls.clear()
+        design_protocol(model, 2, epsilon=1e-3)
+        assert calls == [1e-3]
 
     def test_omega_max_consistency(self, bench_full):
         d = design_protocol(bench_full, 2, epsilon=1e-3)

@@ -89,13 +89,15 @@ class TestMeasurements:
     def test_synchronized_network_measures_zero(self):
         g = cycle3_graph()
         states = np.tile(XR0, (3, 1))
-        np.testing.assert_allclose(network_measurement(g, states, XR0),
-                                   np.zeros((3, 3)), atol=1e-15)
+        np.testing.assert_allclose(
+            network_measurement(g, network_matrices(g), states, XR0),
+            np.zeros((3, 3)), atol=1e-15)
 
     def test_single_rooted_agent_halves_offset(self):
         g = CommGraph(adjacency=np.zeros((1, 1)), roots=np.array([True]))
         v = np.array([2.0, -4.0, 6.0])
-        got = network_measurement(g, (XR0 + v)[None, :], XR0)
+        got = network_measurement(g, network_matrices(g),
+                                  (XR0 + v)[None, :], XR0)
         np.testing.assert_allclose(got, (v / 2.0)[None, :])
 
     def test_matches_brute_force(self):
@@ -105,7 +107,8 @@ class TestMeasurements:
         C = rng.normal(size=(2, 3))
         states = rng.normal(size=(4, 3))
         xr = rng.normal(size=3)
-        got = network_measurement(g, states, C @ xr, C=C)
+        got = network_measurement(g, network_matrices(g), states, C @ xr,
+                                  C=C)
         y = states @ C.T
         yr = C @ xr
         for i in range(4):

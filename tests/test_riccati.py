@@ -5,8 +5,7 @@ import pytest
 import scipy.linalg
 
 from delaysync import (check_lambda_stabilized, dare_residual, feedback_gain,
-                       gain_disc, is_schur_stable, solve_h2_dare,
-                       solve_low_gain_dare)
+                       gain_disc, is_schur_stable, solve_low_gain_dare)
 from delaysync.errors import AssumptionError, DegenerateInputError
 from delaysync.riccati import is_detectable, is_stabilizable
 
@@ -30,8 +29,7 @@ class TestSolveLowGainDare:
     def test_bench_residual_and_margin(self):
         sol = solve_low_gain_dare(BENCH_A, BENCH_B, 1e-3)
         assert sol.residual <= 1e-12
-        assert dare_residual(BENCH_A, BENCH_B, sol.P,
-                             1e-3 * np.eye(3)) <= 1e-12
+        assert dare_residual(BENCH_A, BENCH_B, sol.P, 1e-3) <= 1e-12
         assert is_schur_stable(BENCH_A - 1.05 * BENCH_B @ sol.K)
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
@@ -84,16 +82,18 @@ class TestSolveLowGainDare:
 
 class TestGeneralDare:
     def test_matches_scipy_on_general_weights(self):
+        # the general case of the one Riccati family: two inputs, so
+        # I + B'PB is a matrix and BB' has rank two
         rng = np.random.default_rng(9)
         A, B = random_admissible_model(rng, n_max=3, m=2)
         n = A.shape[0]
-        W = rng.normal(size=(n, n))
-        Q = W @ W.T + 0.1 * np.eye(n)
-        R = np.diag([2.0, 0.5])
-        P, residual, _ = solve_h2_dare(A, B, Q, R)
-        assert residual <= 1e-12
-        ref = scipy.linalg.solve_discrete_are(A, B, Q, R)
-        np.testing.assert_allclose(P, ref, rtol=1e-8, atol=1e-10)
+        for eps in (1e-1, 1e-3):
+            sol = solve_low_gain_dare(A, B, eps)
+            assert sol.residual <= 1e-12
+            assert sol.K.shape == (2, n)
+            ref = scipy.linalg.solve_discrete_are(A, B, eps * np.eye(n),
+                                                  np.eye(2))
+            np.testing.assert_allclose(sol.P, ref, rtol=1e-8, atol=1e-10)
 
 
 class TestFeedbackGain:
@@ -112,7 +112,7 @@ class TestFeedbackGain:
 
 class TestGainDisc:
     def test_scalar_golden_geometry(self):
-        disc = gain_disc(np.eye(1), np.eye(1), 1.0)
+        disc = gain_disc(solve_low_gain_dare(np.eye(1), np.eye(1), 1.0))
         assert disc.gamma == pytest.approx(GOLDEN, abs=1e-12)
         assert disc.center == pytest.approx(1 + 1 / GOLDEN, abs=1e-12)
         # sqrt(1 + phi) = phi, so the radius is exactly one
@@ -121,7 +121,8 @@ class TestGainDisc:
 
     def test_disc_grows_to_cover_half_plane(self):
         lam = 0.6
-        hits = [gain_disc(np.eye(1), np.eye(1), d).contains(lam)
+        hits = [gain_disc(solve_low_gain_dare(np.eye(1), np.eye(1), d))
+                .contains(lam)
                 for d in (1.0, 0.5, 0.1, 0.05, 0.01, 0.001)]
         assert hits[-1]
         first = hits.index(True)
@@ -129,24 +130,29 @@ class TestGainDisc:
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInputError):
-            gain_disc(0.5 * np.eye(2), np.zeros((2, 1)), 0.5)
+            gain_disc(solve_low_gain_dare(0.5 * np.eye(2), np.zeros((2, 1)),
+                                          0.5))
 
 
 class TestLambdaStabilized:
     def test_zero_gain_reduces_to_A(self):
-        assert check_lambda_stabilized(0.5 * np.eye(2), np.ones((2, 1)), 0.5, 0.0)
+        A, B = 0.5 * np.eye(2), np.ones((2, 1))
+        assert check_lambda_stabilized(A, B, solve_low_gain_dare(A, B, 0.5),
+                                       0.0)
 
     def test_scalar_cases(self):
         # A = B = 1, delta = 1: loop is 1 - lam * phi/(1+phi) = 1 - 0.618 lam
         one = np.eye(1)
-        assert check_lambda_stabilized(one, one, 1.0, 1.0)
-        assert check_lambda_stabilized(one, one, 1.0, 3.0)
-        assert not check_lambda_stabilized(one, one, 1.0, 4.0)
+        sol = solve_low_gain_dare(one, one, 1.0)
+        assert check_lambda_stabilized(one, one, sol, 1.0)
+        assert check_lambda_stabilized(one, one, sol, 3.0)
+        assert not check_lambda_stabilized(one, one, sol, 4.0)
 
     def test_disc_membership_implies_stable(self):
         rng = np.random.default_rng(17)
         A, B = random_admissible_model(rng)
-        disc = gain_disc(A, B, 0.1)
+        sol = solve_low_gain_dare(A, B, 0.1)
+        disc = gain_disc(sol)
         for _ in range(50):
             while True:  # rejection sampling from the bounding box
                 z = complex(rng.uniform(disc.center - disc.radius,
@@ -154,7 +160,7 @@ class TestLambdaStabilized:
                             rng.uniform(-disc.radius, disc.radius))
                 if disc.contains(z):
                     break
-            assert check_lambda_stabilized(A, B, 0.1, z)
+            assert check_lambda_stabilized(A, B, sol, z)
 
 
 class TestPbh:
