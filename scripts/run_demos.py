@@ -34,7 +34,7 @@ def main():
                 traj, tol=1e-3 * (1 + traj.error[0]))
             print(f"{case:>4} {mode:>8} {design.epsilon:>9.0e} "
                   f"{design.rho:>7.4f} {conv.final_error:>10.3e} "
-                  f"{cert.min_margin:>12.3e} "
+                  f"{cert.margin:>12.3e} "
                   f"{'yes' if conv.converged else 'NO':>9} "
                   f"{time.perf_counter() - t0:>6.2f}")
 

@@ -7,7 +7,7 @@ convergence failure.  File outputs:
   trajectory.csv  long-format run record with header
                   k,agent,component,x,xr,u,error (agent 0 is the reference)
   plotdata.csv    optional tidy series (k,series,value) for external plotting
-  report.txt      human-readable certificate report
+  report.txt      stability certificate: verdict, margin, per-delay radii
   report.json     the same report, machine-readable
 """
 
@@ -99,12 +99,11 @@ def write_plotdata_csv(traj, path):
 def _report_text(report):
     lines = [
         f"certificate: {'PASS' if report.passed else 'FAIL'}",
-        f"min_margin: {report.min_margin!r}",
+        f"margin: {report.margin!r}",
         f"threshold: {report.threshold!r}",
-        f"argmin_omega: {report.argmin_omega!r}",
-        f"argmin_kappa: {report.argmin_kappa}",
-        f"omega_points: {report.omega_points}",
-        f"kappa_combinations: {report.kappa_combinations}",
+        f"worst_kappa: {report.worst_kappa}",
+        f"radii: {list(report.radii)!r}",
+        f"observer_radius: {report.observer_radius!r}",
     ]
     if report.reason:
         lines.append(f"reason: {report.reason}")
@@ -167,7 +166,7 @@ def cmd_simulate(args):
 def cmd_verify(args):
     cfg = load_config(args.config)
     design = _designed(cfg)
-    report = closed_loop_certificate(design, omega_points=args.omega_points)
+    report = closed_loop_certificate(design)
     out_dir = _ensure_dir(cfg.out_dir)
     write_report(report, os.path.join(out_dir, "report.txt"),
                  os.path.join(out_dir, "report.json"))
@@ -216,9 +215,8 @@ def build_parser():
     p.add_argument("--kmax", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="frequency-sweep stability certificate")
+    p = sub.add_parser("verify", help="exact closed-loop stability certificate")
     p.add_argument("--config", required=True)
-    p.add_argument("--omega-points", type=int, default=4096)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("demo", help="run a bundled example end to end")

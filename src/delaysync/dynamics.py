@@ -131,11 +131,6 @@ def _agent_errors(x, x_ref):
     return np.linalg.norm(x - x_ref[:, None, :], axis=2)
 
 
-def sync_error(traj):
-    """Worst-agent synchronization error per step: max_i ||x_i(k) - x_ref(k)||."""
-    return _agent_errors(traj.x, traj.x_ref).max(axis=1)
-
-
 def simulate(model, design, graph, delays, x0, xr0, k_max):
     """Run the closed loop for k_max steps and record every state.
 

@@ -53,7 +53,7 @@ class ScenarioError(DelaySyncError, ValueError):
 
 
 class ConsistencyError(DelaySyncError, RuntimeError):
-    """Two redundant computations of the same fact disagreed (tolerance bug)."""
+    """A derived matrix broke a property it must have by construction."""
 
 
 class GridSizeError(DelaySyncError, ValueError):

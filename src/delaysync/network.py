@@ -2,16 +2,14 @@
 
 A graph is a weighted adjacency matrix (a_ij > 0 is an edge from node j to
 node i) plus a boolean root vector marking which agents also measure the
-reference.  From it we build the Laplacian, the expanded Laplacian
-(Laplacian plus root flags on the diagonal), the in-degree vector, and the
+reference.  From it we build the expanded Laplacian (the Laplacian plus
+root flags on the diagonal), the in-degree vector, and the
 row-substochastic matrix
 
     I - (2I + D_in)^{-1} (L + diag(roots))
 
 whose spectral radius is below one exactly when every node is reachable
-from the root set.  Both that spectral test and a direct graph search are
-run by `is_rooted`; disagreement between the two indicates a tolerance bug
-and raises.
+from the root set.  `is_rooted` decides that reachability by graph search.
 """
 
 from dataclasses import dataclass
@@ -19,16 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DimensionError, ScenarioError
-from .spectral import spectral_radius
-
-#: rooted iff spectral radius of the substochastic matrix is below 1 minus this
-ROOTED_SPECTRAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CommGraph:
     """Weighted digraph with root flags; adjacency has zero diagonal and
-    non-negative weights."""
+    finite non-negative weights."""
     adjacency: np.ndarray
     roots: np.ndarray
 
@@ -40,6 +34,8 @@ class CommGraph:
         if roots.shape != (adj.shape[0],):
             raise DimensionError(
                 f"roots must have length {adj.shape[0]}, got shape {roots.shape}")
+        if not np.all(np.isfinite(adj)):
+            raise ScenarioError("adjacency weights must be finite")
         if np.any(adj < 0):
             raise ScenarioError("adjacency weights must be non-negative")
         if np.any(np.diag(adj) != 0):
@@ -55,7 +51,6 @@ class CommGraph:
 @dataclass(frozen=True)
 class NetworkMatrices:
     """Matrix bundle derived from a CommGraph."""
-    laplacian: np.ndarray
     expanded_laplacian: np.ndarray
     in_degrees: np.ndarray
     substochastic: np.ndarray
@@ -66,15 +61,8 @@ class NetworkMatrices:
         return 1.0 / (2.0 + self.in_degrees)
 
 
-def laplacian(graph):
-    """Graph Laplacian: row sums of the adjacency on the diagonal, negated
-    weights off it, so every row sums to zero."""
-    adj = graph.adjacency
-    return np.diag(adj.sum(axis=1)) - adj
-
-
 def network_matrices(graph):
-    """Laplacian, expanded Laplacian, in-degrees, and the substochastic matrix.
+    """Expanded Laplacian, in-degrees, and the substochastic matrix.
 
     The substochastic matrix is elementwise non-negative with row sums
     1 - roots_i / (2 + d_in(i)); both facts are asserted before returning.
@@ -82,21 +70,21 @@ def network_matrices(graph):
     adj = graph.adjacency
     n = graph.n_agents
     d_in = adj.sum(axis=1)
-    lap = np.diag(d_in) - adj
-    lap_exp = lap + np.diag(graph.roots.astype(float))
+    lap_exp = np.diag(d_in + graph.roots) - adj
     sub = np.eye(n) - lap_exp / (2.0 + d_in)[:, None]
     if np.any(sub < -1e-12):
         raise ConsistencyError("substochastic matrix has a negative entry; "
                                "the input graph must be corrupt")
     if np.any(sub.sum(axis=1) > 1.0 + 1e-12):
         raise ConsistencyError("substochastic matrix has a row sum above 1")
-    return NetworkMatrices(laplacian=lap, expanded_laplacian=lap_exp,
-                           in_degrees=d_in, substochastic=sub)
+    return NetworkMatrices(expanded_laplacian=lap_exp, in_degrees=d_in,
+                           substochastic=sub)
 
 
-def _reachable_from_roots(graph):
+def is_rooted(graph):
+    """True iff every node is reachable from the root set along edge
+    direction, decided by graph search."""
     adj = graph.adjacency
-    n = graph.n_agents
     seen = graph.roots.copy()
     stack = list(np.flatnonzero(seen))
     while stack:
@@ -107,20 +95,3 @@ def _reachable_from_roots(graph):
                 seen[i] = True
                 stack.append(i)
     return bool(seen.all())
-
-
-def is_rooted(graph):
-    """True iff every node is reachable from the root set along edge direction.
-
-    Computed twice: by graph search and by the spectral-radius test on the
-    substochastic matrix.  The two must agree on every input; a mismatch
-    means the spectral tolerance is mis-set and raises ConsistencyError.
-    """
-    by_search = _reachable_from_roots(graph)
-    by_spectrum = spectral_radius(network_matrices(graph).substochastic) \
-        < 1.0 - ROOTED_SPECTRAL_TOL
-    if by_search != by_spectrum:
-        raise ConsistencyError(
-            f"rootedness tests disagree (search={by_search}, "
-            f"spectral={by_spectrum}); spectral tolerance needs retuning")
-    return by_search

@@ -1,5 +1,5 @@
-"""Dense spectral utilities: eigenvalues, Schur-stability tests, singular
-values, and the peak angle of unit-circle modes.
+"""Dense spectral utilities: eigenvalues, spectral radii, Schur-stability
+tests, and the peak angle of unit-circle modes.
 
 Everything here is a pure function of its arguments; results are
 deterministic for a given numeric backend, including the eigenvalue
@@ -78,16 +78,3 @@ def omega_max(A, tol=UNIT_CIRCLE_TOL):
     if not np.any(on_circle):
         return 0.0
     return float(np.abs(np.angle(vals[on_circle])).max())
-
-
-def min_singular_value(M):
-    """Smallest singular value of a real or complex matrix (any shape)."""
-    M = np.asarray(M)
-    if M.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise NumericError("matrix has non-finite entries")
-    try:
-        return float(np.linalg.svd(M, compute_uv=False)[-1])
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed: {exc}") from exc

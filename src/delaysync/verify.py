@@ -1,19 +1,22 @@
 """Independent stability certificates and trajectory diagnostics.
 
-The certificate machinery is deliberately separate from the designer: it
-re-checks a finished design by sweeping the loop's frequency response
-rather than trusting the construction that produced it.  The protocol's
-loop has one delayed term, -rho B K; for the delayed linear recursion
+The certificate re-checks a finished design instead of trusting the
+construction.  The extra information exchange makes the closed loop a
+cascade on every rooted graph and delay profile: the synchronization error
+evolves undelayed under (substochastic matrix) kron A, stable iff the graph
+is rooted; each agent's protocol state follows its own delayed loop
 
-    x(k+1) = A0 x(k) + A1 x(k - kappa)
+    x(k+1) = A x(k) - rho B K x(k - kappa_i)
 
-with A0 + A1 Schur stable, asymptotic stability holds whenever
+driven by that error; and in partial-state mode the observer error evolves
+under A - F C.  A design therefore works on every rooted graph and every
+profile up to kappa_bar iff these loops, for every kappa in 0..kappa_bar,
+are Schur stable, which `closed_loop_certificate` decides exactly from the
+spectral radius of each loop's companion lift, of order n (kappa + 1).
 
-    sigma_min( e^{jw} I - A0 - e^{-jw kappa} A1 ) > 0
-
-for all w in [-pi, pi].  The sweep evaluates that margin on a dense grid
-for every delay kappa in the given range and reports the minimum together
-with where it occurred.
+`frequency_sweep_certificate` only rules out characteristic roots on the
+unit circle, not outside it, so it is no stability test; the tests keep it
+as a cross-check.
 """
 
 from dataclasses import dataclass
@@ -21,13 +24,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, GridSizeError
-from .spectral import is_schur_stable
+from .spectral import is_schur_stable, spectral_radius
 
 #: refuse sweeps beyond this many (omega, delay) evaluations
 MAX_GRID_EVALUATIONS = 1_000_000
 
-#: a certificate passes iff its minimum margin exceeds this
+#: a certificate passes iff its margin exceeds this
 CERTIFICATE_THRESHOLD = 1e-6
+
+
+@dataclass(frozen=True)
+class StabilityCertificate:
+    """Exact closed-loop verdict: passed iff margin > threshold.
+
+    `radii[kappa]` is the delayed loop's spectral radius at delay kappa,
+    `observer_radius` that of A - F C (None in full-state mode), `margin`
+    is 1 minus the largest of them, `worst_kappa` the delay of the largest
+    loop radius, and `reason` names the failing loop.
+    """
+    passed: bool
+    radii: tuple
+    margin: float
+    worst_kappa: int
+    observer_radius: float | None
+    threshold: float
+    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -107,12 +128,34 @@ def frequency_sweep_certificate(A0, A1, kappas, omega_points=4096):
                              threshold=CERTIFICATE_THRESHOLD)
 
 
-def closed_loop_certificate(design, omega_points=4096):
-    """Certificate for a designed loop: A0 = A with the single delayed term
-    -rho B K over every integer delay up to the design's kappa_bar."""
-    return frequency_sweep_certificate(
-        design.model.A, -design.rho * (design.model.B @ design.K),
-        range(design.kappa_bar + 1), omega_points=omega_points)
+def _delay_lift(A0, A1, kappa):
+    """Companion matrix of x(k+1) = A0 x(k) + A1 x(k - kappa) over the
+    stacked state [x(k); x(k-1); ...; x(k-kappa)]."""
+    n = A0.shape[0]
+    lift = np.eye(n * (kappa + 1), k=-n)
+    lift[:n, :n] = A0
+    lift[:n, kappa * n:] += A1
+    return lift
+
+
+def closed_loop_certificate(design):
+    """Exact stability certificate of a design on every rooted graph and
+    every delay profile up to the design's kappa_bar."""
+    A, C, F = design.model.A, design.model.C, design.F
+    A1 = -design.rho * (design.model.B @ design.K)
+    radii = tuple(spectral_radius(_delay_lift(A, A1, kappa))
+                  for kappa in range(design.kappa_bar + 1))
+    worst = int(np.argmax(radii))
+    observer = None if F is None else spectral_radius(A - F @ C)
+    if observer is not None and observer > radii[worst]:
+        top, reason = observer, "observer loop A - F C"
+    else:
+        top, reason = radii[worst], f"delayed loop at kappa = {worst}"
+    passed = 1.0 - top > CERTIFICATE_THRESHOLD
+    return StabilityCertificate(
+        passed=passed, radii=radii, margin=1.0 - top, worst_kappa=worst,
+        observer_radius=observer, threshold=CERTIFICATE_THRESHOLD,
+        reason="" if passed else f"{reason} has spectral radius {top!r}")
 
 
 def convergence_report(traj, tail_fraction=0.01, tol=1e-3):

@@ -12,7 +12,7 @@ from delaysync.cli import main
 from delaysync.config import config_to_dict
 from delaysync.demos import demo_scenario
 from delaysync.errors import ScenarioError
-from delaysync.verify import CertificateReport
+from delaysync.verify import StabilityCertificate
 import delaysync.cli as cli_mod
 
 
@@ -151,21 +151,36 @@ class TestCommands:
 
     def test_verify_passes_on_demo(self, tmp_path, capsys):
         path = demo_config_file(tmp_path)
-        assert main(["verify", "--config", str(path),
-                     "--omega-points", "2048"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        assert main(["verify", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "certificate: PASS" in out.splitlines()
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["certificate"]["passed"] is True
-        assert (tmp_path / "out" / "report.txt").exists()
+        cert = report["certificate"]
+        assert cert["passed"] is True
+        assert len(cert["radii"]) == 3 and cert["observer_radius"] is None
+        assert cert["margin"] == 1.0 - max(cert["radii"])
+        assert (tmp_path / "out" / "report.txt").read_text() == out
+        # the certificate has no frequency grid to set
+        assert main(["verify", "--config", str(path),
+                     "--omega-points", "10"]) == 1
+
+    def test_verify_fails_on_diverging_design(self, tmp_path, capsys):
+        # case 1 pinned at epsilon = 1e-2: its own run (delays 1, 1, 2)
+        # diverges, because the loop delayed by two steps is unstable
+        path = demo_config_file(tmp_path, **{"protocol.epsilon": 1e-2})
+        assert main(["verify", "--config", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "certificate: FAIL" in out.splitlines()
+        assert "worst_kappa: 2" in out.splitlines()
+        assert "reason: delayed loop at kappa = 2" in out
 
     def test_verify_exit_two_on_failed_certificate(self, tmp_path,
                                                    monkeypatch):
-        failed = CertificateReport(passed=False, min_margin=0.0,
-                                   argmin_omega=0.0, argmin_kappa=(0,),
-                                   omega_points=8, kappa_combinations=1,
-                                   threshold=1e-6, reason="forced for test")
+        failed = StabilityCertificate(passed=False, radii=(1.5,), margin=-0.5,
+                                      worst_kappa=0, observer_radius=None,
+                                      threshold=1e-6, reason="forced for test")
         monkeypatch.setattr(cli_mod, "closed_loop_certificate",
-                            lambda design, omega_points: failed)
+                            lambda design: failed)
         path = demo_config_file(tmp_path)
         assert main(["verify", "--config", str(path)]) == 2
 

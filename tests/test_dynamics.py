@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaysync import (AgentModel, CommGraph, DelayProfile, InputHistory,
-                       ProtocolDesign, design_protocol, simulate, sync_error)
+                       ProtocolDesign, closed_loop_certificate,
+                       design_protocol, simulate)
 from delaysync.demos import demo_model, demo_scenario, _initial_states
 from delaysync.dynamics import (control_input, extra_exchange_full,
                                 extra_exchange_partial, network_measurement)
 from delaysync.errors import NumericError, ScenarioError
 from delaysync.network import network_matrices
+from delaysync.spectral import spectral_radius
 
 from conftest import cycle3_graph
 
@@ -241,12 +243,12 @@ class TestSimulate:
         assert not np.allclose(t_a.x, t_b.x)
 
     def test_sync_error_matches_definition(self, full_design):
+        # error(k) = max_i ||x_i(k) - x_ref(k)||
         traj = run_case1(full_design, [1, 1, 2], 40)
-        np.testing.assert_array_equal(sync_error(traj), traj.error)
-        k = 17
-        by_hand = max(np.linalg.norm(traj.x[k, i] - traj.x_ref[k])
-                      for i in range(3))
-        assert traj.error[k] == pytest.approx(by_hand, rel=1e-15)
+        for k in range(41):
+            by_hand = max(np.linalg.norm(traj.x[k, i] - traj.x_ref[k])
+                          for i in range(3))
+            assert traj.error[k] == pytest.approx(by_hand, rel=1e-15)
 
     def test_unrooted_graph_rejected(self, full_design):
         g = CommGraph(adjacency=np.zeros((2, 2)),
@@ -334,49 +336,73 @@ class TestDivergence:
             run_case1(full_design, [1, 1, 2], 10, x0=x0)
 
 
-def monolithic_full(design, graph):
-    """Independent zero-delay closed-loop matrix over [x; chi; x_ref],
-    assembled directly from Kronecker products."""
-    A, B, K = design.model.A, design.model.B, design.K
+def _delayed_input_map(design, kappa):
+    """-rho (E_d kron BK) side by side for d = 0..max(kappa), where E_d
+    selects the agents with delay d: maps the protocol-state history
+    [chi(k); chi(k-1); ...] to B u_i(k - kappa_i) stacked over agents."""
+    BK = design.model.B @ design.K
+    kappa = np.asarray(kappa)
+    return np.hstack([-design.rho * np.kron(np.diag(kappa == d), BK)
+                      for d in range(kappa.max() + 1)])
+
+
+def _history_shift(Nn, depth):
+    """Rows of the lifted history below its head: chi(k-d) moves down."""
+    return np.eye(depth * Nn, k=-Nn)[Nn:]
+
+
+def monolithic_full(design, graph, kappa):
+    """Independent closed-loop matrix over [x; chi(k); ...; chi(k - max
+    kappa); x_ref] for the delay profile kappa, assembled directly from
+    Kronecker products."""
+    A = design.model.A
     n = A.shape[0]
     N = graph.n_agents
     net = network_matrices(graph)
     W = net.scale[:, None] * net.expanded_laplacian
     w = net.scale * graph.roots
     eyeN = np.eye(N)
-    BK = B @ K
+    delayed = _delayed_input_map(design, kappa)
+    depth = delayed.shape[1] // (N * n)
+    head = delayed.copy()
+    head[:, :N * n] += np.kron(eyeN, A) - np.kron(W, A)
     rows = [
-        np.hstack([np.kron(eyeN, A), -design.rho * np.kron(eyeN, BK),
-                   np.zeros((N * n, n))]),
-        np.hstack([np.kron(W, A),
-                   np.kron(eyeN, A - design.rho * BK) - np.kron(W, A),
-                   -np.kron(w[:, None], A)]),
-        np.hstack([np.zeros((n, 2 * N * n)), A]),
+        np.hstack([np.kron(eyeN, A), delayed, np.zeros((N * n, n))]),
+        np.hstack([np.kron(W, A), head, -np.kron(w[:, None], A)]),
+        np.hstack([np.zeros(((depth - 1) * N * n, N * n)),
+                   _history_shift(N * n, depth),
+                   np.zeros(((depth - 1) * N * n, n))]),
+        np.hstack([np.zeros((n, (depth + 1) * N * n)), A]),
     ]
     return np.vstack(rows)
 
 
-def monolithic_partial(design, graph):
-    """Zero-delay closed-loop matrix over [x; xhat; chi; x_ref]."""
-    A, B, C, F, K = (design.model.A, design.model.B, design.model.C,
-                     design.F, design.K)
+def monolithic_partial(design, graph, kappa):
+    """Closed-loop matrix over [x; xhat; chi(k); ...; chi(k - max kappa);
+    x_ref] for the delay profile kappa."""
+    A, C, F = design.model.A, design.model.C, design.F
     n = A.shape[0]
     N = graph.n_agents
     net = network_matrices(graph)
     W = net.scale[:, None] * net.expanded_laplacian
     w = net.scale * graph.roots
     eyeN = np.eye(N)
-    BK, FC = B @ K, F @ C
+    FC = F @ C
     Z = np.zeros((N * n, N * n))
+    delayed = _delayed_input_map(design, kappa)
+    depth = delayed.shape[1] // (N * n)
+    head = delayed.copy()
+    head[:, :N * n] += np.kron(eyeN, A) - np.kron(W, A)
     rows = [
-        np.hstack([np.kron(eyeN, A), Z, -design.rho * np.kron(eyeN, BK),
-                   np.zeros((N * n, n))]),
+        np.hstack([np.kron(eyeN, A), Z, delayed, np.zeros((N * n, n))]),
         np.hstack([np.kron(W, FC), np.kron(eyeN, A - FC),
-                   -design.rho * np.kron(W, BK), -np.kron(w[:, None], FC)]),
-        np.hstack([Z, np.kron(eyeN, A),
-                   np.kron(eyeN, A - design.rho * BK) - np.kron(W, A),
-                   np.zeros((N * n, n))]),
-        np.hstack([np.zeros((n, 3 * N * n)), A]),
+                   np.kron(W, np.eye(n)) @ delayed,
+                   -np.kron(w[:, None], FC)]),
+        np.hstack([Z, np.kron(eyeN, A), head, np.zeros((N * n, n))]),
+        np.hstack([np.zeros(((depth - 1) * N * n, 2 * N * n)),
+                   _history_shift(N * n, depth),
+                   np.zeros(((depth - 1) * N * n, n))]),
+        np.hstack([np.zeros((n, (depth + 2) * N * n)), A]),
     ]
     return np.vstack(rows)
 
@@ -385,7 +411,7 @@ class TestZeroDelayOracles:
     def test_full_state_matches_monolithic(self, full_design):
         g = cycle3_graph()
         traj = run_case1(full_design, [0, 0, 0], 200)
-        M = monolithic_full(full_design, g)
+        M = monolithic_full(full_design, g, [0, 0, 0])
         z = np.concatenate([_initial_states(3).ravel(), np.zeros(9), XR0])
         for k in range(201):
             np.testing.assert_allclose(traj.x[k].ravel(), z[:9], atol=1e-10)
@@ -397,7 +423,7 @@ class TestZeroDelayOracles:
     def test_partial_state_matches_monolithic(self, partial_design):
         g = cycle3_graph()
         traj = run_case1(partial_design, [0, 0, 0], 200)
-        M = monolithic_partial(partial_design, g)
+        M = monolithic_partial(partial_design, g, [0, 0, 0])
         z = np.concatenate([_initial_states(3).ravel(), np.zeros(18), XR0])
         for k in range(201):
             np.testing.assert_allclose(traj.x[k].ravel(), z[:9], atol=1e-10)
@@ -417,3 +443,49 @@ class TestZeroDelayOracles:
         e = (traj.x - traj.x_ref[:, None, :] - traj.protocol).reshape(201, -1)
         for k in range(200):
             np.testing.assert_allclose(e[k + 1], D_kron @ e[k], atol=1e-10)
+
+
+class TestDelayedMonolithic:
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_simulate_matches_lifted_matrix(self, full_design, partial_design,
+                                            partial):
+        design = partial_design if partial else full_design
+        monolithic = monolithic_partial if partial else monolithic_full
+        kappa = [1, 1, 2]
+        traj = run_case1(design, kappa, 60)
+        M = monolithic(design, cycle3_graph(), kappa)
+        blocks = 5 if partial else 4  # x, (xhat,) chi history of depth 3
+        z = np.zeros(blocks * 9 + 3)
+        z[:9], z[-3:] = _initial_states(3).ravel(), XR0
+        chi_at = 18 if partial else 9
+        for k in range(61):
+            scale = max(1.0, np.abs(z).max())
+            got = [traj.x[k].ravel(), traj.protocol[k].ravel(), traj.x_ref[k]]
+            want = [z[:9], z[chi_at:chi_at + 9], z[-3:]]
+            if partial:
+                got.append(traj.observer[k].ravel())
+                want.append(z[9:18])
+            for actual, expected in zip(got, want):
+                assert np.abs(actual - expected).max() <= 1e-12 * scale, k
+            z = M @ z
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=rooted_graphs(max_agents=4), partial=st.booleans(),
+           data=st.data())
+    def test_lifted_radius_is_cascade_formula(self, full_design,
+                                              partial_design, graph, partial,
+                                              data):
+        # the loop is a cascade: the error system S kron A, one delayed loop
+        # per agent at its own delay, and the observer error under A - F C
+        design = partial_design if partial else full_design
+        monolithic = monolithic_partial if partial else monolithic_full
+        N, n = graph.n_agents, design.model.n
+        kappa = data.draw(st.lists(st.integers(0, 2), min_size=N, max_size=N))
+        M = monolithic(design, graph, kappa)[:-n, :-n]  # without x_ref
+        cert = closed_loop_certificate(design)
+        loops = [spectral_radius(network_matrices(graph).substochastic)
+                 * spectral_radius(design.model.A)]
+        loops += [cert.radii[k] for k in kappa]
+        if partial:
+            loops.append(cert.observer_radius)
+        assert abs(spectral_radius(M) - max(loops)) <= 1e-9

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from delaysync import CommGraph, is_rooted, laplacian, network_matrices
+from delaysync import CommGraph, is_rooted, network_matrices
 from delaysync.errors import DimensionError, ScenarioError
 from delaysync.spectral import spectral_radius
 
@@ -33,35 +33,50 @@ class TestCommGraph:
         with pytest.raises(ScenarioError):
             CommGraph(adjacency=adj, roots=np.array([True, False]))
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, weight):
+        adj = np.array([[0.0, 0.0], [weight, 0.0]])
+        with pytest.raises(ScenarioError, match="finite"):
+            CommGraph(adjacency=adj, roots=np.array([True, False]))
+
     def test_rejects_bad_root_length(self):
         with pytest.raises(DimensionError):
             CommGraph(adjacency=np.zeros((2, 2)), roots=np.array([True]))
 
 
+def expanded_laplacian(g):
+    return network_matrices(g).expanded_laplacian
+
+
 class TestLaplacian:
+    """The expanded Laplacian: the graph Laplacian (in-degrees on the
+    diagonal, negated weights off it) plus the root flags on the diagonal."""
+
     def test_single_node(self):
         g = CommGraph(adjacency=np.zeros((1, 1)), roots=np.array([True]))
-        np.testing.assert_array_equal(laplacian(g), [[0.0]])
+        np.testing.assert_array_equal(expanded_laplacian(g), [[1.0]])
 
     def test_three_cycle(self):
-        expected = np.array([[1.0, 0.0, -1.0],
+        expected = np.array([[2.0, 0.0, -1.0],
                              [-1.0, 1.0, 0.0],
                              [0.0, -1.0, 1.0]])
-        np.testing.assert_array_equal(laplacian(cycle3_graph()), expected)
+        np.testing.assert_array_equal(expanded_laplacian(cycle3_graph()),
+                                      expected)
 
     def test_weighted_star(self):
         adj = np.zeros((3, 3))
         adj[1, 0] = adj[2, 0] = 2.0
         g = CommGraph(adjacency=adj, roots=np.array([True, False, False]))
-        expected = np.array([[0.0, 0.0, 0.0],
+        expected = np.array([[1.0, 0.0, 0.0],
                              [-2.0, 2.0, 0.0],
                              [-2.0, 0.0, 2.0]])
-        np.testing.assert_array_equal(laplacian(g), expected)
+        np.testing.assert_array_equal(expanded_laplacian(g), expected)
 
     @settings(max_examples=50, deadline=None)
     @given(graph_strategy())
     def test_rows_sum_to_zero(self, g):
-        L = laplacian(g)
+        # without the root flags every row sums to zero
+        L = expanded_laplacian(g) - np.diag(g.roots.astype(float))
         scale = max(1.0, np.abs(L).max())
         assert np.abs(L @ np.ones(g.n_agents)).max() <= 1e-12 * scale
 
@@ -95,9 +110,11 @@ class TestNetworkMatrices:
 
     def test_expanded_laplacian_adds_root_flags(self):
         g = cycle3_graph()
-        net = network_matrices(g)
+        adj = g.adjacency
+        lap = np.diag(adj.sum(axis=1)) - adj
         np.testing.assert_array_equal(
-            net.expanded_laplacian - net.laplacian, np.diag([1.0, 0.0, 0.0]))
+            network_matrices(g).expanded_laplacian - lap,
+            np.diag([1.0, 0.0, 0.0]))
 
 
 class TestIsRooted:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from delaysync import eigenvalues, is_schur_stable, min_singular_value, omega_max
+from delaysync import eigenvalues, is_schur_stable, omega_max
 from delaysync.errors import AssumptionError, DimensionError
 from delaysync.spectral import spectral_radius
 
@@ -126,28 +126,3 @@ class TestOmegaMax:
         for _ in range(10):
             T, _ = np.linalg.qr(rng.normal(size=(5, 5)))
             assert abs(omega_max(T.T @ A @ T) - base) < 1e-9
-
-
-class TestMinSingularValue:
-    def test_identity(self):
-        assert min_singular_value(np.eye(2)) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        assert min_singular_value(np.diag([3.0, 0.5])) == pytest.approx(0.5)
-
-    def test_hermitian_oracle(self):
-        M = np.exp(1j * math.pi) * np.eye(3) - BENCH_A
-        smin = min_singular_value(M)
-        assert smin > 0
-        # cross-check via the smallest eigenvalue of M^H M
-        oracle = math.sqrt(np.linalg.eigvalsh(M.conj().T @ M).min())
-        assert smin == pytest.approx(oracle, rel=1e-10)
-
-    @settings(max_examples=40, deadline=None)
-    @given(square)
-    def test_geometric_mean_sandwich(self, M):
-        s = np.linalg.svd(M, compute_uv=False)
-        n = M.shape[0]
-        gm = abs(np.linalg.det(M)) ** (1.0 / n)
-        assert min_singular_value(M) <= gm * (1 + 1e-9) + 1e-12
-        assert gm <= s[0] * (1 + 1e-9) + 1e-12

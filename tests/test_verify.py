@@ -6,10 +6,13 @@ import pytest
 from delaysync import (DelayProfile, closed_loop_certificate,
                        convergence_report, design_protocol,
                        frequency_sweep_certificate, simulate)
-from delaysync.demos import demo_model, _initial_states
+from delaysync.demos import (DEMO_CASES, demo_model, demo_scenario,
+                             _initial_states)
 from delaysync.errors import GridSizeError
+from delaysync.spectral import spectral_radius
 
 from conftest import cycle3_graph, rotation
+from test_acceptance import _battery
 
 XR0 = np.array([0.0, 1.0, 0.0])
 
@@ -65,19 +68,70 @@ class TestClosedLoopCertificate:
     def test_bench_design_passes(self, bench_design):
         rep = closed_loop_certificate(bench_design)
         assert rep.passed
-        assert rep.kappa_combinations == 3
+        assert len(rep.radii) == 3
+        assert rep.margin == 1.0 - max(rep.radii)
+        assert rep.radii[rep.worst_kappa] == max(rep.radii)
+        assert rep.observer_radius is None
 
     def test_zero_gain_fails_when_dynamics_not_schur(self, bench_design):
         silent = dataclasses.replace(bench_design, rho=0.0)
         rep = closed_loop_certificate(silent)
         assert not rep.passed
-        assert rep.reason == "undelayed system unstable"
+        # with no feedback every delayed loop keeps A's unit-circle modes
+        np.testing.assert_allclose(rep.radii, 1.0, atol=1e-12)
+        assert rep.reason.startswith("delayed loop at kappa = ")
 
-    def test_grid_refinement_stable(self, bench_design):
-        coarse = closed_loop_certificate(bench_design, omega_points=4096)
-        fine = closed_loop_certificate(bench_design, omega_points=8192)
-        assert abs(fine.min_margin - coarse.min_margin) \
-            < 0.10 * coarse.min_margin
+    @pytest.mark.parametrize("mode", ["full", "partial"])
+    @pytest.mark.parametrize("epsilon", [1e-2, 3e-2, 1e-1, 0.3, 1.0])
+    def test_pinned_large_epsilon_fails(self, mode, epsilon):
+        # the undelayed loop is fine; the loop delayed by kappa_bar = 2 is not
+        design = design_protocol(demo_model(mode), 2, mode=mode,
+                                 epsilon=epsilon)
+        rep = closed_loop_certificate(design)
+        assert not rep.passed
+        assert rep.radii[0] < 1.0 < rep.radii[2]
+        assert rep.worst_kappa == 2
+        assert rep.reason == (f"delayed loop at kappa = 2 has spectral "
+                              f"radius {rep.radii[2]!r}")
+
+    def test_radius_matches_simulated_growth(self):
+        # the case-1 run at epsilon = 1e-2 (delays 1, 1, 2) grows at the
+        # kappa = 2 loop's rate
+        design = design_protocol(demo_model("full"), 2, mode="full",
+                                 epsilon=1e-2)
+        rep = closed_loop_certificate(design)
+        traj = simulate(design.model, design, cycle3_graph(),
+                        DelayProfile.from_list([1, 1, 2], 2),
+                        _initial_states(3), XR0, 3000)
+        rate = (traj.error[3000] / traj.error[2000]) ** (1 / 1000)
+        assert rate == pytest.approx(rep.radii[2], rel=1e-4)
+
+    def test_observer_radius_in_partial_mode(self):
+        design = design_protocol(demo_model("partial"), 2, mode="partial",
+                                 epsilon=1e-3)
+        rep = closed_loop_certificate(design)
+        A, C = design.model.A, design.model.C
+        assert rep.observer_radius == spectral_radius(A - design.F @ C)
+        assert rep.margin == 1.0 - max(*rep.radii, rep.observer_radius)
+        unobserved = dataclasses.replace(design, F=np.zeros_like(design.F))
+        rep = closed_loop_certificate(unobserved)
+        assert not rep.passed
+        assert rep.reason.startswith("observer loop A - F C")
+
+    def test_verdict_matches_frequency_sweep(self):
+        # both pass on every shipped and tested design
+        designs = [design for _, design, _ in _battery()]
+        for case in DEMO_CASES:
+            for mode in ("full", "partial"):
+                cfg = demo_scenario(case, mode)
+                designs.append(design_protocol(
+                    cfg.model, cfg.delays.kappa_bar, mode=mode,
+                    epsilon=cfg.epsilon))
+        for design in designs:
+            sweep = frequency_sweep_certificate(
+                design.model.A, -design.rho * design.model.B @ design.K,
+                range(design.kappa_bar + 1))
+            assert closed_loop_certificate(design).passed and sweep.passed
 
 
 class TestSweptDesign:
@@ -93,6 +147,9 @@ class TestSweptDesign:
         assert design.epsilon_star == design.epsilon
         rep = closed_loop_certificate(design)
         assert rep.passed
+        np.testing.assert_allclose(rep.radii,
+                                   [0.9994057, 0.9994855, 0.9997041],
+                                   rtol=0, atol=1e-6)
         traj = simulate(design.model, design, cycle3_graph(),
                         DelayProfile.from_list([2, 2, 2], 2),
                         _initial_states(3), XR0, 36000)
