@@ -31,7 +31,7 @@ from .network import CommGraph
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """A fully validated scenario, ready to design / simulate / verify."""
+    """A validated scenario; compare scenarios by their config_to_dict."""
     model: AgentModel
     mode: str
     graph: CommGraph
@@ -43,11 +43,6 @@ class ScenarioConfig:
     rho: float | None = None
     out_dir: str = "."
     emit_plot_data: bool = False
-
-    def __eq__(self, other):
-        if not isinstance(other, ScenarioConfig):
-            return NotImplemented
-        return config_to_dict(self) == config_to_dict(other)
 
 
 def _matrix(raw, name, problems):
@@ -244,7 +239,7 @@ def config_to_dict(cfg):
 
 
 def write_config(cfg, path):
-    """Serialize a ScenarioConfig so that load_config reads back an equal one."""
+    """Serialize a ScenarioConfig so that load_config reads it back unchanged."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(config_to_dict(cfg), fh, indent=2)
         fh.write("\n")

@@ -10,9 +10,10 @@ admissible delay bound (kappa_bar * omega_max < pi/2); the loop gain rho
 is pushed just above 1 / (2 cos(kappa_bar * omega_max)); a band margin
 theta and a high-frequency floor mu follow; and finally epsilon is swept
 downward until the low-gain feedback is small enough for the floor and
-keeps the phase-rotated loop stable across the low band.  The Riccati
-solution accepted by the sweep is the design's; nothing is solved twice.
-Each stage raises DesignError with a stage tag on failure.
+every delayed loop up to kappa_bar passes the certificate's exact test
+(`verify.delay_loop_radii`), so swept designs certify by construction.
+The Riccati solution accepted by the sweep is the design's; nothing is
+solved twice.  Each stage raises DesignError with a stage tag on failure.
 """
 
 import math
@@ -22,7 +23,8 @@ import numpy as np
 
 from .errors import AssumptionError, DesignError, DimensionError
 from .riccati import is_detectable, is_stabilizable, solve_low_gain_dare
-from .spectral import SCHUR_TOL, is_schur_stable, omega_max, spectral_radius
+from .spectral import is_schur_stable, omega_max, spectral_radius
+from .verify import CERTIFICATE_THRESHOLD, delay_loop_radii
 
 #: absolute guard against eigenvalue rounding when testing
 #: kappa_bar * omega_max against pi/2
@@ -39,9 +41,6 @@ THETA_SAFETY = 0.01
 
 #: uniform grid points on which estimate_mu samples the high band
 MU_GRID_POINTS = 2000
-
-#: interior grid points of the low band in the epsilon acceptance test
-BAND_POINTS = 400
 
 FULL_STATE = "full"
 PARTIAL_STATE = "partial"
@@ -182,28 +181,14 @@ def estimate_mu(A, omega, theta):
     return mu
 
 
-def _low_band_stable(A, BK, rho, kappa_bar, omega, theta):
-    """Schur stability of A - rho * e^{-j w k} BK on the open band
-    (-(omega+theta), omega+theta) for every integer delay k <= kappa_bar."""
-    band = np.linspace(-(omega + theta), omega + theta, BAND_POINTS + 2)[1:-1]
-    for kappa in range(kappa_bar + 1):
-        if kappa == 0:  # phase-independent: the whole band is one matrix
-            M = (A - rho * BK)[None]
-        else:
-            phases = np.exp(-1j * band * kappa)
-            M = A[None] - rho * phases[:, None, None] * BK[None]
-        if np.abs(np.linalg.eigvals(M)).max() >= 1.0 - SCHUR_TOL:
-            return False
-    return True
-
-
-def choose_epsilon_star(A, B, rho, mu, kappa_bar, omega, theta):
+def choose_epsilon_star(A, B, rho, mu, kappa_bar):
     """Low-gain solution at the largest epsilon on EPSILON_SWEEP whose
     feedback gain satisfies both acceptance conditions.
 
     (a) the scaled gain is below the high-band floor: rho*||BK|| <= mu/2;
-    (b) A - rho*e^{-jwk} B K stays Schur stable across the low band for
-        every integer delay k in [0, kappa_bar].
+    (b) every delayed loop x(k+1) = A x(k) - rho B K x(k - kappa), kappa in
+        0..kappa_bar, has lift radius below 1 - CERTIFICATE_THRESHOLD, the
+        test `closed_loop_certificate` applies.
 
     The accepted epsilon is the returned solution's `.epsilon`.  Raises
     DesignError with per-condition diagnostics if the sweep is exhausted.
@@ -215,15 +200,16 @@ def choose_epsilon_star(A, B, rho, mu, kappa_bar, omega, theta):
         sol = solve_low_gain_dare(A, B, eps)
         BK = B @ sol.K
         cond_a = rho * np.linalg.norm(BK, 2) <= mu / 2.0
-        cond_b = _low_band_stable(A, BK, rho, kappa_bar, omega, theta)
+        radius = max(delay_loop_radii(A, -rho * BK, kappa_bar))
+        cond_b = 1.0 - radius > CERTIFICATE_THRESHOLD
         if cond_a and cond_b:
             return sol
-        last = (eps, cond_a, cond_b)
+        last = (eps, cond_a, cond_b, radius)
     raise DesignError(
         "epsilon",
         f"sweep exhausted without an acceptable epsilon; at eps={last[0]:.3e} "
-        f"gain condition(a)={last[1]}, band condition(b)={last[2]} "
-        f"(mu={mu:.3e}, rho={rho:.6g})")
+        f"gain condition(a)={last[1]}, delayed-loop condition(b)={last[2]} "
+        f"(largest lift radius {last[3]:.9g}, mu={mu:.3e}, rho={rho:.6g})")
 
 
 def design_observer(A, C):
@@ -277,17 +263,16 @@ def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None, rho=None):
     mu = estimate_mu(model.A, w, theta)
 
     if epsilon is None:
-        sol = choose_epsilon_star(model.A, model.B, rho_val, mu, kappa_bar,
-                                  w, theta)
+        sol = choose_epsilon_star(model.A, model.B, rho_val, mu, kappa_bar)
     else:
         pinned = float(epsilon)
         if not (0.0 < pinned <= 1.0):
             raise DesignError("epsilon", f"pinned epsilon = {pinned:.6g} is "
                               "outside (0, 1]")
         sol = solve_low_gain_dare(model.A, model.B, pinned)
-    if not is_schur_stable(model.A - rho_val * model.B @ sol.K):
-        raise DesignError("epsilon", f"A - rho*B*K is not Schur stable at "
-                          f"epsilon = {sol.epsilon:.6g}, rho = {rho_val:.6g}")
+        if not is_schur_stable(model.A - rho_val * model.B @ sol.K):
+            raise DesignError("epsilon", f"A - rho*B*K is not Schur stable at "
+                              f"epsilon = {pinned:.6g}, rho = {rho_val:.6g}")
 
     F = design_observer(model.A, model.C) if mode == PARTIAL_STATE else None
     return ProtocolDesign(mode=mode, model=model, epsilon_star=sol.epsilon,

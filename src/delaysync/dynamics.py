@@ -8,7 +8,8 @@ written, matching the difference equations the protocols define.
 Delayed inputs are read back from the record of executed inputs, which
 holds zeros at negative times.  Protocol and observer states start at
 zero.  A run whose states, inputs or synchronization error leave the
-finite floats raises NumericError naming the first step and agent.
+finite floats stops at the first non-finite step and raises NumericError
+naming the first step and agent.
 """
 
 from dataclasses import dataclass
@@ -146,6 +147,8 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
         raise ScenarioError(f"x0 must have shape {(N, n)}, got {x0.shape}")
     if xr0.shape != (n,):
         raise ScenarioError(f"xr0 must have shape {(n,)}, got {xr0.shape}")
+    if k_max < 0:
+        raise ScenarioError(f"k_max must be >= 0, got {k_max}")
     if delays.kappa.shape != (N,):
         raise ScenarioError(f"delay profile has {delays.kappa.shape[0]} entries "
                             f"for {N} agents")
@@ -184,8 +187,11 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
             rec_x[k], rec_chi[k], rec_xr[k] = x, chi, x_ref
             if partial:
                 rec_xhat[k] = xhat
-            inputs.push(control_input(design, chi))
-            if k == k_max:
+            u = control_input(design, chi)
+            inputs.push(u)
+            # every state feeds the inputs within two steps, so a non-finite
+            # input ends the run; the check below names the first bad step
+            if k == k_max or not np.isfinite(u).all():
                 break
             u_delayed = inputs.read(kappa)
 
@@ -207,12 +213,12 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
         # three dense N x N arrays: not kept alive through the error pass
         del net
 
-        agent_errors = _agent_errors(rec_x, rec_xr)
+        agent_errors = _agent_errors(rec_x[:k + 1], rec_xr[:k + 1])
     # a non-finite state or reference makes that agent's error non-finite
     bad = ~np.isfinite(agent_errors)
     for rec in (rec_chi, rec_xhat, inputs.recorded):
         if rec is not None:
-            bad |= ~np.isfinite(rec).all(axis=2)
+            bad |= ~np.isfinite(rec[:k + 1]).all(axis=2)
     if bad.any():
         k, i = np.unravel_index(np.argmax(bad), bad.shape)
         raise NumericError(f"simulation diverged: a state, input or the sync "

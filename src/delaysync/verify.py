@@ -13,6 +13,8 @@ under A - F C.  A design therefore works on every rooted graph and every
 profile up to kappa_bar iff these loops, for every kappa in 0..kappa_bar,
 are Schur stable, which `closed_loop_certificate` decides exactly from the
 spectral radius of each loop's companion lift, of order n (kappa + 1).
+`delay_loop_radii` computes those radii; the designer's epsilon sweep
+accepts a point by the same test.
 
 `frequency_sweep_certificate` only rules out characteristic roots on the
 unit circle, not outside it, so it is no stability test; the tests keep it
@@ -138,13 +140,19 @@ def _delay_lift(A0, A1, kappa):
     return lift
 
 
+def delay_loop_radii(A0, A1, kappa_bar):
+    """Spectral radii of x(k+1) = A0 x(k) + A1 x(k - kappa) for every
+    integer delay kappa in 0..kappa_bar, from each delay's companion lift."""
+    return tuple(spectral_radius(_delay_lift(A0, A1, kappa))
+                 for kappa in range(kappa_bar + 1))
+
+
 def closed_loop_certificate(design):
     """Exact stability certificate of a design on every rooted graph and
     every delay profile up to the design's kappa_bar."""
     A, C, F = design.model.A, design.model.C, design.F
-    A1 = -design.rho * (design.model.B @ design.K)
-    radii = tuple(spectral_radius(_delay_lift(A, A1, kappa))
-                  for kappa in range(design.kappa_bar + 1))
+    radii = delay_loop_radii(A, -design.rho * (design.model.B @ design.K),
+                             design.kappa_bar)
     worst = int(np.argmax(radii))
     observer = None if F is None else spectral_radius(A - F @ C)
     if observer is not None and observer > radii[worst]:

@@ -179,7 +179,7 @@ def test_criterion_6_certificates_and_random_delays():
         report = closed_loop_certificate(design)
         if not report.passed:
             problems.append(f"{name}: certificate failed "
-                            f"(margin {report.min_margin:.2e})")
+                            f"(margin {report.margin:.2e}, {report.reason})")
             continue
         n = design.model.n
         x0 = _initial_states(3)[:, :n]

@@ -1,21 +1,35 @@
 import inspect
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delaysync.design
 from delaysync import (AgentModel, choose_epsilon_star, choose_rho,
-                       choose_theta, delay_admissible, design_observer,
-                       design_protocol, estimate_mu, is_schur_stable,
-                       omega_max, validate_assumptions)
+                       choose_theta, closed_loop_certificate, delay_admissible,
+                       design_observer, design_protocol, estimate_mu,
+                       is_schur_stable, omega_max, validate_assumptions)
 from delaysync.demos import demo_model
-from delaysync.design import EPSILON_SWEEP, _low_band_stable
+from delaysync.design import EPSILON_SWEEP
 from delaysync.errors import AssumptionError, DesignError
 from delaysync.riccati import solve_low_gain_dare
 from delaysync.spectral import spectral_radius
+from delaysync.verify import CERTIFICATE_THRESHOLD, delay_loop_radii
 
-from conftest import BENCH_A, BENCH_B, BENCH_C, BENCH_F, block_diag, rotation
+from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_F, block_diag,
+                      random_admissible_model, rotation)
+
+#: the stage tags design_protocol's DesignError can carry
+DESIGN_STAGES = {"delay_admissibility", "rho", "theta", "mu", "epsilon",
+                 "observer"}
+
+#: the random model family the benchmark designs, with each recorded eps*
+FAMILY = json.loads((pathlib.Path(__file__).parents[1] / "perfbench" / "data"
+                     / "models.json").read_text())["models"]
 
 
 class TestDelayAdmissible:
@@ -117,7 +131,7 @@ class TestChooseEpsilonStar:
     def test_zero_dynamics_accepts_top_of_sweep(self):
         A = np.zeros((2, 2))
         B = np.array([[1.0], [0.0]])
-        sol = choose_epsilon_star(A, B, 0.525, 0.9, 0, 0.0, math.pi)
+        sol = choose_epsilon_star(A, B, 0.525, 0.9, 0)
         assert sol.epsilon >= 1e-2
 
     def test_bench_sweep_accepts_and_is_monotone(self):
@@ -125,7 +139,7 @@ class TestChooseEpsilonStar:
         rho = 1.05
         theta = choose_theta(rho, 2, w)
         mu = estimate_mu(BENCH_A, w, theta)
-        accepted = choose_epsilon_star(BENCH_A, BENCH_B, rho, mu, 2, w, theta)
+        accepted = choose_epsilon_star(BENCH_A, BENCH_B, rho, mu, 2)
         eps_star = accepted.epsilon
         assert eps_star > 0
         # the accepted solution is the solve at eps*
@@ -137,12 +151,23 @@ class TestChooseEpsilonStar:
             sol = solve_low_gain_dare(BENCH_A, BENCH_B, eps)
             BK = BENCH_B @ sol.K
             assert rho * np.linalg.norm(BK, 2) <= mu / 2
-            assert _low_band_stable(BENCH_A, BK, rho, 2, w, theta)
+            radii = delay_loop_radii(BENCH_A, -rho * BK, 2)
+            assert 1.0 - max(radii) > CERTIFICATE_THRESHOLD
 
     def test_exhausted_sweep_reports_diagnostics(self):
         with pytest.raises(DesignError, match="condition"):
-            choose_epsilon_star(BENCH_A, BENCH_B, 1.05, 1e-15, 2,
-                                math.pi / 6, 0.008)
+            choose_epsilon_star(BENCH_A, BENCH_B, 1.05, 1e-15, 2)
+
+    def test_delayed_loops_stable_when_gain_floor_never_binds(self):
+        # with mu = 1e9 only the delayed-loop condition decides; the
+        # largest sweep points have r_2 > 1 on the bench agent
+        sol = choose_epsilon_star(BENCH_A, BENCH_B, 1.05, 1e9, 2)
+        radii = delay_loop_radii(BENCH_A, -1.05 * (BENCH_B @ sol.K), 2)
+        assert max(radii) < 1.0 - CERTIFICATE_THRESHOLD
+        assert sol.epsilon == EPSILON_SWEEP[5]
+        assert sol.epsilon == pytest.approx(10.0 ** -2.25)
+        above = solve_low_gain_dare(BENCH_A, BENCH_B, EPSILON_SWEEP[4])
+        assert delay_loop_radii(BENCH_A, -1.05 * (BENCH_B @ above.K), 2)[2] > 1
 
 
 class TestDesignObserver:
@@ -257,8 +282,7 @@ class TestDesignProtocol:
         w = omega_max(model.A)
         theta = choose_theta(d.rho, 2, w)
         accepted = choose_epsilon_star(model.A, model.B, d.rho,
-                                       estimate_mu(model.A, w, theta), 2, w,
-                                       theta)
+                                       estimate_mu(model.A, w, theta), 2)
         assert np.array_equal(d.K, accepted.K)
         assert np.array_equal(d.P, accepted.P)
 
@@ -269,3 +293,35 @@ class TestDesignProtocol:
     def test_omega_max_consistency(self, bench_full):
         d = design_protocol(bench_full, 2, epsilon=1e-3)
         assert d.omega_max == omega_max(BENCH_A)
+
+    @pytest.mark.parametrize("entry", FAMILY, ids=[e["label"] for e in FAMILY])
+    def test_reproduces_recorded_family_epsilon_star(self, entry):
+        A, B = np.array(entry["A"]), np.array(entry["B"])
+        d = design_protocol(AgentModel(A=A, B=B, C=np.eye(A.shape[0])),
+                            entry["kappa_bar"])
+        assert d.epsilon_star == entry["epsilon_star"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2]),
+           partial=st.booleans(), data=st.data())
+    def test_swept_design_passes_certificate(self, seed, m, partial, data):
+        # the sweep accepts epsilon by the certificate's own test, so a
+        # swept design either fails with a stage tag or certifies
+        rng = np.random.default_rng(seed)
+        if partial:
+            A, B, C = random_admissible_model(rng, m=m, with_output=True)
+        else:
+            A, B = random_admissible_model(rng, m=m)
+            C = np.eye(A.shape[0])
+        kappa_max = 6
+        while not delay_admissible(A, kappa_max):
+            kappa_max -= 1
+        kappa_bar = data.draw(st.integers(0, kappa_max), label="kappa_bar")
+        try:
+            d = design_protocol(AgentModel(A=A, B=B, C=C), kappa_bar,
+                                mode="partial" if partial else "full")
+        except DesignError as err:
+            assert err.stage in DESIGN_STAGES
+            return
+        cert = closed_loop_certificate(d)
+        assert cert.passed, (kappa_bar, cert.reason)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delaysync.dynamics
 from delaysync import (AgentModel, CommGraph, DelayProfile, InputHistory,
                        ProtocolDesign, closed_loop_certificate,
                        design_protocol, simulate)
@@ -267,6 +268,8 @@ class TestSimulate:
             simulate(full_design.model, full_design, cycle3_graph(),
                      DelayProfile.from_list([1, 1, 2]),
                      np.zeros((2, 3)), XR0, 20)
+        with pytest.raises(ScenarioError, match="k_max"):
+            run_case1(full_design, [1, 1, 2], -1)
 
 
 @st.composite
@@ -328,6 +331,27 @@ class TestDivergence:
         step = int(re.search(r"step (\d+)", str(info.value)).group(1))
         assert 0 < step <= 3000
         assert np.isfinite(run(step - 1).error).all()
+
+    def test_stops_at_first_non_finite_step(self, monkeypatch):
+        # case 1 at epsilon 0.1: the sync error overflows from step 2277 and
+        # the states from step 4545, far before the horizon
+        cfg = demo_scenario(1, "full")
+        design = design_protocol(cfg.model, 2, mode="full", epsilon=0.1)
+        steps = []
+
+        def counting(design, chi):
+            steps.append(1)
+            return control_input(design, chi)
+
+        monkeypatch.setattr(delaysync.dynamics, "control_input", counting)
+        k_max = 20000
+        with pytest.raises(NumericError) as info:
+            simulate(cfg.model, design, cfg.graph, cfg.delays, cfg.x0,
+                     cfg.xr0, k_max)
+        assert str(info.value) == ("simulation diverged: a state, input or "
+                                   "the sync error is non-finite from step "
+                                   "2277 (agent 2)")
+        assert 2277 < len(steps) < k_max
 
     def test_non_finite_initial_state_names_agent(self, full_design):
         x0 = _initial_states(3)
