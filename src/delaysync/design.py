@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionError, DesignError, DimensionError
+from .errors import (AssumptionError, ConvergenceError, DesignError,
+                     DimensionError)
 from .riccati import is_detectable, is_stabilizable, solve_low_gain_dare
 from .spectral import is_schur_stable, omega_max, spectral_radius
 from .verify import CERTIFICATE_THRESHOLD, delay_loop_radii
@@ -190,26 +191,35 @@ def choose_epsilon_star(A, B, rho, mu, kappa_bar):
         0..kappa_bar, has lift radius below 1 - CERTIFICATE_THRESHOLD, the
         test `closed_loop_certificate` applies.
 
-    The accepted epsilon is the returned solution's `.epsilon`.  Raises
-    DesignError with per-condition diagnostics if the sweep is exhausted.
+    The accepted epsilon is the returned solution's `.epsilon`.  A point
+    whose Riccati solve does not converge fails, and the sweep goes on.
+    Raises DesignError with per-condition diagnostics if the sweep is
+    exhausted.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    last = None
+    last, stalled = None, []
     for eps in EPSILON_SWEEP:
-        sol = solve_low_gain_dare(A, B, eps)
+        try:
+            sol = solve_low_gain_dare(A, B, eps)
+        except ConvergenceError as exc:
+            stalled.append(f"at eps={eps:.3e} ({exc})")
+            continue
         BK = B @ sol.K
         cond_a = rho * np.linalg.norm(BK, 2) <= mu / 2.0
         radius = max(delay_loop_radii(A, -rho * BK, kappa_bar))
         cond_b = 1.0 - radius > CERTIFICATE_THRESHOLD
         if cond_a and cond_b:
             return sol
-        last = (eps, cond_a, cond_b, radius)
-    raise DesignError(
-        "epsilon",
-        f"sweep exhausted without an acceptable epsilon; at eps={last[0]:.3e} "
-        f"gain condition(a)={last[1]}, delayed-loop condition(b)={last[2]} "
-        f"(largest lift radius {last[3]:.9g}, mu={mu:.3e}, rho={rho:.6g})")
+        last = (f"at eps={eps:.3e} gain condition(a)={cond_a}, delayed-loop "
+                f"condition(b)={cond_b} (largest lift radius {radius:.9g}, "
+                f"mu={mu:.3e}, rho={rho:.6g})")
+    reasons = [last] if last else []
+    if stalled:
+        reasons.append(f"the Riccati solve did not converge at {len(stalled)} "
+                       f"of {len(EPSILON_SWEEP)} points, first {stalled[0]}")
+    raise DesignError("epsilon", "sweep exhausted without an acceptable "
+                      "epsilon; " + "; ".join(reasons))
 
 
 def design_observer(A, C):

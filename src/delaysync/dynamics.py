@@ -1,9 +1,20 @@
 """Closed-loop time stepping for delayed multi-agent synchronization.
 
-State is kept in (N, n) arrays, one row per agent.  All updates are
-strictly synchronous: every quantity at step k (inputs, measurements,
-exchanges) is computed from the step-k snapshot before any state is
-written, matching the difference equations the protocols define.
+A run keeps one state block Z with a row per node of the extended graph.
+Row i < N holds agent i's [x_i | chi_i | xhat_i] (the observer state only
+in partial-state mode).  The reference is node N: its row holds x_ref, and
+its protocol and observer states are zero.  The extended Laplacian L_ext
+appends the column -roots and a zero row to the expanded Laplacian, so
+L_ext [y; y_ref] = L_exp y - roots y_ref.  One graph product per step
+therefore gives every relative measurement and both extra exchanges:
+
+    u = Z Kz,    V = [Z | u_delayed],    Z+ = [V | diag(scale) L_ext V] T
+
+where scale = 1 / (2 + d_in) and Kz, T are built once per run
+(`_block_transition`).  Updates are strictly synchronous: every quantity
+at step k is computed from the step-k block before the next is written.
+`control_input`, `network_measurement` and the `extra_exchange_*` helpers
+state the same laws term by term; `simulate` no longer calls them.
 
 Delayed inputs are read back from the record of executed inputs, which
 holds zeros at negative times.  Protocol and observer states start at
@@ -82,7 +93,8 @@ class Trajectory:
     """Time-indexed closed-loop record; arrays are indexed [step, agent, ...].
 
     `observer` is None for full-state runs.  `error` holds the worst-agent
-    synchronization error per step.
+    synchronization error per step.  The state fields are views of one
+    recorded block, and `u` of the input record.
     """
     x: np.ndarray
     protocol: np.ndarray
@@ -132,6 +144,45 @@ def _agent_errors(x, x_ref):
     return np.linalg.norm(x - x_ref[:, None, :], axis=2)
 
 
+def _block_transition(model, design, partial):
+    """Per-step matrices of the stacked state block Z = [x | chi | xhat].
+
+    Returns (T, Kz): u = Z @ Kz = -rho chi K', and
+    Z(k+1) = [V | W] @ T with V = [Z | u_delayed] and W the scaled
+    extended-Laplacian product of V.  The plant and the exosystem follow
+    `model`; the protocol and the observer run on the design's copy of it.
+    """
+    A, B, C = model.A, model.B, model.C
+    Ap, Bp, Cp = design.model.A, design.model.B, design.model.C
+    n, m = model.n, model.m
+    w = (3 if partial else 2) * n
+    x, chi, xhat, u = (slice(0, n), slice(n, 2 * n), slice(2 * n, w),
+                       slice(w, w + m))
+
+    def coupled(block):
+        """The same block of W, the network product, in [V | W]."""
+        return slice(block.start + w + m, block.stop + w + m)
+
+    T = np.zeros((2 * (w + m), w))
+    T[x, x] = A.T
+    T[u, x] = B.T
+    T[chi, chi] = Ap.T
+    T[u, chi] = Bp.T
+    T[coupled(chi), chi] = -Ap.T
+    if partial:
+        # chi reads the observer state; xhat reads the measured outputs and
+        # the exchanged delayed inputs
+        T[xhat, chi] = Ap.T
+        T[xhat, xhat] = Ap.T - Cp.T @ design.F.T
+        T[coupled(x), xhat] = C.T @ design.F.T
+        T[coupled(u), xhat] = Bp.T
+    else:
+        T[coupled(x), chi] = Ap.T
+    Kz = np.zeros((w, m))
+    Kz[chi] = -design.rho * design.K.T
+    return T, Kz
+
+
 def simulate(model, design, graph, delays, x0, xr0, k_max):
     """Run the closed loop for k_max steps and record every state.
 
@@ -163,66 +214,49 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
     if partial and design.F is None:
         raise ScenarioError("partial-state design is missing the observer gain")
 
-    # the plant and the exosystem follow `model`; the protocol and the
-    # observer run on the design's copy of it
-    A, B, C = model.A, model.B, model.C
-    Ap, Bp, Cp = design.model.A, design.model.B, design.model.C
-    kappa = delays.kappa
-    inputs = InputHistory(N, m, delays.kappa_bar, k_max)
-
-    x = x0.copy()
-    chi = np.zeros((N, n))
-    xhat = np.zeros((N, n)) if partial else None
-    x_ref = xr0.copy()
+    T, Kz = _block_transition(model, design, partial)
+    w = T.shape[1]
+    # the reference is node N of the extended graph: rows 0..N-1 read
+    # L_exp y - roots y_ref, and its own row is zero
+    net = network_matrices(graph)
+    lap_ext = np.zeros((N + 1, N + 1))
+    lap_ext[:N, :N] = net.expanded_laplacian
+    lap_ext[:N, N] = -graph.roots.astype(float)
+    scale = np.append(net.scale, 0.0)[:, None]
+    del net  # its dense N x N arrays are not kept alive through the run
+    kappa = np.append(delays.kappa, 0)
+    inputs = InputHistory(N + 1, m, delays.kappa_bar, k_max)
 
     steps = k_max + 1
-    rec_x = np.empty((steps, N, n))
-    rec_chi = np.empty((steps, N, n))
-    rec_xhat = np.empty((steps, N, n)) if partial else None
-    rec_xr = np.empty((steps, n))
-    net = network_matrices(graph)
+    rec = np.zeros((steps, N + 1, w))
+    rec[0, :N, :n] = x0
+    rec[0, N, :n] = xr0
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            rec_x[k], rec_chi[k], rec_xr[k] = x, chi, x_ref
-            if partial:
-                rec_xhat[k] = xhat
-            u = control_input(design, chi)
+            Z = rec[k]
+            u = Z @ Kz
             inputs.push(u)
             # every state feeds the inputs within two steps, so a non-finite
             # input ends the run; the check below names the first bad step
             if k == k_max or not np.isfinite(u).all():
                 break
-            u_delayed = inputs.read(kappa)
+            V = np.concatenate((Z, inputs.read(kappa)), axis=1)
+            # scale after the product: a synchronized network measures 0
+            np.matmul(np.concatenate((V, scale * (lap_ext @ V)), axis=1), T,
+                      out=rec[k + 1])
 
-            # partial mode feeds the observer state where full mode feeds
-            # the network measurement
-            if partial:
-                zeta_bar = network_measurement(graph, net, x, C @ x_ref, C=C)
-                zeta_hat, zeta_hat2 = extra_exchange_partial(net, chi,
-                                                             u_delayed)
-                measured = xhat
-                xhat = xhat @ Ap.T + zeta_hat2 @ Bp.T \
-                    + (zeta_bar - xhat @ Cp.T) @ design.F.T
-            else:
-                measured = network_measurement(graph, net, x, x_ref)
-                zeta_hat = extra_exchange_full(net, chi)
-            chi = chi @ Ap.T + u_delayed @ Bp.T + (measured - zeta_hat) @ Ap.T
-            x = x @ A.T + u_delayed @ B.T
-            x_ref = A @ x_ref
-        # three dense N x N arrays: not kept alive through the error pass
-        del net
-
-        agent_errors = _agent_errors(rec_x[:k + 1], rec_xr[:k + 1])
+        x, x_ref = rec[:, :N, :n], rec[:, N, :n]
+        agent_errors = _agent_errors(x[:k + 1], x_ref[:k + 1])
+    u = inputs.recorded[:, :N]
     # a non-finite state or reference makes that agent's error non-finite
     bad = ~np.isfinite(agent_errors)
-    for rec in (rec_chi, rec_xhat, inputs.recorded):
-        if rec is not None:
-            bad |= ~np.isfinite(rec[:k + 1]).all(axis=2)
+    for block in (rec[:k + 1, :N], u[:k + 1]):
+        bad |= ~np.isfinite(block).all(axis=2)
     if bad.any():
         k, i = np.unravel_index(np.argmax(bad), bad.shape)
         raise NumericError(f"simulation diverged: a state, input or the sync "
                            f"error is non-finite from step {k} (agent {i})")
-    return Trajectory(x=rec_x, protocol=rec_chi, observer=rec_xhat,
-                      x_ref=rec_xr, u=inputs.recorded,
-                      error=agent_errors.max(axis=1))
+    return Trajectory(x=x, protocol=rec[:, :N, n:2 * n],
+                      observer=rec[:, :N, 2 * n:] if partial else None,
+                      x_ref=x_ref, u=u, error=agent_errors.max(axis=1))

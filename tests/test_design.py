@@ -15,7 +15,8 @@ from delaysync import (AgentModel, choose_epsilon_star, choose_rho,
                        is_schur_stable, omega_max, validate_assumptions)
 from delaysync.demos import demo_model
 from delaysync.design import EPSILON_SWEEP
-from delaysync.errors import AssumptionError, DesignError
+from delaysync.errors import (AssumptionError, ConvergenceError,
+                              DesignError)
 from delaysync.riccati import solve_low_gain_dare
 from delaysync.spectral import spectral_radius
 from delaysync.verify import CERTIFICATE_THRESHOLD, delay_loop_radii
@@ -157,6 +158,43 @@ class TestChooseEpsilonStar:
     def test_exhausted_sweep_reports_diagnostics(self):
         with pytest.raises(DesignError, match="condition"):
             choose_epsilon_star(BENCH_A, BENCH_B, 1.05, 1e-15, 2)
+
+    def test_stalled_solve_fails_only_its_point(self, monkeypatch):
+        # a Riccati solve that stalls at the first sweep point fails that
+        # point only: eps* of the bench agent and the recorded family is
+        # unchanged, or the next point where eps* was the first
+        models = [(BENCH_A, BENCH_B, 2, 10.0 ** -6.75)] + [
+            (np.array(e["A"]), np.array(e["B"]), e["kappa_bar"],
+             e["epsilon_star"]) for e in FAMILY]
+        solve = delaysync.design.solve_low_gain_dare
+        stalled = []
+
+        def stall_first(A, B, epsilon):
+            if epsilon == EPSILON_SWEEP[0]:
+                stalled.append(epsilon)
+                raise ConvergenceError("DARE polish stalled")
+            return solve(A, B, epsilon)
+
+        monkeypatch.setattr(delaysync.design, "solve_low_gain_dare",
+                            stall_first)
+        for A, B, kappa_bar, eps_star in models:
+            d = design_protocol(AgentModel(A=A, B=B, C=np.eye(A.shape[0])),
+                                kappa_bar)
+            if eps_star == EPSILON_SWEEP[0]:
+                eps_star = EPSILON_SWEEP[1]
+            assert d.epsilon_star == eps_star
+        assert len(stalled) == len(models)
+
+    def test_exhausted_sweep_names_stalled_solves(self, monkeypatch):
+        def stall(A, B, epsilon):
+            raise ConvergenceError("DARE polish stalled")
+
+        monkeypatch.setattr(delaysync.design, "solve_low_gain_dare", stall)
+        with pytest.raises(DesignError, match=(
+                r"did not converge at 29 of 29 points, first at "
+                r"eps=1\.000e-01 \(DARE polish stalled\)")) as info:
+            choose_epsilon_star(BENCH_A, BENCH_B, 1.05, 1.0, 2)
+        assert info.value.stage == "epsilon"
 
     def test_delayed_loops_stable_when_gain_floor_never_binds(self):
         # with mu = 1e9 only the delayed-loop condition decides; the

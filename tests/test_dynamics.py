@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import delaysync.dynamics
 from delaysync import (AgentModel, CommGraph, DelayProfile, InputHistory,
                        ProtocolDesign, closed_loop_certificate,
                        design_protocol, simulate)
@@ -338,12 +337,13 @@ class TestDivergence:
         cfg = demo_scenario(1, "full")
         design = design_protocol(cfg.model, 2, mode="full", epsilon=0.1)
         steps = []
+        push = InputHistory.push
 
-        def counting(design, chi):
+        def counting(history, u_now):
             steps.append(1)
-            return control_input(design, chi)
+            push(history, u_now)
 
-        monkeypatch.setattr(delaysync.dynamics, "control_input", counting)
+        monkeypatch.setattr(InputHistory, "push", counting)
         k_max = 20000
         with pytest.raises(NumericError) as info:
             simulate(cfg.model, design, cfg.graph, cfg.delays, cfg.x0,
@@ -469,29 +469,55 @@ class TestZeroDelayOracles:
             np.testing.assert_allclose(e[k + 1], D_kron @ e[k], atol=1e-10)
 
 
+def assert_matches_lift(design, graph, kappa, x0, xr0, k_max):
+    """simulate against M^k z0 of the lifted closed-loop matrix, within
+    1e-12 of the lifted state's scale at every step."""
+    partial = design.mode == "partial"
+    N, n = x0.shape
+    traj = simulate(design.model, design, graph,
+                    DelayProfile.from_list(kappa, design.kappa_bar), x0, xr0,
+                    k_max)
+    M = (monolithic_partial if partial else monolithic_full)(design, graph,
+                                                             kappa)
+    Nn = N * n
+    z = np.zeros(M.shape[0])
+    z[:Nn], z[-n:] = x0.ravel(), xr0
+    chi_at = 2 * Nn if partial else Nn
+    for k in range(k_max + 1):
+        scale = max(1.0, np.abs(z).max())
+        got = [traj.x[k].ravel(), traj.protocol[k].ravel(), traj.x_ref[k]]
+        want = [z[:Nn], z[chi_at:chi_at + Nn], z[-n:]]
+        if partial:
+            got.append(traj.observer[k].ravel())
+            want.append(z[Nn:2 * Nn])
+        for actual, expected in zip(got, want):
+            assert np.abs(actual - expected).max() <= 1e-12 * scale, k
+        z = M @ z
+
+
 class TestDelayedMonolithic:
     @pytest.mark.parametrize("partial", [False, True])
     def test_simulate_matches_lifted_matrix(self, full_design, partial_design,
                                             partial):
         design = partial_design if partial else full_design
-        monolithic = monolithic_partial if partial else monolithic_full
-        kappa = [1, 1, 2]
-        traj = run_case1(design, kappa, 60)
-        M = monolithic(design, cycle3_graph(), kappa)
-        blocks = 5 if partial else 4  # x, (xhat,) chi history of depth 3
-        z = np.zeros(blocks * 9 + 3)
-        z[:9], z[-3:] = _initial_states(3).ravel(), XR0
-        chi_at = 18 if partial else 9
-        for k in range(61):
-            scale = max(1.0, np.abs(z).max())
-            got = [traj.x[k].ravel(), traj.protocol[k].ravel(), traj.x_ref[k]]
-            want = [z[:9], z[chi_at:chi_at + 9], z[-3:]]
-            if partial:
-                got.append(traj.observer[k].ravel())
-                want.append(z[9:18])
-            for actual, expected in zip(got, want):
-                assert np.abs(actual - expected).max() <= 1e-12 * scale, k
-            z = M @ z
+        assert_matches_lift(design, cycle3_graph(), [1, 1, 2],
+                            _initial_states(3), XR0, 60)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=rooted_graphs(max_agents=4), partial=st.booleans(),
+           data=st.data())
+    def test_simulate_matches_lifted_matrix_on_random_graphs(
+            self, full_design, partial_design, graph, partial, data):
+        # weighted graphs with one or more roots, delays 0..2: the stacked
+        # step with the reference as node N against the lifted matrix
+        design = partial_design if partial else full_design
+        N = graph.n_agents
+        kappa = data.draw(st.lists(st.integers(0, 2), min_size=N, max_size=N))
+        coords = st.floats(-2.0, 2.0)
+        x0 = np.array(data.draw(st.lists(coords, min_size=3 * N,
+                                         max_size=3 * N))).reshape(N, 3)
+        xr0 = np.array(data.draw(st.lists(coords, min_size=3, max_size=3)))
+        assert_matches_lift(design, graph, kappa, x0, xr0, 40)
 
     @settings(max_examples=40, deadline=None)
     @given(graph=rooted_graphs(max_agents=4), partial=st.booleans(),
