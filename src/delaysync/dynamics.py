@@ -1,24 +1,29 @@
 """Closed-loop time stepping for delayed multi-agent synchronization.
 
-A run keeps one state block Z with a row per node of the extended graph.
-Row i < N holds agent i's [x_i | chi_i | xhat_i] (the observer state only
-in partial-state mode).  The reference is node N: its row holds x_ref, and
-its protocol and observer states are zero.  The extended Laplacian L_ext
-appends the column -roots and a zero row to the expanded Laplacian, so
-L_ext [y; y_ref] = L_exp y - roots y_ref.  One graph product per step
-therefore gives every relative measurement and both extra exchanges:
+A run keeps one record: a block Z(k) per step with a row per node of the
+extended graph.  Row i < N holds agent i's [x_i | chi_i | xhat_i | u_i]
+(the observer state only in partial-state mode) and u_i(k) is the input
+agent i computed at step k.  The reference is node N: its row holds
+x_ref, and its protocol, observer and input columns are zero.  The
+extended Laplacian L_ext appends the column -roots and a zero row to the
+expanded Laplacian, so L_ext [y; y_ref] = L_exp y - roots y_ref.  One
+graph product per step therefore gives every relative measurement and
+both extra exchanges:
 
-    u = Z Kz,    V = [Z | u_delayed],    Z+ = [V | diag(scale) L_ext V] T
+    V = [Z_states | u_delayed],    Z+ = [V | diag(scale) L_ext V] [T | T Kz]
 
-where scale = 1 / (2 + d_in) and Kz, T are built once per run
-(`_block_transition`).  Updates are strictly synchronous: every quantity
-at step k is computed from the step-k block before the next is written.
-`control_input`, `network_measurement` and the `extra_exchange_*` helpers
-state the same laws term by term; `simulate` no longer calls them.
+where scale = 1 / (2 + d_in), u = Z_states Kz, and T, Kz are built once
+per run (`_block_transition`).  The columns T Kz write the next inputs
+u(k+1) = Z+_states Kz in the same product.  Updates are strictly
+synchronous: every quantity at step k is computed from the step-k block
+before the next is written.  `control_input`, `network_measurement` and
+the `extra_exchange_*` helpers state the same laws term by term;
+`simulate` no longer calls them.
 
-Delayed inputs are read back from the record of executed inputs, which
-holds zeros at negative times.  Protocol and observer states start at
-zero.  A run whose states, inputs or synchronization error leave the
+The record starts with kappa_bar zero rows, the inputs before step 0, so
+each agent's delayed input u_i(k - kappa_i) is read back from the record
+itself at a fixed per-agent offset.  Protocol and observer states start
+at zero.  A run whose states, inputs or synchronization error leave the
 finite floats stops at the first non-finite step and raises NumericError
 naming the first step and agent.
 """
@@ -39,24 +44,36 @@ class DelayProfile:
     kappa_bar: int
 
     def __post_init__(self):
-        kappa = np.asarray(self.kappa, dtype=int)
+        kappa = _whole(self.kappa, "delays")
         if kappa.ndim != 1:
             raise DimensionError(f"kappa must be a vector, got {kappa.shape}")
         if np.any(kappa < 0):
             raise ScenarioError("delays must be non-negative integers")
-        if self.kappa_bar < (kappa.max() if kappa.size else 0):
+        kappa_bar = int(_whole(self.kappa_bar, "kappa_bar"))
+        if kappa_bar < (kappa.max() if kappa.size else 0):
             raise ScenarioError(
-                f"kappa_bar = {self.kappa_bar} is below the largest delay "
+                f"kappa_bar = {kappa_bar} is below the largest delay "
                 f"{kappa.max()}")
         object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "kappa_bar", int(self.kappa_bar))
+        object.__setattr__(self, "kappa_bar", kappa_bar)
 
     @classmethod
     def from_list(cls, kappa, kappa_bar=None):
-        kappa = np.asarray(kappa, dtype=int)
+        kappa = np.asarray(kappa)
         if kappa_bar is None:
-            kappa_bar = int(kappa.max()) if kappa.size else 0
+            kappa_bar = kappa.max() if kappa.size else 0
         return cls(kappa=kappa, kappa_bar=kappa_bar)
+
+
+def _whole(values, name):
+    """`values` as ints; a delay that is not a whole number is an error,
+    never truncated (whole floats such as 2.0 are accepted)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
+        arr = np.asarray(arr, dtype=float)
+        if not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+            raise ScenarioError(f"non-integer {name}: {arr.tolist()}")
+    return arr.astype(int)
 
 
 class InputHistory:
@@ -65,7 +82,9 @@ class InputHistory:
     Row kappa_bar + k holds u(k), so the first kappa_bar rows are the
     zero inputs before step 0 and a delayed read never leaves the array.
     `push` records the inputs of the next step; `read` then resolves each
-    agent's own delay against that step.
+    agent's own delay against that step.  `simulate` no longer uses it: its
+    record holds the inputs as columns.  The class is kept for the traced
+    `InputHistory.read/push` spans of the benchmark and for its own tests.
     """
 
     def __init__(self, n_agents, m, kappa_bar, k_max):
@@ -93,8 +112,8 @@ class Trajectory:
     """Time-indexed closed-loop record; arrays are indexed [step, agent, ...].
 
     `observer` is None for full-state runs.  `error` holds the worst-agent
-    synchronization error per step.  The state fields are views of one
-    recorded block, and `u` of the input record.
+    synchronization error per step.  Every field but `error` is a view of
+    the one recorded block.
     """
     x: np.ndarray
     protocol: np.ndarray
@@ -145,11 +164,13 @@ def _agent_errors(x, x_ref):
 
 
 def _block_transition(model, design, partial):
-    """Per-step matrices of the stacked state block Z = [x | chi | xhat].
+    """Per-step matrices of the stacked block Z = [x | chi | xhat | u].
 
-    Returns (T, Kz): u = Z @ Kz = -rho chi K', and
-    Z(k+1) = [V | W] @ T with V = [Z | u_delayed] and W the scaled
-    extended-Laplacian product of V.  The plant and the exosystem follow
+    Returns (T, Kz): u = Z_states @ Kz = -rho chi K' on the state columns
+    Z_states = [x | chi | xhat], and Z(k+1) = [V | W] @ T with
+    V = [Z_states | u_delayed] and W the scaled extended-Laplacian product
+    of V.  The last m columns of T are the first w times Kz, so the same
+    product writes the next inputs.  The plant and the exosystem follow
     `model`; the protocol and the observer run on the design's copy of it.
     """
     A, B, C = model.A, model.B, model.C
@@ -163,7 +184,7 @@ def _block_transition(model, design, partial):
         """The same block of W, the network product, in [V | W]."""
         return slice(block.start + w + m, block.stop + w + m)
 
-    T = np.zeros((2 * (w + m), w))
+    T = np.zeros((2 * (w + m), w + m))
     T[x, x] = A.T
     T[u, x] = B.T
     T[chi, chi] = Ap.T
@@ -180,6 +201,7 @@ def _block_transition(model, design, partial):
         T[coupled(x), chi] = Ap.T
     Kz = np.zeros((w, m))
     Kz[chi] = -design.rho * design.K.T
+    T[:, u] = T[:, :w] @ Kz
     return T, Kz
 
 
@@ -215,7 +237,7 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
         raise ScenarioError("partial-state design is missing the observer gain")
 
     T, Kz = _block_transition(model, design, partial)
-    w = T.shape[1]
+    w = T.shape[1] - m
     # the reference is node N of the extended graph: rows 0..N-1 read
     # L_exp y - roots y_ref, and its own row is zero
     net = network_matrices(graph)
@@ -224,39 +246,38 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
     lap_ext[:N, N] = -graph.roots.astype(float)
     scale = np.append(net.scale, 0.0)[:, None]
     del net  # its dense N x N arrays are not kept alive through the run
-    kappa = np.append(delays.kappa, 0)
-    inputs = InputHistory(N + 1, m, delays.kappa_bar, k_max)
 
+    # kappa_bar zero rows lead: u_i(k - kappa_i) is row lag_i + k (N + 1)
+    kappa = np.append(delays.kappa, 0)
+    lag = (delays.kappa_bar - kappa) * (N + 1) + np.arange(N + 1)
     steps = k_max + 1
-    rec = np.zeros((steps, N + 1, w))
+    full = np.zeros((delays.kappa_bar + steps, N + 1, w + m))
+    rec, flat = full[delays.kappa_bar:], full.reshape(-1, w + m)
     rec[0, :N, :n] = x0
     rec[0, N, :n] = xr0
 
     with np.errstate(over="ignore", invalid="ignore"):
+        rec[0, :, w:] = rec[0, :, :w] @ Kz
         for k in range(steps):
             Z = rec[k]
-            u = Z @ Kz
-            inputs.push(u)
             # every state feeds the inputs within two steps, so a non-finite
             # input ends the run; the check below names the first bad step
-            if k == k_max or not np.isfinite(u).all():
+            if k == k_max or not np.isfinite(Z[:, w:]).all():
                 break
-            V = np.concatenate((Z, inputs.read(kappa)), axis=1)
+            V = np.concatenate((Z[:, :w], flat[lag + k * (N + 1), w:]), axis=1)
             # scale after the product: a synchronized network measures 0
             np.matmul(np.concatenate((V, scale * (lap_ext @ V)), axis=1), T,
                       out=rec[k + 1])
 
         x, x_ref = rec[:, :N, :n], rec[:, N, :n]
         agent_errors = _agent_errors(x[:k + 1], x_ref[:k + 1])
-    u = inputs.recorded[:, :N]
     # a non-finite state or reference makes that agent's error non-finite
     bad = ~np.isfinite(agent_errors)
-    for block in (rec[:k + 1, :N], u[:k + 1]):
-        bad |= ~np.isfinite(block).all(axis=2)
+    bad |= ~np.isfinite(rec[:k + 1, :N]).all(axis=2)
     if bad.any():
         k, i = np.unravel_index(np.argmax(bad), bad.shape)
         raise NumericError(f"simulation diverged: a state, input or the sync "
                            f"error is non-finite from step {k} (agent {i})")
-    return Trajectory(x=x, protocol=rec[:, :N, n:2 * n],
-                      observer=rec[:, :N, 2 * n:] if partial else None,
-                      x_ref=x_ref, u=u, error=agent_errors.max(axis=1))
+    return Trajectory(x=x, protocol=rec[:, :N, n:2 * n], u=rec[:, :N, w:],
+                      observer=rec[:, :N, 2 * n:w] if partial else None,
+                      x_ref=x_ref, error=agent_errors.max(axis=1))

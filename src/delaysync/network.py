@@ -31,6 +31,8 @@ class CommGraph:
         roots = np.asarray(self.roots, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise DimensionError(f"adjacency must be square, got {adj.shape}")
+        if adj.shape[0] == 0:
+            raise DimensionError("a graph needs at least one agent")
         if roots.shape != (adj.shape[0],):
             raise DimensionError(
                 f"roots must have length {adj.shape[0]}, got shape {roots.shape}")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from delaysync import (AgentModel, CommGraph, DelayProfile, InputHistory,
                        ProtocolDesign, closed_loop_certificate,
                        design_protocol, simulate)
+from delaysync import dynamics
 from delaysync.demos import demo_model, demo_scenario, _initial_states
 from delaysync.dynamics import (control_input, extra_exchange_full,
                                 extra_exchange_partial, network_measurement)
@@ -53,6 +54,19 @@ class TestDelayProfile:
     def test_bound_below_max_rejected(self):
         with pytest.raises(ScenarioError):
             DelayProfile(kappa=np.array([3]), kappa_bar=2)
+
+    @pytest.mark.parametrize("kappa, kappa_bar", [
+        ([0.5, 2.9], None), ([0, 2], 2.7), ([1, np.nan], 2), ([1], np.inf)])
+    def test_non_integer_delays_rejected(self, kappa, kappa_bar):
+        # never truncated: the delayed reads index the record by these values
+        with pytest.raises(ScenarioError, match="non-integer"):
+            DelayProfile.from_list(kappa, kappa_bar)
+
+    def test_whole_floats_accepted(self):
+        prof = DelayProfile.from_list([1.0, 0.0, 2.0], 3.0)
+        np.testing.assert_array_equal(prof.kappa, [1, 0, 2])
+        assert prof.kappa.dtype.kind == "i"
+        assert prof.kappa_bar == 3 and isinstance(prof.kappa_bar, int)
 
 
 class TestInputHistory:
@@ -299,8 +313,11 @@ class TestDelayedOracles:
         kappa = data.draw(st.lists(st.integers(0, 2), min_size=N, max_size=N))
         x0 = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=3 * N,
                                          max_size=3 * N))).reshape(N, 3)
+        # the bound sets the record's zero padding: from none to spare rows
+        kappa_bar = data.draw(st.integers(max(kappa), 2))
         traj = simulate(design.model, design, graph,
-                        DelayProfile.from_list(kappa, 2), x0, XR0, k_max)
+                        DelayProfile.from_list(kappa, kappa_bar), x0, XR0,
+                        k_max)
         # u(k) = -rho chi(k) K'
         np.testing.assert_allclose(traj.u,
                                    -design.rho * traj.protocol @ design.K.T,
@@ -336,14 +353,15 @@ class TestDivergence:
         # the states from step 4545, far before the horizon
         cfg = demo_scenario(1, "full")
         design = design_protocol(cfg.model, 2, mode="full", epsilon=0.1)
-        steps = []
-        push = InputHistory.push
+        prefixes = []
+        agent_errors = dynamics._agent_errors
 
-        def counting(history, u_now):
-            steps.append(1)
-            push(history, u_now)
+        def recording(x, x_ref):
+            # the loop hands over the steps it ran, up to the one it stopped at
+            prefixes.append(len(x))
+            return agent_errors(x, x_ref)
 
-        monkeypatch.setattr(InputHistory, "push", counting)
+        monkeypatch.setattr(dynamics, "_agent_errors", recording)
         k_max = 20000
         with pytest.raises(NumericError) as info:
             simulate(cfg.model, design, cfg.graph, cfg.delays, cfg.x0,
@@ -351,7 +369,8 @@ class TestDivergence:
         assert str(info.value) == ("simulation diverged: a state, input or "
                                    "the sync error is non-finite from step "
                                    "2277 (agent 2)")
-        assert 2277 < len(steps) < k_max
+        assert len(prefixes) == 1
+        assert 2277 < prefixes[0] < k_max
 
     def test_non_finite_initial_state_names_agent(self, full_design):
         x0 = _initial_states(3)

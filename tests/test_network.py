@@ -39,6 +39,11 @@ class TestCommGraph:
         with pytest.raises(ScenarioError, match="finite"):
             CommGraph(adjacency=adj, roots=np.array([True, False]))
 
+    def test_rejects_empty_graph(self):
+        # an empty graph would count as rooted and fail deep inside simulate
+        with pytest.raises(DimensionError, match="at least one agent"):
+            CommGraph(adjacency=np.zeros((0, 0)), roots=np.zeros(0, bool))
+
     def test_rejects_bad_root_length(self):
         with pytest.raises(DimensionError):
             CommGraph(adjacency=np.zeros((2, 2)), roots=np.array([True]))
