@@ -12,12 +12,13 @@ convergence failure.  File outputs:
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from .config import load_config, write_config
 from .demos import DEMO_CASES, demo_scenario
@@ -51,49 +52,48 @@ def write_design_txt(design, path):
         fh.write(_design_text(design))
 
 
-def write_trajectory_csv(traj, path):
-    """One row per (step, agent, state component); agent 0 is the reference.
+def _write_rows(path, header, labels, width, tables):
+    """Write `header`, then per step k one line `k,label,values` per label.
 
-    Input columns carry u_i[component] where the component index exists and
-    0.0 beyond the input dimension; reference rows carry zero input/error.
-    """
-    steps, n_agents, n = traj.x.shape
-    m = traj.u.shape[2]
+    `tables` yields each step's values, `width` per label.  Lines go out one
+    at a time: formatting a whole step as one string raised the peak RSS.  A
+    float's `str` is its `repr`; lines end in CRLF."""
+    rows = [f"{{k}},{label}" + ",{}" * width + "\r\n" for label in labels]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "agent", "component", "x", "xr", "u", "error"])
-        for k in range(steps):
-            xr = traj.x_ref[k]
-            for c in range(n):
-                writer.writerow([k, 0, c, repr(float(xr[c])),
-                                 repr(float(xr[c])), repr(0.0), repr(0.0)])
-            for i in range(n_agents):
-                err = float(
-                    ((traj.x[k, i] - xr) ** 2).sum() ** 0.5)
-                for c in range(n):
-                    u_val = float(traj.u[k, i, c]) if c < m else 0.0
-                    writer.writerow([k, i + 1, c, repr(float(traj.x[k, i, c])),
-                                     repr(float(xr[c])), repr(u_val),
-                                     repr(err)])
+        fh.write(header + "\r\n")
+        for k, table in enumerate(tables):
+            for row, values in zip(rows, table.reshape(-1, width).tolist()):
+                fh.write(row.format(*values, k=k))
+
+
+def write_trajectory_csv(traj, path):
+    """One row per (step, agent, state component); agent 0 is the reference,
+    with zero u and error.  `u` is zero-padded past m and cut to n."""
+    steps, n_agents, n = traj.x.shape
+    table = np.zeros((n_agents + 1, n, 4))  # x, xr, u and error of each node
+
+    def fill(k):
+        table[:, :, 0] = np.vstack([traj.x_ref[k], traj.x[k]])
+        table[:, :, 1] = traj.x_ref[k]
+        table[1:, :traj.u.shape[2], 2] = traj.u[k, :, :n]
+        sq = ((traj.x[k] - traj.x_ref[k]) ** 2).sum(axis=1).tolist()
+        table[1:, :, 3] = [[s ** 0.5] for s in sq]
+        return table
+    _write_rows(path, "k,agent,component,x,xr,u,error",
+                [f"{i},{c}" for i in range(n_agents + 1) for c in range(n)],
+                4, map(fill, range(steps)))
 
 
 def write_plotdata_csv(traj, path):
+    """One row per (step, series): `error`, the reference's `exo.x{c}`, then
+    per agent i its states `agent{i}.x{c}` and all m inputs `agent{i}.u{c}`."""
     steps, n_agents, n = traj.x.shape
-    m = traj.u.shape[2]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "series", "value"])
-        for k in range(steps):
-            writer.writerow([k, "error", repr(float(traj.error[k]))])
-            for c in range(n):
-                writer.writerow([k, f"exo.x{c}", repr(float(traj.x_ref[k, c]))])
-            for i in range(n_agents):
-                for c in range(n):
-                    writer.writerow([k, f"agent{i + 1}.x{c}",
-                                     repr(float(traj.x[k, i, c]))])
-                for c in range(m):
-                    writer.writerow([k, f"agent{i + 1}.u{c}",
-                                     repr(float(traj.u[k, i, c]))])
+    names = ["error"] + [f"exo.x{c}" for c in range(n)] + [
+        f"agent{i}.{var}{c}" for i in range(1, n_agents + 1)
+        for var, dim in (("x", n), ("u", traj.u.shape[2])) for c in range(dim)]
+    _write_rows(path, "k,series,value", names, 1, (np.concatenate(
+        [traj.error[k:k + 1], traj.x_ref[k],
+         np.hstack([traj.x[k], traj.u[k]]).ravel()]) for k in range(steps)))
 
 
 def _report_text(report):

@@ -156,14 +156,16 @@ def parse_config(data):
     proto_sec = _section(data, "protocol", problems, required=False)
     epsilon = proto_sec.get("epsilon")
     if epsilon is not None:
-        if not isinstance(epsilon, (int, float)) or not 0 < epsilon <= 1:
+        if (not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool)
+                or not 0 < epsilon <= 1):
             problems.append(f"protocol.epsilon: must be in (0, 1], got {epsilon!r}")
             epsilon = None
         else:
             epsilon = float(epsilon)
     rho = proto_sec.get("rho")
     if rho is not None:
-        if not isinstance(rho, (int, float)) or rho <= 0:
+        if (not isinstance(rho, (int, float)) or isinstance(rho, bool)
+                or rho <= 0):
             problems.append(f"protocol.rho: must be positive, got {rho!r}")
             rho = None
         else:

@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from delaysync import (CommGraph, DelayProfile, load_config, parse_config,
-                       write_config)
+from delaysync import (CommGraph, DelayProfile, Trajectory, load_config,
+                       parse_config, simulate, write_config)
 from delaysync.cli import main
 from delaysync.config import config_to_dict
 from delaysync.demos import demo_scenario
@@ -25,6 +25,85 @@ def demo_config_file(tmp_path, case=1, mode="full", **tweaks):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data, indent=2))
     return path
+
+
+def reference_trajectory_csv(traj, path):
+    """The csv.writer implementation the streaming writer replaced."""
+    steps, n_agents, n = traj.x.shape
+    m = traj.u.shape[2]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "agent", "component", "x", "xr", "u", "error"])
+        for k in range(steps):
+            xr = traj.x_ref[k]
+            for c in range(n):
+                writer.writerow([k, 0, c, repr(float(xr[c])),
+                                 repr(float(xr[c])), repr(0.0), repr(0.0)])
+            for i in range(n_agents):
+                err = float(
+                    ((traj.x[k, i] - xr) ** 2).sum() ** 0.5)
+                for c in range(n):
+                    u_val = float(traj.u[k, i, c]) if c < m else 0.0
+                    writer.writerow([k, i + 1, c, repr(float(traj.x[k, i, c])),
+                                     repr(float(xr[c])), repr(u_val),
+                                     repr(err)])
+
+
+def reference_plotdata_csv(traj, path):
+    """The csv.writer implementation the streaming writer replaced."""
+    steps, n_agents, n = traj.x.shape
+    m = traj.u.shape[2]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "series", "value"])
+        for k in range(steps):
+            writer.writerow([k, "error", repr(float(traj.error[k]))])
+            for c in range(n):
+                writer.writerow([k, f"exo.x{c}", repr(float(traj.x_ref[k, c]))])
+            for i in range(n_agents):
+                for c in range(n):
+                    writer.writerow([k, f"agent{i + 1}.x{c}",
+                                     repr(float(traj.x[k, i, c]))])
+                for c in range(m):
+                    writer.writerow([k, f"agent{i + 1}.u{c}",
+                                     repr(float(traj.u[k, i, c]))])
+
+
+def assert_writers_match_reference(traj, tmp_path):
+    for writer, reference in (
+            (cli_mod.write_trajectory_csv, reference_trajectory_csv),
+            (cli_mod.write_plotdata_csv, reference_plotdata_csv)):
+        writer(traj, tmp_path / "new.csv")
+        reference(traj, tmp_path / "ref.csv")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes()), writer.__name__
+
+
+class TestWritersMatchReference:
+    # the first step whose error differs by one ulp between Python's
+    # s ** 0.5 and np.sqrt(s): demo 2 full at step 30, demo 3 partial at 57
+    @pytest.mark.parametrize("case,mode,k_max", [(2, "full", 40),
+                                                 (3, "partial", 60)])
+    def test_demo_bytes(self, tmp_path, case, mode, k_max):
+        cfg = demo_scenario(case, mode)
+        traj = simulate(cfg.model, cli_mod._designed(cfg), cfg.graph,
+                        cfg.delays, cfg.x0, cfg.xr0, k_max)
+        sums = ((traj.x - traj.x_ref[:, None, :]) ** 2).sum(axis=2)
+        assert any(np.sqrt(s) != s ** 0.5 for s in sums.ravel().tolist())
+        assert_writers_match_reference(traj, tmp_path)
+
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (3, 1)])
+    def test_synthetic_bytes(self, tmp_path, n, m):
+        rng = np.random.default_rng(n * 10 + m)
+        steps, n_agents = 4, 2
+        x = rng.standard_normal((steps, n_agents, n)) * 10.0 ** rng.integers(
+            -20, 20, (steps, n_agents, n))
+        u = rng.standard_normal((steps, n_agents, m))
+        u[0, 0, 0] = -0.0
+        traj = Trajectory(x=x, protocol=np.zeros_like(x), observer=None,
+                          x_ref=rng.standard_normal((steps, n)), u=u,
+                          error=rng.random(steps))
+        assert_writers_match_reference(traj, tmp_path)
 
 
 class TestConfigRoundTrip:
@@ -94,6 +173,13 @@ class TestValidation:
         data = config_to_dict(demo_scenario(1, "full"))
         data["model"]["C"] = [[1.0, 0.0, 0.0]]
         with pytest.raises(ScenarioError, match="identity"):
+            parse_config(data)
+
+    @pytest.mark.parametrize("key", ["epsilon", "rho"])
+    def test_protocol_rejects_booleans(self, key):
+        data = config_to_dict(demo_scenario(1, "full"))
+        data["protocol"][key] = True
+        with pytest.raises(ScenarioError, match=f"protocol.{key}: .*True"):
             parse_config(data)
 
     def test_parse_error_carries_position(self, tmp_path):
