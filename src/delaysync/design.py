@@ -14,6 +14,12 @@ every delayed loop up to kappa_bar passes the certificate's exact test
 (`verify.delay_loop_radii`), so swept designs certify by construction.
 The Riccati solution accepted by the sweep is the design's; nothing is
 solved twice.  Each stage raises DesignError with a stage tag on failure.
+
+Facts about the model are decided once per design: `validate_assumptions`
+runs the PBH tests and the closed-disc test up front, the sweep checks its
+(A, B) pair once (`riccati._check_pair`) before solving every point
+unchecked, and the observer checks detectability and the disc once before
+its solves.  A pinned epsilon goes through the public, checked solver.
 """
 
 import math
@@ -23,7 +29,8 @@ import numpy as np
 
 from .errors import (AssumptionError, ConvergenceError, DesignError,
                      DimensionError)
-from .riccati import is_detectable, is_stabilizable, solve_low_gain_dare
+from .riccati import (_check_disc, _check_pair, _low_gain_dare, is_detectable,
+                      is_stabilizable, solve_low_gain_dare)
 from .spectral import is_schur_stable, omega_max, spectral_radius
 from .verify import CERTIFICATE_THRESHOLD, delay_loop_radii
 
@@ -85,9 +92,9 @@ class AgentModel:
 class ProtocolDesign:
     """Complete designed protocol: gains plus the scalars that certified them.
 
-    F is None in full-state mode.  epsilon always lies in (0, epsilon_star];
-    when the user pins epsilon, epsilon_star collapses to the pinned value
-    after validation.
+    F is None in full-state mode.  epsilon_star equals epsilon in every
+    design: the sweep's accepted value, or the pinned value after
+    validation when the user pins epsilon.
     """
     mode: str
     model: AgentModel
@@ -167,7 +174,10 @@ def estimate_mu(A, omega, theta):
 
     Evaluated on a uniform grid of MU_GRID_POINTS (endpoints included) and
     scaled by 0.9 as a grid-safety factor.  Positive by construction since
-    no eigenvalue of A has its angle inside the band.
+    no eigenvalue of A has its angle inside the band; a band that touches an
+    eigenvalue (theta = 0 at an eigenvalue on the circle) leaves only a
+    rounding-level value, so mu <= 1e-10 * (1 + ||A||_2) raises
+    DesignError("mu").
     """
     A = np.asarray(A, dtype=float)
     if omega + theta > math.pi + 1e-12:
@@ -176,9 +186,9 @@ def estimate_mu(A, omega, theta):
     grid = np.linspace(omega + theta, math.pi, MU_GRID_POINTS)
     M = np.exp(1j * grid)[:, None, None] * np.eye(n)[None] - A[None]
     mu = 0.9 * float(np.linalg.svd(M, compute_uv=False)[:, -1].min())
-    if mu <= 0.0:
-        raise DesignError("mu", "frequency grid touched an eigenvalue of A; "
-                          "theta must be positive and the band eigenvalue-free")
+    if mu <= 1e-10 * (1.0 + np.linalg.norm(A, 2)):
+        raise DesignError("mu", f"mu = {mu:.3e} is at rounding level: the "
+                          "band [omega+theta, pi] touches an eigenvalue of A")
     return mu
 
 
@@ -191,17 +201,20 @@ def choose_epsilon_star(A, B, rho, mu, kappa_bar):
         0..kappa_bar, has lift radius below 1 - CERTIFICATE_THRESHOLD, the
         test `closed_loop_certificate` applies.
 
-    The accepted epsilon is the returned solution's `.epsilon`.  A point
-    whose Riccati solve does not converge fails, and the sweep goes on.
-    Raises DesignError with per-condition diagnostics if the sweep is
+    The accepted epsilon is the returned solution's `.epsilon`.  The pair
+    (A, B) is checked once, before any solve, as `solve_low_gain_dare`
+    checks it (AssumptionError); every sweep point is then solved unchecked.
+    A point whose Riccati solve does not converge fails, and the sweep goes
+    on.  Raises DesignError with per-condition diagnostics if the sweep is
     exhausted.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
+    _check_pair(A, B)
     last, stalled = None, []
     for eps in EPSILON_SWEEP:
         try:
-            sol = solve_low_gain_dare(A, B, eps)
+            sol = _low_gain_dare(A, B, eps)
         except ConvergenceError as exc:
             stalled.append(f"at eps={eps:.3e} ({exc})")
             continue
@@ -227,14 +240,17 @@ def design_observer(A, C):
 
     Solves the low-gain Riccati equation on the transposed pair; the fixed
     weight 0.1 usually leaves margin, and the solve is retried at weight 1
-    before giving up.  Deterministic for a given model.
+    before giving up.  Deterministic for a given model.  The pair is checked
+    once, before any solve: AssumptionError if (C, A) is not detectable,
+    then if A has an eigenvalue outside the closed unit disc.
     """
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
     if not is_detectable(A, C):
         raise AssumptionError("(C, A) is not detectable; no observer exists")
+    _check_disc(A.T)
     for weight in (0.1, 1.0):
-        sol = solve_low_gain_dare(A.T, C.T, weight)
+        sol = _low_gain_dare(A.T, C.T, weight)
         F = sol.K.T
         if spectral_radius(A - F @ C) <= 0.9:
             return F

@@ -52,9 +52,5 @@ class ScenarioError(DelaySyncError, ValueError):
         super().__init__("; ".join(self.problems))
 
 
-class ConsistencyError(DelaySyncError, RuntimeError):
-    """A derived matrix broke a property it must have by construction."""
-
-
 class GridSizeError(DelaySyncError, ValueError):
     """A sweep would exceed the evaluation budget."""

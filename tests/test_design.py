@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delaysync.design
+import delaysync.riccati
 from delaysync import (AgentModel, choose_epsilon_star, choose_rho,
                        choose_theta, closed_loop_certificate, delay_admissible,
                        design_observer, design_protocol, estimate_mu,
@@ -127,6 +128,20 @@ class TestEstimateMu:
         assert estimate_mu(BENCH_A, w, theta / 2) <= \
             estimate_mu(BENCH_A, w, theta) + 1e-15
 
+    def test_band_on_an_eigenvalue_fails_at_mu_stage(self, monkeypatch):
+        # eigenvalue -1 with kappa_bar = 0: theta = 0 and the band is the
+        # single point pi, where sigma_min is rounding noise (about 1e-16);
+        # the design fails at the mu stage, before any Riccati solve
+        solves = []
+        monkeypatch.setattr(delaysync.design, "_low_gain_dare",
+                            lambda A, B, epsilon: solves.append(epsilon))
+        model = AgentModel(A=np.diag([-1.0, 0.5]), B=np.ones((2, 1)),
+                           C=np.eye(2))
+        with pytest.raises(DesignError, match="rounding level") as info:
+            design_protocol(model, 0)
+        assert info.value.stage == "mu"
+        assert solves == []
+
 
 class TestChooseEpsilonStar:
     def test_zero_dynamics_accepts_top_of_sweep(self):
@@ -166,7 +181,7 @@ class TestChooseEpsilonStar:
         models = [(BENCH_A, BENCH_B, 2, 10.0 ** -6.75)] + [
             (np.array(e["A"]), np.array(e["B"]), e["kappa_bar"],
              e["epsilon_star"]) for e in FAMILY]
-        solve = delaysync.design.solve_low_gain_dare
+        solve = delaysync.design._low_gain_dare
         stalled = []
 
         def stall_first(A, B, epsilon):
@@ -175,8 +190,7 @@ class TestChooseEpsilonStar:
                 raise ConvergenceError("DARE polish stalled")
             return solve(A, B, epsilon)
 
-        monkeypatch.setattr(delaysync.design, "solve_low_gain_dare",
-                            stall_first)
+        monkeypatch.setattr(delaysync.design, "_low_gain_dare", stall_first)
         for A, B, kappa_bar, eps_star in models:
             d = design_protocol(AgentModel(A=A, B=B, C=np.eye(A.shape[0])),
                                 kappa_bar)
@@ -189,7 +203,7 @@ class TestChooseEpsilonStar:
         def stall(A, B, epsilon):
             raise ConvergenceError("DARE polish stalled")
 
-        monkeypatch.setattr(delaysync.design, "solve_low_gain_dare", stall)
+        monkeypatch.setattr(delaysync.design, "_low_gain_dare", stall)
         with pytest.raises(DesignError, match=(
                 r"did not converge at 29 of 29 points, first at "
                 r"eps=1\.000e-01 \(DARE polish stalled\)")) as info:
@@ -231,8 +245,16 @@ class TestDesignObserver:
     def test_undetectable_rejected(self):
         A = block_diag([rotation(0.5), np.array([[0.2]])])
         C = np.array([[0.0, 0.0, 1.0]])  # boundary modes unobserved
-        with pytest.raises(AssumptionError):
+        with pytest.raises(AssumptionError, match="no observer exists"):
             design_observer(A, C)
+
+    def test_spectrum_outside_disc_rejected_after_detectability(self):
+        A = np.diag([1.5, 0.2])
+        with pytest.raises(AssumptionError, match="closed unit disc"):
+            design_observer(A, np.array([[1.0, 0.0]]))
+        # an undetectable pair is named first, whatever the spectrum
+        with pytest.raises(AssumptionError, match="no observer exists"):
+            design_observer(A, np.array([[0.0, 1.0]]))
 
 
 class TestDesignProtocol:
@@ -304,17 +326,23 @@ class TestDesignProtocol:
 
     def test_one_solve_per_sweep_point(self, monkeypatch):
         # the swept design reuses the solution the sweep accepted, and a
-        # pinned epsilon is solved exactly once
+        # pinned epsilon is solved exactly once, by the checked solver
         model = demo_model("full")
-        calls = []
+        calls = {"_low_gain_dare": [], "solve_low_gain_dare": []}
 
-        def counting(A, B, epsilon):
-            calls.append(epsilon)
-            return solve_low_gain_dare(A, B, epsilon)
+        def counting(name):
+            solve = getattr(delaysync.design, name)
 
-        monkeypatch.setattr(delaysync.design, "solve_low_gain_dare", counting)
+            def counted(A, B, epsilon):
+                calls[name].append(epsilon)
+                return solve(A, B, epsilon)
+            monkeypatch.setattr(delaysync.design, name, counted)
+
+        counting("_low_gain_dare")
+        counting("solve_low_gain_dare")
         d = design_protocol(model, 2)
-        assert calls == list(EPSILON_SWEEP[:24])
+        assert calls == {"_low_gain_dare": list(EPSILON_SWEEP[:24]),
+                         "solve_low_gain_dare": []}
         assert d.epsilon == d.epsilon_star == EPSILON_SWEEP[23]
         assert d.epsilon == pytest.approx(10.0 ** -6.75)
         w = omega_max(model.A)
@@ -324,9 +352,36 @@ class TestDesignProtocol:
         assert np.array_equal(d.K, accepted.K)
         assert np.array_equal(d.P, accepted.P)
 
-        calls.clear()
+        for solves in calls.values():
+            solves.clear()
         design_protocol(model, 2, epsilon=1e-3)
-        assert calls == [1e-3]
+        assert calls == {"_low_gain_dare": [], "solve_low_gain_dare": [1e-3]}
+
+    @pytest.mark.parametrize("mode, pbh_tests", [("full", 3), ("partial", 4)])
+    def test_model_facts_decided_once(self, monkeypatch, mode, pbh_tests):
+        # validate_assumptions runs the stabilizability and detectability
+        # PBH tests, the sweep checks its pair once before all 24 solves,
+        # and the observer checks detectability once before its solves
+        pbh = delaysync.riccati.is_stabilizable
+        calls = []
+
+        def counting(A, B):
+            calls.append(A.shape)
+            return pbh(A, B)
+
+        for module in (delaysync.riccati, delaysync.design):
+            monkeypatch.setattr(module, "is_stabilizable", counting)
+        d = design_protocol(demo_model(mode), 2, mode=mode)
+        assert d.epsilon_star == pytest.approx(10.0 ** -6.75)
+        assert len(calls) == pbh_tests
+
+        # the sweep still rejects an unstabilizable pair before any solve
+        solves = []
+        monkeypatch.setattr(delaysync.design, "_low_gain_dare",
+                            lambda A, B, epsilon: solves.append(epsilon))
+        with pytest.raises(AssumptionError, match="not stabilizable"):
+            choose_epsilon_star(np.eye(1), np.zeros((1, 1)), 1.05, 0.5, 2)
+        assert solves == []
 
     def test_omega_max_consistency(self, bench_full):
         d = design_protocol(bench_full, 2, epsilon=1e-3)
