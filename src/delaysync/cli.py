@@ -184,8 +184,7 @@ def cmd_demo(args):
                     cfg.x0, cfg.xr0, cfg.k_max)
     write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
     report = closed_loop_certificate(design)
-    conv = convergence_report(
-        traj, tail_fraction=0.01, tol=1e-3 * (1.0 + traj.error[0]))
+    conv = convergence_report(traj, tol=1e-3 * (1.0 + traj.error[0]))
     write_report(report, os.path.join(out_dir, "report.txt"),
                  os.path.join(out_dir, "report.json"), convergence=conv)
     ok = report.passed and conv.converged

@@ -19,6 +19,7 @@ one ScenarioError, each message naming the offending field.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,8 +166,9 @@ def parse_config(data):
     rho = proto_sec.get("rho")
     if rho is not None:
         if (not isinstance(rho, (int, float)) or isinstance(rho, bool)
-                or rho <= 0):
-            problems.append(f"protocol.rho: must be positive, got {rho!r}")
+                or not 0 < rho < math.inf):
+            problems.append(
+                f"protocol.rho: must be positive and finite, got {rho!r}")
             rho = None
         else:
             rho = float(rho)

@@ -282,6 +282,8 @@ def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None, rho=None):
         rho_val = choose_rho(kappa_bar, w)
     else:
         rho_val = float(rho)
+        if not math.isfinite(rho_val):
+            raise DesignError("rho", f"pinned rho = {rho_val} is not finite")
         if rho_val * math.cos(kappa_bar * w) <= 0.5:
             raise DesignError("rho", f"pinned rho = {rho_val:.6g} violates "
                               "rho*cos(kappa_bar*omega_max) > 1/2")

@@ -13,7 +13,7 @@ from .errors import AssumptionError, DimensionError, NumericError
 #: eigenvalues with | |lambda| - 1 | below this count as on the unit circle
 UNIT_CIRCLE_TOL = 1e-7
 
-#: default strict-stability margin: Schur stable means max |lambda| < 1 - tol
+#: strict-stability margin: Schur stable means max |lambda| < 1 - SCHUR_TOL
 SCHUR_TOL = 1e-9
 
 
@@ -49,32 +49,32 @@ def spectral_radius(M):
     return float(np.abs(eigenvalues(M)).max())
 
 
-def is_schur_stable(M, tol=SCHUR_TOL):
+def is_schur_stable(M):
     """True iff every eigenvalue of M lies strictly inside the unit circle.
 
-    Stability is tested on the open disc with margin `tol`:
-    max |lambda| < 1 - tol.  Boundary eigenvalues never count as stable.
+    Stability is tested on the open disc with margin SCHUR_TOL:
+    max |lambda| < 1 - SCHUR_TOL.  Boundary eigenvalues never count as
+    stable.
     """
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    return bool(np.abs(eigenvalues(M)).max() < 1.0 - tol)
+    return bool(np.abs(eigenvalues(M)).max() < 1.0 - SCHUR_TOL)
 
 
-def omega_max(A, tol=UNIT_CIRCLE_TOL):
+def omega_max(A):
     """Largest angle (radians, in [0, pi]) of any unit-circle eigenvalue of A.
 
-    Returns 0.0 when every eigenvalue has modulus below 1 - tol.  Eigenvalues
-    with modulus in [1 - tol, 1 + tol] are treated as on the circle; anything
-    beyond 1 + tol violates the neutrally-stable model assumption and raises
-    AssumptionError, since the delay tolerance is undefined for such models.
+    Returns 0.0 when every eigenvalue has modulus below 1 - UNIT_CIRCLE_TOL.
+    Eigenvalues with modulus within UNIT_CIRCLE_TOL of 1 are treated as on
+    the circle; anything beyond 1 + UNIT_CIRCLE_TOL violates the
+    neutrally-stable model assumption and raises AssumptionError, since the
+    delay tolerance is undefined for such models.
     """
     vals = eigenvalues(A)
     mods = np.abs(vals)
-    if np.any(mods > 1.0 + tol):
+    if np.any(mods > 1.0 + UNIT_CIRCLE_TOL):
         raise AssumptionError(
             "matrix has an eigenvalue outside the closed unit disc "
             f"(max modulus {mods.max():.12g}); delay tolerance undefined")
-    on_circle = np.abs(mods - 1.0) <= tol
+    on_circle = np.abs(mods - 1.0) <= UNIT_CIRCLE_TOL
     if not np.any(on_circle):
         return 0.0
     return float(np.abs(np.angle(vals[on_circle])).max())

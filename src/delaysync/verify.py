@@ -72,7 +72,7 @@ class ConvergenceReport:
 
     The tail is the last tenth of the series.  `converged` requires the
     final error below `tol` and the tail maximum below the larger of
-    tol and tail_fraction times the initial error.
+    tol and one hundredth of the initial error.
     """
     converged: bool
     final_error: float
@@ -166,12 +166,12 @@ def closed_loop_certificate(design):
         reason="" if passed else f"{reason} has spectral radius {top!r}")
 
 
-def convergence_report(traj, tail_fraction=0.01, tol=1e-3):
+def convergence_report(traj, tol=1e-3):
     """Judge a finite run against a convergence contract.
 
     Converged means the final error is below `tol` and the maximum over the
-    last tenth of the series is below max(tol, tail_fraction * initial
-    error).  `decay_ratio` is that tail maximum relative to the peak error.
+    last tenth of the series is below max(tol, 0.01 * initial error).
+    `decay_ratio` is that tail maximum relative to the peak error.
     """
     err = np.asarray(traj.error, dtype=float)
     if err.size < 10:
@@ -181,7 +181,7 @@ def convergence_report(traj, tail_fraction=0.01, tol=1e-3):
     peak = float(err.max())
     tail = err[-max(1, err.size // 10):]
     tail_max = float(tail.max())
-    converged = final < tol and tail_max <= max(initial * tail_fraction, tol)
+    converged = final < tol and tail_max <= max(initial * 0.01, tol)
     return ConvergenceReport(
         converged=converged, final_error=final,
         decay_ratio=tail_max / peak if peak > 0 else 0.0,

@@ -182,6 +182,16 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=f"protocol.{key}: .*True"):
             parse_config(data)
 
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_protocol_rho_must_be_finite(self, tmp_path, value):
+        # json reads these literals as floats, so validation must catch them
+        path = demo_config_file(tmp_path, **{"protocol.rho": float(value)})
+        assert value in path.read_text()
+        with pytest.raises(ScenarioError,
+                           match=r"protocol.rho: must be positive and finite"
+                                 rf", got {float(value)!r}"):
+            load_config(path)
+
     def test_parse_error_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  \"model\": [,]\n}")
@@ -233,6 +243,13 @@ class TestCommands:
         series = {r[1] for r in rows[1:]}
         assert "error" in series and "exo.x0" in series \
             and "agent1.x0" in series
+
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_design_rejects_non_finite_rho_flag(self, tmp_path, capsys, rho):
+        path = demo_config_file(tmp_path)
+        assert main(["design", "--config", str(path), "--rho", rho]) == 1
+        err = capsys.readouterr().err
+        assert "[rho]" in err and "Traceback" not in err
 
     def test_verify_passes_on_demo(self, tmp_path, capsys):
         path = demo_config_file(tmp_path)

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from delaysync import eigenvalues, is_schur_stable, omega_max
 from delaysync.errors import AssumptionError, DimensionError
-from delaysync.spectral import spectral_radius
+from delaysync.spectral import SCHUR_TOL, spectral_radius
 
 from conftest import BENCH_A, BENCH_C, BENCH_F, rotation
 
@@ -64,22 +64,18 @@ class TestEigenvalues:
 class TestSchurStable:
     def test_zero_matrix(self):
         for n in (1, 2, 4):
-            assert is_schur_stable(np.zeros((n, n)), tol=1e-9)
+            assert is_schur_stable(np.zeros((n, n)))
 
     def test_boundary_rotation_excluded(self):
-        assert not is_schur_stable(np.array([[0.0, 1.0], [-1.0, 0.0]]), tol=1e-9)
+        assert not is_schur_stable(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
     def test_bench_observer_loop(self):
         assert is_schur_stable(BENCH_A - BENCH_F @ BENCH_C)
 
     def test_tolerance_semantics(self):
-        M = 0.95 * np.eye(2)
-        assert is_schur_stable(M, tol=0.01)
-        assert not is_schur_stable(M, tol=0.1)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            is_schur_stable(np.zeros((2, 2)), tol=-1.0)
+        # stable means max |lambda| < 1 - SCHUR_TOL, not merely < 1
+        assert is_schur_stable((1.0 - 2.0 * SCHUR_TOL) * np.eye(2))
+        assert not is_schur_stable((1.0 - SCHUR_TOL / 2.0) * np.eye(2))
 
     def test_stable_iteration_decays(self):
         rng = np.random.default_rng(7)

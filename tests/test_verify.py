@@ -9,7 +9,9 @@ from delaysync import (DelayProfile, closed_loop_certificate,
 from delaysync.demos import (DEMO_CASES, demo_model, demo_scenario,
                              _initial_states)
 from delaysync.errors import GridSizeError
+from delaysync.riccati import solve_low_gain_dare
 from delaysync.spectral import spectral_radius
+from delaysync.verify import CERTIFICATE_THRESHOLD, delay_loop_radii
 
 from conftest import cycle3_graph, rotation
 from test_acceptance import _battery
@@ -132,6 +134,62 @@ class TestClosedLoopCertificate:
                 design.model.A, -design.rho * design.model.B @ design.K,
                 range(design.kappa_bar + 1))
             assert closed_loop_certificate(design).passed and sweep.passed
+
+
+class TestPinnedEpsilonTradeoff:
+    """Larger pinned epsilon converges faster only up to a point.
+
+    On the benchmark agent at kappa_bar = 2 the certificate margin peaks
+    at epsilon = 1e-3; past it the delayed loop slows down (and from 1e-2
+    on it diverges, see `test_pinned_large_epsilon_fails`), below it the
+    low gain does.  The margin alone orders the convergence speed.
+    """
+
+    EPSILONS = (3e-3, 1e-3, 3e-4, 1e-4, 1e-5)
+
+    def test_margin_orders_convergence_speed(self):
+        cfg = demo_scenario(1, "full")
+        margins, steps = [], []
+        for epsilon in self.EPSILONS:
+            design = design_protocol(cfg.model, 2, mode="full",
+                                     epsilon=epsilon)
+            rep = closed_loop_certificate(design)
+            assert rep.passed, (epsilon, rep.reason)
+            margins.append(rep.margin)
+            traj = simulate(cfg.model, design, cfg.graph, cfg.delays,
+                            cfg.x0, cfg.xr0, 3500)
+            below = np.flatnonzero(traj.error < 1e-3)
+            assert below.size, f"epsilon = {epsilon} did not reach 1e-3"
+            steps.append(int(below[0]))
+        assert self.EPSILONS[int(np.argmax(margins))] == 1e-3
+        by_margin = sorted(range(len(margins)), key=lambda i: -margins[i])
+        by_speed = sorted(range(len(steps)), key=lambda i: steps[i])
+        assert by_margin == by_speed, (margins, steps)
+        assert len(set(steps)) == len(steps)
+
+
+class TestDelayBoundTightness:
+    """The abstract's delay bound on the benchmark agent is tight.
+
+    omega_max = pi/6 gives the bound kappa_bar < 3.  Over a decade grid of
+    epsilon and a log grid of rho, no low-gain design passes the
+    certificate's test at kappa_bar = 3, while some pass at kappa_bar = 2.
+    """
+
+    @staticmethod
+    def best_radius(kappa_bar):
+        model = demo_model("full")
+        gains = [solve_low_gain_dare(model.A, model.B, 10.0 ** -p).K
+                 for p in range(1, 10)]
+        return min(max(delay_loop_radii(model.A, -rho * model.B @ K,
+                                        kappa_bar))
+                   for K in gains for rho in np.geomspace(0.05, 20.0, 20))
+
+    def test_no_design_passes_at_the_bound(self):
+        assert not 1.0 - self.best_radius(3) > CERTIFICATE_THRESHOLD
+
+    def test_some_design_passes_below_the_bound(self):
+        assert 1.0 - self.best_radius(2) > CERTIFICATE_THRESHOLD
 
 
 class TestSweptDesign:
