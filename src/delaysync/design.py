@@ -15,11 +15,13 @@ every delayed loop up to kappa_bar passes the certificate's exact test
 The Riccati solution accepted by the sweep is the design's; nothing is
 solved twice.  Each stage raises DesignError with a stage tag on failure.
 
-Facts about the model are decided once per design: `validate_assumptions`
-runs the PBH tests and the closed-disc test up front, the sweep checks its
-(A, B) pair once (`riccati._check_pair`) before solving every point
-unchecked, and the observer checks detectability and the disc once before
-its solves.  A pinned epsilon goes through the public, checked solver.
+Facts about the model are decided once per design: `design_protocol`
+runs the PBH tests and the closed-disc test of `validate_assumptions` up
+front, which also yields omega_max, and then calls the sweep and the
+observer through their unchecked private bodies (`_sweep_epsilon`,
+`_observer_gain`).  The public `choose_epsilon_star` and `design_observer`
+check their own input first.  A pinned epsilon goes through the public,
+checked solver.
 """
 
 import math
@@ -113,17 +115,23 @@ class ProtocolDesign:
 def validate_assumptions(model):
     """Raise AssumptionError unless (A, B) is stabilizable, (C, A) is
     detectable, and A's spectrum lies in the closed unit disc."""
+    _omega_of_valid(model)
+
+
+def _omega_of_valid(model):
+    """`validate_assumptions`, returning omega_max(A) of the valid model."""
     problems = []
     if not is_stabilizable(model.A, model.B):
         problems.append("(A, B) is not stabilizable")
     if not is_detectable(model.A, model.C):
         problems.append("(C, A) is not detectable")
     try:
-        omega_max(model.A)
+        w = omega_max(model.A)
     except AssumptionError:
         problems.append("A has an eigenvalue outside the closed unit disc")
     if problems:
         raise AssumptionError("; ".join(problems))
+    return w
 
 
 def delay_admissible(A, kappa_bar):
@@ -132,9 +140,14 @@ def delay_admissible(A, kappa_bar):
     The strict comparison carries an absolute guard of 1e-9 so that models
     sitting exactly on the boundary (up to eigenvalue rounding) are rejected.
     """
+    return _admissible(kappa_bar, omega_max(A))
+
+
+def _admissible(kappa_bar, omega):
+    """`delay_admissible` given omega = omega_max(A)."""
     if kappa_bar < 0:
         raise ValueError(f"kappa_bar must be >= 0, got {kappa_bar}")
-    return kappa_bar * omega_max(A) < math.pi / 2.0 - DELAY_BOUNDARY_GUARD
+    return kappa_bar * omega < math.pi / 2.0 - DELAY_BOUNDARY_GUARD
 
 
 def choose_rho(kappa_bar, omega):
@@ -211,6 +224,12 @@ def choose_epsilon_star(A, B, rho, mu, kappa_bar):
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     _check_pair(A, B)
+    return _sweep_epsilon(A, B, rho, mu, kappa_bar)
+
+
+def _sweep_epsilon(A, B, rho, mu, kappa_bar):
+    """`choose_epsilon_star` without its check: float arrays A, B of a pair
+    that passed `riccati._check_pair`."""
     last, stalled = None, []
     for eps in EPSILON_SWEEP:
         try:
@@ -249,6 +268,12 @@ def design_observer(A, C):
     if not is_detectable(A, C):
         raise AssumptionError("(C, A) is not detectable; no observer exists")
     _check_disc(A.T)
+    return _observer_gain(A, C)
+
+
+def _observer_gain(A, C):
+    """`design_observer` without its checks: float arrays of a detectable
+    pair (C, A) with A in the closed unit disc."""
     for weight in (0.1, 1.0):
         sol = _low_gain_dare(A.T, C.T, weight)
         F = sol.K.T
@@ -270,9 +295,8 @@ def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None, rho=None):
         raise ValueError(f"mode must be '{FULL_STATE}' or '{PARTIAL_STATE}', "
                          f"got {mode!r}")
     kappa_bar = int(kappa_bar)
-    validate_assumptions(model)
-    w = omega_max(model.A)
-    if not delay_admissible(model.A, kappa_bar):
+    w = _omega_of_valid(model)
+    if not _admissible(kappa_bar, w):
         raise DesignError(
             "delay_admissibility",
             f"kappa_bar = {kappa_bar} violates kappa_bar*omega_max < pi/2 "
@@ -291,7 +315,7 @@ def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None, rho=None):
     mu = estimate_mu(model.A, w, theta)
 
     if epsilon is None:
-        sol = choose_epsilon_star(model.A, model.B, rho_val, mu, kappa_bar)
+        sol = _sweep_epsilon(model.A, model.B, rho_val, mu, kappa_bar)
     else:
         pinned = float(epsilon)
         if not (0.0 < pinned <= 1.0):
@@ -302,7 +326,7 @@ def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None, rho=None):
             raise DesignError("epsilon", f"A - rho*B*K is not Schur stable at "
                               f"epsilon = {pinned:.6g}, rho = {rho_val:.6g}")
 
-    F = design_observer(model.A, model.C) if mode == PARTIAL_STATE else None
+    F = _observer_gain(model.A, model.C) if mode == PARTIAL_STATE else None
     return ProtocolDesign(mode=mode, model=model, epsilon_star=sol.epsilon,
                           epsilon=sol.epsilon, rho=rho_val, K=sol.K, P=sol.P,
                           F=F, omega_max=w, kappa_bar=kappa_bar, theta=theta,

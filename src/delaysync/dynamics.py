@@ -20,6 +20,14 @@ before the next is written.  `control_input`, `network_measurement` and
 the `extra_exchange_*` helpers state the same laws term by term;
 `simulate` no longer calls them.
 
+The product L_ext V is taken one of two ways, chosen once per run from N
+and the edge count E alone (`_laplacian_product`): a dense (N+1) x (N+1)
+matrix product, or a sum over the graph's edge list plus one edge from
+the reference into every root, which costs O((N + E) w) per step and
+builds no N x N array.  Graphs of fewer than 100 agents always take the
+dense product; sparse graphs of a few hundred agents and more take the
+edges.
+
 The record starts with kappa_bar zero rows, the inputs before step 0, so
 each agent's delayed input u_i(k - kappa_i) is read back from the record
 itself at a fixed per-agent offset.  Protocol and observer states start
@@ -34,7 +42,7 @@ import numpy as np
 
 from .design import PARTIAL_STATE
 from .errors import DimensionError, NumericError, ScenarioError
-from .network import is_rooted, network_matrices
+from .network import is_rooted
 
 
 @dataclass(frozen=True)
@@ -159,8 +167,20 @@ def control_input(design, chi):
     return -design.rho * (chi @ design.K.T)
 
 
+#: entries of x per block of `_agent_errors`: its temporaries stay near
+#: 0.5 MB each however many agents and steps a run has
+_ERROR_BLOCK_ENTRIES = 2 ** 16
+
+
 def _agent_errors(x, x_ref):
-    return np.linalg.norm(x - x_ref[:, None, :], axis=2)
+    """||x_i(k) - x_ref(k)|| indexed [step, agent], a block of steps at a
+    time."""
+    errors = np.empty(x.shape[:2])
+    block = max(1, _ERROR_BLOCK_ENTRIES // x[0].size)
+    for k in range(0, len(x), block):
+        errors[k:k + block] = np.linalg.norm(
+            x[k:k + block] - x_ref[k:k + block, None, :], axis=2)
+    return errors
 
 
 def _block_transition(model, design, partial):
@@ -205,6 +225,73 @@ def _block_transition(model, design, partial):
     return T, Kz
 
 
+#: the edge product is taken once the dense product's (N + 1)^2 entries
+#: outnumber the edge product's N + 1 + E terms by more than this factor
+_EDGE_PRODUCT_RATIO = 100
+
+
+def _use_edge_product(n_agents, n_edges):
+    """True iff `simulate` multiplies L_ext over the edges, not densely.
+
+    Per step, the dense product costs about (N + 1)^2 w multiply-adds in
+    BLAS and the edge product about N + 1 + E gathered and scattered
+    entries per column, with a fixed overhead of a few microseconds.
+    Measured per product on a 2-vCPU VM (two BLAS threads) at the record
+    widths w = 7 (full mode, one input) and w = 10 (partial mode), on
+    chains with N/10 shortcuts and on denser random graphs:
+
+    - chains, w = 7 / 10: N = 150 dense 9.6 / 14.5 us, edges 12.3 / 21.6 us;
+      N = 200 dense 20.5 / 22.1 us, edges 15.9 / 18.5 us; N = 300 dense
+      36 / 45 us, edges 21 / 27 us; N = 400 dense 128 / 93 us, edges
+      27 / 34 us; N = 800 dense 670 / 459 us, edges 67 / 56 us;
+    - N = 400 with 8 399 edges (5%): dense 127 / 113 us, edges 295 / 400
+      us; the complete graph: dense 139 / 88 us, edges 10.8 / 15.8 ms;
+    - the two break even at (N + 1)^2 / (N + 1 + E) of about 75-100 for
+      N = 200-300, about 60-90 at N = 400 and 40-85 at N = 800.
+
+    The rule takes the edges above a ratio of 100.  It leans to the dense
+    product near the crossover, where a wrong edge choice costs more than
+    a wrong dense one, and it never takes the edges below N = 100, where
+    the ratio cannot exceed N + 1.  It reads no clock: the same graph
+    always takes the same product, so repeated runs are bit-identical.
+    """
+    return (n_agents + 1) ** 2 > _EDGE_PRODUCT_RATIO * (n_agents + 1 + n_edges)
+
+
+def _laplacian_product(graph, width):
+    """The map V -> L_ext V on (N + 1) x width blocks, unscaled.
+
+    L_ext is the expanded Laplacian with the column -roots appended for
+    the reference, node N, and a zero row for it.  `_use_edge_product`
+    picks the dense matrix or the edge sum
+    diag(d_in + roots, 0) V - sum over edges j -> i of a_ij V_j, where the
+    reference enters every root i as an edge N -> i of weight 1.
+    """
+    N = graph.n_agents
+    if not _use_edge_product(N, graph.edge_dst.size):
+        lap_ext = np.zeros((N + 1, N + 1))
+        lap_ext[:N, :N] = np.diag(graph.in_degrees + graph.roots) \
+            - graph.adjacency
+        lap_ext[:N, N] = -graph.roots.astype(float)
+        return lambda V: lap_ext @ V
+
+    rooted = np.flatnonzero(graph.roots)
+    dst = np.concatenate((graph.edge_dst, rooted))
+    src = np.concatenate((graph.edge_src, np.full(rooted.size, N)))
+    neg_weight = -np.concatenate((graph.edge_weight,
+                                  np.ones(rooted.size)))[:, None]
+    diag = np.append(graph.in_degrees + graph.roots, 0.0)[:, None]
+    # flat index of entry (i, c) of the result for every edge into i
+    into = (dst[:, None] * width + np.arange(width)).ravel()
+    size = (N + 1) * width
+
+    def product(V):
+        neighbors = np.bincount(into, (neg_weight * V[src]).ravel(),
+                                 minlength=size)
+        return diag * V + neighbors.reshape(N + 1, width)
+    return product
+
+
 def simulate(model, design, graph, delays, x0, xr0, k_max):
     """Run the closed loop for k_max steps and record every state.
 
@@ -240,12 +327,8 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
     w = T.shape[1] - m
     # the reference is node N of the extended graph: rows 0..N-1 read
     # L_exp y - roots y_ref, and its own row is zero
-    net = network_matrices(graph)
-    lap_ext = np.zeros((N + 1, N + 1))
-    lap_ext[:N, :N] = net.expanded_laplacian
-    lap_ext[:N, N] = -graph.roots.astype(float)
-    scale = np.append(net.scale, 0.0)[:, None]
-    del net  # its dense N x N arrays are not kept alive through the run
+    lap_ext_times = _laplacian_product(graph, w + m)
+    scale = np.append(1.0 / (2.0 + graph.in_degrees), 0.0)[:, None]
 
     # kappa_bar zero rows lead: u_i(k - kappa_i) is row lag_i + k (N + 1)
     kappa = np.append(delays.kappa, 0)
@@ -266,15 +349,16 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
                 break
             V = np.concatenate((Z[:, :w], flat[lag + k * (N + 1), w:]), axis=1)
             # scale after the product: a synchronized network measures 0
-            np.matmul(np.concatenate((V, scale * (lap_ext @ V)), axis=1), T,
-                      out=rec[k + 1])
+            np.matmul(np.concatenate((V, scale * lap_ext_times(V)), axis=1),
+                      T, out=rec[k + 1])
 
         x, x_ref = rec[:, :N, :n], rec[:, N, :n]
         agent_errors = _agent_errors(x[:k + 1], x_ref[:k + 1])
-    # a non-finite state or reference makes that agent's error non-finite
-    bad = ~np.isfinite(agent_errors)
-    bad |= ~np.isfinite(rec[:k + 1, :N]).all(axis=2)
-    if bad.any():
+    # a non-finite state or reference makes that agent's error non-finite;
+    # reductions test the whole run without a temporary of the record's size
+    ran = rec[:k + 1, :N]
+    if not np.isfinite((agent_errors.max(), ran.min(), ran.max())).all():
+        bad = ~(np.isfinite(agent_errors) & np.isfinite(ran).all(axis=2))
         k, i = np.unravel_index(np.argmax(bad), bad.shape)
         raise NumericError(f"simulation diverged: a state, input or the sync "
                            f"error is non-finite from step {k} (agent {i})")

@@ -9,14 +9,19 @@ row-substochastic matrix
     I - (2I + D_in)^{-1} (L + diag(roots))
 
 whose spectral radius is below one exactly when every node is reachable
-from the root set.  `is_rooted` decides that reachability by graph search.
+from the root set.
 
 Input is validated once, when a `CommGraph` is built (shape, finite and
 non-negative weights, zero diagonal); the matrices derived from a valid
-graph have their sign and row-sum properties by construction.
+graph have their sign and row-sum properties by construction.  The graph
+also derives, once, its in-degrees and its edge list (destination, source
+and weight of every a_ij > 0, sorted by destination), so that code which
+walks the edges never scans the dense adjacency: `is_rooted` decides
+reachability by a graph search over the edges in O(N + E) steps, and
+`dynamics.simulate` multiplies sparse graphs over them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +34,13 @@ class CommGraph:
     finite non-negative weights."""
     adjacency: np.ndarray
     roots: np.ndarray
+    #: adjacency.sum(axis=1), the weighted in-degree of every agent
+    in_degrees: np.ndarray = field(init=False, repr=False, compare=False)
+    #: edges j -> i with a_ij > 0 as index arrays (i, j), sorted by i, and
+    #: their weights a_ij
+    edge_dst: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_src: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=float)
@@ -46,8 +58,13 @@ class CommGraph:
             raise ScenarioError("adjacency weights must be non-negative")
         if np.any(np.diag(adj) != 0):
             raise ScenarioError("adjacency must have a zero diagonal (no self-loops)")
+        dst, src = np.nonzero(adj)  # row-major: sorted by destination
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "in_degrees", adj.sum(axis=1))
+        object.__setattr__(self, "edge_dst", dst)
+        object.__setattr__(self, "edge_src", src)
+        object.__setattr__(self, "edge_weight", adj[dst, src])
 
     @property
     def n_agents(self):
@@ -79,7 +96,7 @@ def network_matrices(graph):
     """
     adj = graph.adjacency
     n = graph.n_agents
-    d_in = adj.sum(axis=1)
+    d_in = graph.in_degrees
     lap_exp = np.diag(d_in + graph.roots) - adj
     sub = np.eye(n) - lap_exp / (2.0 + d_in)[:, None]
     return NetworkMatrices(expanded_laplacian=lap_exp, in_degrees=d_in,
@@ -88,15 +105,22 @@ def network_matrices(graph):
 
 def is_rooted(graph):
     """True iff every node is reachable from the root set along edge
-    direction, decided by graph search."""
-    adj = graph.adjacency
-    seen = graph.roots.copy()
-    stack = list(np.flatnonzero(seen))
+    direction, decided by a depth-first search over the edge list.
+
+    The edges are grouped by source once (a stable sort), so the search
+    visits every node and every edge at most once.
+    """
+    order = np.argsort(graph.edge_src, kind="stable")
+    successors = graph.edge_dst[order].tolist()
+    # successors of node j are successors[first[j]:first[j + 1]]
+    first = np.searchsorted(graph.edge_src[order],
+                            np.arange(graph.n_agents + 1)).tolist()
+    seen = graph.roots.tolist()
+    stack = np.flatnonzero(graph.roots).tolist()
     while stack:
         j = stack.pop()
-        # a_ij > 0 is an edge j -> i, so successors of j sit in column j
-        for i in np.flatnonzero(adj[:, j] > 0):
+        for i in successors[first[j]:first[j + 1]]:
             if not seen[i]:
                 seen[i] = True
                 stack.append(i)
-    return bool(seen.all())
+    return all(seen)

@@ -50,6 +50,23 @@ def cycle3_graph():
     return CommGraph(adjacency=adj, roots=np.array([True, False, False]))
 
 
+def chain_with_shortcuts(rng, n_agents):
+    """Chain 0 -> 1 -> ... -> N-1 plus N/10 distinct random shortcuts, agent
+    0 the only root: the shape of the benchmark's large simulations."""
+    adj = np.zeros((n_agents, n_agents))
+    idx = np.arange(n_agents - 1)
+    adj[idx + 1, idx] = 1.0
+    added = 0
+    while added < n_agents // 10:
+        i, j = (int(v) for v in rng.choice(n_agents, size=2, replace=False))
+        if adj[i, j] == 0.0:
+            adj[i, j] = 1.0
+            added += 1
+    roots = np.zeros(n_agents, dtype=bool)
+    roots[0] = True
+    return CommGraph(adjacency=adj, roots=roots)
+
+
 def random_admissible_model(rng, n_max=4, m=1, with_output=False):
     """Random (A, B[, C]) with A's spectrum in the closed unit disc,
     stabilizable, and (when requested) detectable.

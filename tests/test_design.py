@@ -357,11 +357,10 @@ class TestDesignProtocol:
         design_protocol(model, 2, epsilon=1e-3)
         assert calls == {"_low_gain_dare": [], "solve_low_gain_dare": [1e-3]}
 
-    @pytest.mark.parametrize("mode, pbh_tests", [("full", 3), ("partial", 4)])
+    @pytest.mark.parametrize("mode, pbh_tests", [("full", 2), ("partial", 2)])
     def test_model_facts_decided_once(self, monkeypatch, mode, pbh_tests):
-        # validate_assumptions runs the stabilizability and detectability
-        # PBH tests, the sweep checks its pair once before all 24 solves,
-        # and the observer checks detectability once before its solves
+        # the stabilizability and detectability PBH tests run once each, up
+        # front; the sweep and the observer then solve without re-checking
         pbh = delaysync.riccati.is_stabilizable
         calls = []
 

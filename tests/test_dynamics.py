@@ -1,10 +1,13 @@
+import contextlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from delaysync import (AgentModel, CommGraph, DelayProfile, InputHistory,
                        ProtocolDesign, closed_loop_certificate,
@@ -17,7 +20,7 @@ from delaysync.errors import NumericError, ScenarioError
 from delaysync.network import network_matrices
 from delaysync.spectral import spectral_radius
 
-from conftest import cycle3_graph
+from conftest import chain_with_shortcuts, cycle3_graph
 
 XR0 = np.array([0.0, 1.0, 0.0])
 
@@ -227,13 +230,17 @@ def run_case1(design, kappa, k_max, x0=None, xr0=XR0):
                     x0, xr0, k_max)
 
 
+def assert_stays_synchronized(*designs):
+    x0 = np.tile(XR0, (3, 1))
+    for design in designs:
+        traj = run_case1(design, [1, 1, 2], 60, x0=x0)
+        np.testing.assert_allclose(traj.error, np.zeros(61), atol=1e-12)
+
+
 class TestSimulate:
     def test_synchronized_start_stays_synchronized(self, full_design,
                                                    partial_design):
-        x0 = np.tile(XR0, (3, 1))
-        for design in (full_design, partial_design):
-            traj = run_case1(design, [1, 1, 2], 60, x0=x0)
-            np.testing.assert_allclose(traj.error, np.zeros(61), atol=1e-12)
+        assert_stays_synchronized(full_design, partial_design)
 
     def test_case1_converges(self, full_design):
         traj = run_case1(full_design, [1, 1, 2], 1500)
@@ -307,28 +314,34 @@ class TestDelayedOracles:
     @given(graph=rooted_graphs(), partial=st.booleans(), data=st.data())
     def test_plant_and_input_laws(self, full_design, partial_design, graph,
                                   partial, data):
-        design = partial_design if partial else full_design
-        A, B = design.model.A, design.model.B
-        N, k_max = graph.n_agents, 30
-        kappa = data.draw(st.lists(st.integers(0, 2), min_size=N, max_size=N))
-        x0 = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=3 * N,
-                                         max_size=3 * N))).reshape(N, 3)
-        # the bound sets the record's zero padding: from none to spare rows
-        kappa_bar = data.draw(st.integers(max(kappa), 2))
-        traj = simulate(design.model, design, graph,
-                        DelayProfile.from_list(kappa, kappa_bar), x0, XR0,
-                        k_max)
-        # u(k) = -rho chi(k) K'
-        np.testing.assert_allclose(traj.u,
-                                   -design.rho * traj.protocol @ design.K.T,
-                                   rtol=0, atol=1e-12)
-        # x_i(k+1) = A x_i(k) + B u_i(k - kappa_i), zero inputs before step 0
-        for k in range(k_max):
-            for i, ki in enumerate(kappa):
-                u_del = traj.u[k - ki, i] if k >= ki else np.zeros(1)
-                np.testing.assert_allclose(traj.x[k + 1, i],
-                                           A @ traj.x[k, i] + B @ u_del,
-                                           rtol=0, atol=1e-12)
+        check_plant_and_input_laws(partial_design if partial else full_design,
+                                   graph, data)
+
+
+def check_plant_and_input_laws(design, graph, data):
+    """The input law and each agent's delayed plant law on a simulated run
+    with drawn delays, bound and initial states."""
+    A, B = design.model.A, design.model.B
+    N, k_max = graph.n_agents, 30
+    kappa = data.draw(st.lists(st.integers(0, 2), min_size=N, max_size=N))
+    x0 = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=3 * N,
+                                     max_size=3 * N))).reshape(N, 3)
+    # the bound sets the record's zero padding: from none to spare rows
+    kappa_bar = data.draw(st.integers(max(kappa), 2))
+    traj = simulate(design.model, design, graph,
+                    DelayProfile.from_list(kappa, kappa_bar), x0, XR0,
+                    k_max)
+    # u(k) = -rho chi(k) K'
+    np.testing.assert_allclose(traj.u,
+                               -design.rho * traj.protocol @ design.K.T,
+                               rtol=0, atol=1e-12)
+    # x_i(k+1) = A x_i(k) + B u_i(k - kappa_i), zero inputs before step 0
+    for k in range(k_max):
+        for i, ki in enumerate(kappa):
+            u_del = traj.u[k - ki, i] if k >= ki else np.zeros(1)
+            np.testing.assert_allclose(traj.x[k + 1, i],
+                                       A @ traj.x[k, i] + B @ u_del,
+                                       rtol=0, atol=1e-12)
 
 
 class TestDivergence:
@@ -514,6 +527,17 @@ def assert_matches_lift(design, graph, kappa, x0, xr0, k_max):
         z = M @ z
 
 
+def check_random_lift(design, graph, data):
+    """assert_matches_lift on drawn delays 0..2 and initial states."""
+    N = graph.n_agents
+    kappa = data.draw(st.lists(st.integers(0, 2), min_size=N, max_size=N))
+    coords = st.floats(-2.0, 2.0)
+    x0 = np.array(data.draw(st.lists(coords, min_size=3 * N,
+                                     max_size=3 * N))).reshape(N, 3)
+    xr0 = np.array(data.draw(st.lists(coords, min_size=3, max_size=3)))
+    assert_matches_lift(design, graph, kappa, x0, xr0, 40)
+
+
 class TestDelayedMonolithic:
     @pytest.mark.parametrize("partial", [False, True])
     def test_simulate_matches_lifted_matrix(self, full_design, partial_design,
@@ -529,14 +553,8 @@ class TestDelayedMonolithic:
             self, full_design, partial_design, graph, partial, data):
         # weighted graphs with one or more roots, delays 0..2: the stacked
         # step with the reference as node N against the lifted matrix
-        design = partial_design if partial else full_design
-        N = graph.n_agents
-        kappa = data.draw(st.lists(st.integers(0, 2), min_size=N, max_size=N))
-        coords = st.floats(-2.0, 2.0)
-        x0 = np.array(data.draw(st.lists(coords, min_size=3 * N,
-                                         max_size=3 * N))).reshape(N, 3)
-        xr0 = np.array(data.draw(st.lists(coords, min_size=3, max_size=3)))
-        assert_matches_lift(design, graph, kappa, x0, xr0, 40)
+        check_random_lift(partial_design if partial else full_design, graph,
+                          data)
 
     @settings(max_examples=40, deadline=None)
     @given(graph=rooted_graphs(max_agents=4), partial=st.booleans(),
@@ -558,3 +576,126 @@ class TestDelayedMonolithic:
         if partial:
             loops.append(cert.observer_radius)
         assert abs(spectral_radius(M) - max(loops)) <= 1e-9
+
+
+def extended_laplacian(graph):
+    """L_ext: the expanded Laplacian, the column -roots for the reference
+    and a zero row for it."""
+    N = graph.n_agents
+    lap_ext = np.zeros((N + 1, N + 1))
+    lap_ext[:N, :N] = network_matrices(graph).expanded_laplacian
+    lap_ext[:N, N] = -graph.roots.astype(float)
+    return lap_ext
+
+
+@contextlib.contextmanager
+def forced(use_edges):
+    """A context in which `simulate` takes the given product whatever the
+    graph's size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_use_edge_product",
+                   lambda n_agents, n_edges: use_edges)
+        yield
+
+
+class TestLaplacianProduct:
+    def test_rule_keeps_dense_graphs_dense(self):
+        rng = np.random.default_rng(0)
+        chain10 = chain_with_shortcuts(rng, 10)
+        chain400 = chain_with_shortcuts(rng, 400)
+        complete = CommGraph(adjacency=1.0 - np.eye(400),
+                             roots=np.arange(400) == 0)
+        assert chain400.edge_dst.size == 439
+        picks = [dynamics._use_edge_product(g.n_agents, g.edge_dst.size)
+                 for g in (chain10, chain400, complete)]
+        assert picks == [False, True, False]
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=rooted_graphs(max_agents=8), width=st.sampled_from([7, 10]),
+           data=st.data())
+    def test_both_products_match_dense_oracle(self, graph, width, data):
+        N = graph.n_agents
+        V = data.draw(arrays(np.float64, (N + 1, width),
+                             elements=st.floats(-2.0, 2.0)))
+        lap_ext = extended_laplacian(graph)
+        want = lap_ext @ V
+        bound = 1e-12 * max(1.0, (np.abs(lap_ext) @ np.abs(V)).max())
+        for use_edges in (False, True):
+            with forced(use_edges):
+                got = dynamics._laplacian_product(graph, width)(V)
+            assert np.abs(got - want).max() <= bound, use_edges
+
+
+@pytest.fixture(scope="class")
+def edge_product():
+    """`simulate` on the edge product, which the rule takes only on graphs
+    of 100 agents or more, so that the small-graph oracles reach it."""
+    with forced(True):
+        yield
+
+
+@pytest.mark.usefixtures("edge_product")
+class TestEdgeProductOracles:
+    def test_synchronized_start_stays_synchronized(self, full_design,
+                                                   partial_design):
+        assert_stays_synchronized(full_design, partial_design)
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_simulate_matches_lifted_matrix(self, full_design, partial_design,
+                                            partial):
+        design = partial_design if partial else full_design
+        assert_matches_lift(design, cycle3_graph(), [1, 1, 2],
+                            _initial_states(3), XR0, 60)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=rooted_graphs(max_agents=4), partial=st.booleans(),
+           data=st.data())
+    def test_simulate_matches_lifted_matrix_on_random_graphs(
+            self, full_design, partial_design, graph, partial, data):
+        check_random_lift(partial_design if partial else full_design, graph,
+                          data)
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=rooted_graphs(), partial=st.booleans(), data=st.data())
+    def test_plant_and_input_laws(self, full_design, partial_design, graph,
+                                  partial, data):
+        check_plant_and_input_laws(partial_design if partial else full_design,
+                                   graph, data)
+
+
+class TestLargeGraph:
+    def test_chain_of_2000_follows_the_cascade(self, full_design):
+        # zero delays, so e = (x - x_ref) - chi obeys e(k+1) = (S kron A) e(k)
+        # with S = I - diag(1 / (2 + d_in)) L_exp, applied here over the
+        # edges: a dense Kronecker product would take 288 MB
+        N, k_max = 2000, 200
+        graph = chain_with_shortcuts(np.random.default_rng(5), N)
+        assert dynamics._use_edge_product(N, graph.edge_dst.size)
+        x0 = np.random.default_rng(6).uniform(-2.0, 2.0, size=(N, 3))
+        delays = DelayProfile.from_list(np.zeros(N, dtype=int))
+        tracemalloc.start()
+        try:
+            traj = simulate(full_design.model, full_design, graph, delays,
+                            x0, XR0, k_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no N x N array on the run's path: one would take 32 MB
+        record = (k_max + 1) * (N + 1) * 7 * 8
+        assert peak < record + 8e6, (peak, record)
+
+        adj = graph.adjacency
+        dst, src = np.nonzero(adj)
+        weight = adj[dst, src][:, None]
+        d_in = adj.sum(axis=1)
+        diag = (d_in + graph.roots)[:, None]
+        scale = 1.0 / (2.0 + d_in)[:, None]
+        A = full_design.model.A
+        e = traj.x - traj.x_ref[:, None, :] - traj.protocol
+        assert np.abs(e[0]).max() > 1.0
+        for k in range(k_max):
+            mixed = np.zeros((N, 3))
+            np.add.at(mixed, dst, weight * e[k, src])
+            Se = e[k] - scale * (diag * e[k] - mixed)
+            err = np.abs(e[k + 1] - Se @ A.T).max()
+            assert err <= 1e-12 * max(1.0, np.abs(e[k]).max()), (k, err)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -49,6 +49,26 @@ class TestCommGraph:
     def test_rejects_bad_root_length(self):
         with pytest.raises(DimensionError):
             CommGraph(adjacency=np.zeros((2, 2)), roots=np.array([True]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph_strategy())
+    def test_edge_list_matches_adjacency(self, g):
+        # every positive weight is one edge, listed by destination
+        adj = g.adjacency
+        rebuilt = np.zeros_like(adj)
+        rebuilt[g.edge_dst, g.edge_src] = g.edge_weight
+        np.testing.assert_array_equal(rebuilt, adj)
+        assert g.edge_dst.size == np.count_nonzero(adj)
+        assert np.all(g.edge_weight > 0)
+        assert np.all(np.diff(g.edge_dst) >= 0)
+        np.testing.assert_array_equal(g.in_degrees, adj.sum(axis=1))
+
+    def test_derived_fields_are_not_arguments(self):
+        g = cycle3_graph()
+        assert "edge" not in repr(g) and "in_degrees" not in repr(g)
+        with pytest.raises(TypeError):
+            CommGraph(adjacency=np.zeros((1, 1)), roots=np.array([True]),
+                      in_degrees=np.zeros(1))
 
 
 def expanded_laplacian(g):
@@ -124,6 +144,38 @@ class TestNetworkMatrices:
             np.diag([1.0, 0.0, 0.0]))
 
 
+def reached_by_closure(g):
+    """Rootedness from the boolean transitive closure, by repeated squaring
+    of the one-step reachability matrix (reach[i, j]: j reaches i)."""
+    n = g.n_agents
+    reach = (g.adjacency > 0) | np.eye(n, dtype=bool)
+    for _ in range(int(np.ceil(np.log2(n)))):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    return bool(reach[:, g.roots].any(axis=1).all())
+
+
+def _graph(n, edges, roots):
+    adj = np.zeros((n, n))
+    for i, j in edges:
+        adj[i, j] = 1.0
+    return CommGraph(adjacency=adj, roots=np.array(roots, dtype=bool))
+
+
+@st.composite
+def sparse_graphs(draw, max_n=12):
+    """Few edges of any positive or zero weight, any root set: rooted and
+    unrooted graphs alike."""
+    n = draw(st.integers(1, max_n))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    adj = np.zeros((n, n))
+    for i, j in edges:
+        if i != j:
+            adj[i, j] = draw(st.floats(0, 1e300, allow_subnormal=True))
+    roots = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return CommGraph(adjacency=adj, roots=np.array(roots, dtype=bool))
+
+
 class TestIsRooted:
     def test_single_rooted(self):
         g = CommGraph(adjacency=np.zeros((1, 1)), roots=np.array([True]))
@@ -148,6 +200,18 @@ class TestIsRooted:
                                    roots=np.array([True, False])))
         assert not is_rooted(CommGraph(adjacency=adj,
                                        roots=np.array([False, True])))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_graphs())
+    # no root at all, on a complete graph
+    @example(_graph(3, [(i, j) for i in range(3) for j in range(3) if i != j],
+                    [False, False, False]))
+    # the roots reach only each other
+    @example(_graph(4, [(1, 0), (0, 1), (3, 2)], [True, True, False, False]))
+    # an isolated agent beside a rooted chain
+    @example(_graph(3, [(1, 0)], [True, False, False]))
+    def test_matches_transitive_closure(self, g):
+        assert is_rooted(g) == reached_by_closure(g)
 
 
 class TestKroneckerStability:
