@@ -75,9 +75,12 @@ class DelayProfile:
 
 def _whole(values, name):
     """`values` as ints; a delay that is not a whole number is an error,
-    never truncated (whole floats such as 2.0 are accepted)."""
+    never truncated (whole floats such as 2.0 are accepted), and a boolean
+    is not a delay."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "biu":
+    if arr.dtype.kind == "b":
+        raise ScenarioError(f"boolean {name}: {arr.tolist()}")
+    if arr.dtype.kind not in "iu":
         arr = np.asarray(arr, dtype=float)
         if not np.all(np.isfinite(arr) & (arr == np.round(arr))):
             raise ScenarioError(f"non-integer {name}: {arr.tolist()}")

@@ -31,7 +31,7 @@ from .errors import DimensionError, ScenarioError
 @dataclass(frozen=True)
 class CommGraph:
     """Weighted digraph with root flags; adjacency has zero diagonal and
-    finite non-negative weights."""
+    finite non-negative weights, and each root flag is a bool or 0/1."""
     adjacency: np.ndarray
     roots: np.ndarray
     #: adjacency.sum(axis=1), the weighted in-degree of every agent
@@ -44,7 +44,7 @@ class CommGraph:
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=float)
-        roots = np.asarray(self.roots, dtype=bool)
+        roots = np.asarray(self.roots)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise DimensionError(f"adjacency must be square, got {adj.shape}")
         if adj.shape[0] == 0:
@@ -52,6 +52,9 @@ class CommGraph:
         if roots.shape != (adj.shape[0],):
             raise DimensionError(
                 f"roots must have length {adj.shape[0]}, got shape {roots.shape}")
+        if roots.dtype.kind != "b" and not (
+                roots.dtype.kind in "iuf" and np.all((roots == 0) | (roots == 1))):
+            raise ScenarioError(f"roots must be 0/1 flags, got {roots.tolist()}")
         if not np.all(np.isfinite(adj)):
             raise ScenarioError("adjacency weights must be finite")
         if np.any(adj < 0):
@@ -60,7 +63,7 @@ class CommGraph:
             raise ScenarioError("adjacency must have a zero diagonal (no self-loops)")
         dst, src = np.nonzero(adj)  # row-major: sorted by destination
         object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "roots", roots.astype(bool, copy=False))
         object.__setattr__(self, "in_degrees", adj.sum(axis=1))
         object.__setattr__(self, "edge_dst", dst)
         object.__setattr__(self, "edge_src", src)

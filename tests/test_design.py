@@ -15,7 +15,7 @@ from delaysync import (AgentModel, choose_epsilon_star, choose_rho,
                        design_observer, design_protocol, estimate_mu,
                        is_schur_stable, omega_max, validate_assumptions)
 from delaysync.demos import demo_model
-from delaysync.design import EPSILON_SWEEP
+from delaysync.design import EPSILON_SWEEP, MU_GRID_POINTS
 from delaysync.errors import (AssumptionError, ConvergenceError,
                               DesignError)
 from delaysync.riccati import solve_low_gain_dare
@@ -141,6 +141,93 @@ class TestEstimateMu:
             design_protocol(model, 0)
         assert info.value.stage == "mu"
         assert solves == []
+
+
+def _full_grid_mu(A, omega, theta):
+    """estimate_mu's value as its first version computed it, decomposing all
+    MU_GRID_POINTS grid matrices: the oracle it must equal bit for bit."""
+    A = np.asarray(A, dtype=float)
+    grid = np.linspace(omega + theta, math.pi, MU_GRID_POINTS)
+    M = np.exp(1j * grid)[:, None, None] * np.eye(A.shape[0])[None] - A[None]
+    return 0.9 * float(np.linalg.svd(M, compute_uv=False)[:, -1].min())
+
+
+def _band(A, kappa_bar):
+    """(omega_max, theta) of A's designed band at kappa_bar."""
+    w = omega_max(A)
+    return w, choose_theta(choose_rho(kappa_bar, w), kappa_bar, w)
+
+
+@pytest.fixture
+def svd_matrices(monkeypatch):
+    """Counts the matrices numpy's batched (3-d) SVD calls decompose."""
+    count = [0]
+    svd = np.linalg.svd
+
+    def counted(M, *args, **kwargs):
+        if np.ndim(M) == 3:
+            count[0] += M.shape[0]
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return count
+
+
+class TestEstimateMuIsTheFullGridMinimum:
+    def test_random_models(self):
+        rng = np.random.default_rng(19)
+        tested = 0
+        while tested < 300:
+            A, _ = random_admissible_model(rng, n_max=6)
+            kappa_bar = int(rng.integers(0, 8))
+            if not delay_admissible(A, kappa_bar):
+                continue
+            w, theta = _band(A, kappa_bar)
+            assert estimate_mu(A, w, theta) == _full_grid_mu(A, w, theta)
+            tested += 1
+
+    @pytest.mark.parametrize("kappa_bar", [0, 1, 2])
+    def test_bench_agent(self, kappa_bar):
+        w, theta = _band(BENCH_A, kappa_bar)
+        assert estimate_mu(BENCH_A, w, theta) == \
+            _full_grid_mu(BENCH_A, w, theta)
+
+    def test_flat_sigma_decomposes_every_angle(self, svd_matrices):
+        # A = 0: sigma_min is 1 at every angle, so no interval can be skipped
+        A = np.zeros((2, 2))
+        w, theta = _band(A, 1)
+        full = _full_grid_mu(A, w, theta)
+        svd_matrices[0] = 0
+        assert estimate_mu(A, w, theta) == full
+        assert svd_matrices[0] == MU_GRID_POINTS
+
+    @pytest.mark.parametrize("a", [-0.9, 0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("kappa_bar", [0, 3])
+    def test_scalar_models(self, a, kappa_bar):
+        A = np.array([[a]])
+        w, theta = _band(A, kappa_bar)
+        assert estimate_mu(A, w, theta) == _full_grid_mu(A, w, theta)
+
+    @pytest.mark.parametrize("angle", [0.3, math.pi / 6, 2.0])
+    def test_band_one_grid_step_from_an_eigenvalue(self, angle):
+        # the band's first grid point sits one grid step past e^{j angle},
+        # where sigma_min falls to about one step
+        A = rotation(angle)
+        theta = (math.pi - angle) / MU_GRID_POINTS
+        assert estimate_mu(A, angle, theta) == _full_grid_mu(A, angle, theta)
+
+    def test_narrow_dip_inside_the_band(self):
+        # a lightly damped mode at angle 2.0 puts a dip of width about 1e-3
+        # between two coarse grid points
+        A = block_diag([0.999 * rotation(2.0), np.array([[0.5]])])
+        assert estimate_mu(A, 1.0, 0.5) == _full_grid_mu(A, 1.0, 0.5)
+
+    @pytest.mark.parametrize("kappa_bar, most", [(2, 100), (0, 2)])
+    def test_bench_agent_decomposes_few_matrices(self, svd_matrices,
+                                                 kappa_bar, most):
+        w, theta = _band(BENCH_A, kappa_bar)
+        estimate_mu(BENCH_A, w, theta)
+        assert 0 < svd_matrices[0] <= most
 
 
 class TestChooseEpsilonStar:

@@ -65,6 +65,14 @@ class TestDelayProfile:
         with pytest.raises(ScenarioError, match="non-integer"):
             DelayProfile.from_list(kappa, kappa_bar)
 
+    @pytest.mark.parametrize("kappa, kappa_bar", [
+        (np.array([True, False]), 1), ([1, 0], True), ([1, 0], np.True_),
+        (np.array([True, False]), True)])
+    def test_boolean_delays_rejected(self, kappa, kappa_bar):
+        # a flag is not a delay, as in the scenario schema
+        with pytest.raises(ScenarioError, match="boolean"):
+            DelayProfile(kappa=kappa, kappa_bar=kappa_bar)
+
     def test_whole_floats_accepted(self):
         prof = DelayProfile.from_list([1.0, 0.0, 2.0], 3.0)
         np.testing.assert_array_equal(prof.kappa, [1, 0, 2])

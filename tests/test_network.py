@@ -50,6 +50,21 @@ class TestCommGraph:
         with pytest.raises(DimensionError):
             CommGraph(adjacency=np.zeros((2, 2)), roots=np.array([True]))
 
+    @pytest.mark.parametrize("roots", [[0.5, 7.0], [np.nan, 1.0], [2, 0],
+                                       [-1, 1], ["1", "0"], [None, 1],
+                                       [1j, 0]])
+    def test_rejects_roots_that_are_not_flags(self, roots):
+        # np.asarray(..., dtype=bool) would read each of these as flags
+        with pytest.raises(ScenarioError, match="0/1 flags"):
+            CommGraph(adjacency=np.zeros((2, 2)), roots=roots)
+
+    @pytest.mark.parametrize("roots", [[True, False], [1, 0], [1.0, 0.0],
+                                       np.array([1, 0], dtype=np.uint8)])
+    def test_accepts_bool_and_0_1_roots(self, roots):
+        g = CommGraph(adjacency=np.zeros((2, 2)), roots=roots)
+        assert g.roots.dtype == bool
+        np.testing.assert_array_equal(g.roots, [True, False])
+
     @settings(max_examples=30, deadline=None)
     @given(graph_strategy())
     def test_edge_list_matches_adjacency(self, g):
