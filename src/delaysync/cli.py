@@ -143,7 +143,8 @@ def cmd_design(args):
     text = _design_text(design)
     sys.stdout.write(text)
     out_dir = _ensure_dir(cfg.out_dir)
-    write_design_txt(design, os.path.join(out_dir, "design.txt"))
+    with open(os.path.join(out_dir, "design.txt"), "w", encoding="utf-8") as fh:
+        fh.write(text)
     return 0
 
 

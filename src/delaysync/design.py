@@ -19,12 +19,10 @@ The Riccati solution accepted by the sweep is the design's; nothing is
 solved twice.  Each stage raises DesignError with a stage tag on failure.
 
 Facts about the model are decided once per design: `design_protocol`
-runs the PBH tests and the closed-disc test of `validate_assumptions` up
-front, which also yields omega_max, and then calls the sweep and the
-observer through their unchecked private bodies (`_sweep_epsilon`,
-`_observer_gain`).  The public `choose_epsilon_star` and `design_observer`
-check their own input first.  A pinned epsilon goes through the public,
-checked solver.
+runs `validate_assumptions` (the PBH tests and the closed-disc test) up
+front, which also yields omega_max, and every stage after it trusts the
+validated model: the sweep and the observer solve unchecked.  A pinned
+epsilon goes through the public, checked solver.
 """
 
 import math
@@ -34,8 +32,8 @@ import numpy as np
 
 from .errors import (AssumptionError, ConvergenceError, DesignError,
                      DimensionError)
-from .riccati import (_check_disc, _check_pair, _low_gain_dare, is_detectable,
-                      is_stabilizable, solve_low_gain_dare)
+from .riccati import (_low_gain_dare, is_detectable, is_stabilizable,
+                      solve_low_gain_dare)
 from .spectral import is_schur_stable, omega_max, spectral_radius
 from .verify import CERTIFICATE_THRESHOLD, delay_loop_radii
 
@@ -119,13 +117,9 @@ class ProtocolDesign:
 
 
 def validate_assumptions(model):
-    """Raise AssumptionError unless (A, B) is stabilizable, (C, A) is
-    detectable, and A's spectrum lies in the closed unit disc."""
-    _omega_of_valid(model)
-
-
-def _omega_of_valid(model):
-    """`validate_assumptions`, returning omega_max(A) of the valid model."""
+    """omega_max(A) of a valid model.  Raises AssumptionError, naming every
+    failure, unless (A, B) is stabilizable, (C, A) is detectable, and A's
+    spectrum lies in the closed unit disc."""
     problems = []
     if not is_stabilizable(model.A, model.B):
         problems.append("(A, B) is not stabilizable")
@@ -159,7 +153,7 @@ def _admissible(kappa_bar, omega):
 def choose_rho(kappa_bar, omega):
     """Loop gain RHO_MARGIN times above both 1/2 and
     1 / (2 cos(kappa_bar * omega))."""
-    if not kappa_bar * omega < math.pi / 2.0 - DELAY_BOUNDARY_GUARD:
+    if not _admissible(kappa_bar, omega):
         raise DesignError("rho", f"kappa_bar*omega_max = {kappa_bar * omega:.6g} "
                           "is not below pi/2; no admissible gain exists")
     return max(RHO_MARGIN / (2.0 * math.cos(kappa_bar * omega)),
@@ -260,22 +254,12 @@ def choose_epsilon_star(A, B, rho, mu, kappa_bar):
         0..kappa_bar, has lift radius below 1 - CERTIFICATE_THRESHOLD, the
         test `closed_loop_certificate` applies.
 
-    The accepted epsilon is the returned solution's `.epsilon`.  The pair
-    (A, B) is checked once, before any solve, as `solve_low_gain_dare`
-    checks it (AssumptionError); every sweep point is then solved unchecked.
-    A point whose Riccati solve does not converge fails, and the sweep goes
-    on.  Raises DesignError with per-condition diagnostics if the sweep is
-    exhausted.
+    A, B are the float arrays of a model that passed
+    `validate_assumptions`, so every sweep point is solved unchecked.  The
+    accepted epsilon is the returned solution's `.epsilon`.  A point whose
+    Riccati solve does not converge fails, and the sweep goes on.  Raises
+    DesignError with per-condition diagnostics if the sweep is exhausted.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    _check_pair(A, B)
-    return _sweep_epsilon(A, B, rho, mu, kappa_bar)
-
-
-def _sweep_epsilon(A, B, rho, mu, kappa_bar):
-    """`choose_epsilon_star` without its check: float arrays A, B of a pair
-    that passed `riccati._check_pair`."""
     last, stalled = None, []
     for eps in EPSILON_SWEEP:
         try:
@@ -303,23 +287,12 @@ def _sweep_epsilon(A, B, rho, mu, kappa_bar):
 def design_observer(A, C):
     """Output-injection gain F with spectral radius of A - F C at most 0.9.
 
-    Solves the low-gain Riccati equation on the transposed pair; the fixed
-    weight 0.1 usually leaves margin, and the solve is retried at weight 1
-    before giving up.  Deterministic for a given model.  The pair is checked
-    once, before any solve: AssumptionError if (C, A) is not detectable,
-    then if A has an eigenvalue outside the closed unit disc.
+    A, C are the float arrays of a model that passed
+    `validate_assumptions`.  Solves the low-gain Riccati equation on the
+    transposed pair, unchecked; the fixed weight 0.1 usually leaves margin,
+    and the solve is retried at weight 1 before giving up.  Deterministic
+    for a given model.
     """
-    A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if not is_detectable(A, C):
-        raise AssumptionError("(C, A) is not detectable; no observer exists")
-    _check_disc(A.T)
-    return _observer_gain(A, C)
-
-
-def _observer_gain(A, C):
-    """`design_observer` without its checks: float arrays of a detectable
-    pair (C, A) with A in the closed unit disc."""
     for weight in (0.1, 1.0):
         sol = _low_gain_dare(A.T, C.T, weight)
         F = sol.K.T
@@ -341,7 +314,7 @@ def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None, rho=None):
         raise ValueError(f"mode must be '{FULL_STATE}' or '{PARTIAL_STATE}', "
                          f"got {mode!r}")
     kappa_bar = int(kappa_bar)
-    w = _omega_of_valid(model)
+    w = validate_assumptions(model)
     if not _admissible(kappa_bar, w):
         raise DesignError(
             "delay_admissibility",
@@ -361,7 +334,7 @@ def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None, rho=None):
     mu = estimate_mu(model.A, w, theta)
 
     if epsilon is None:
-        sol = _sweep_epsilon(model.A, model.B, rho_val, mu, kappa_bar)
+        sol = choose_epsilon_star(model.A, model.B, rho_val, mu, kappa_bar)
     else:
         pinned = float(epsilon)
         if not (0.0 < pinned <= 1.0):
@@ -372,7 +345,7 @@ def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None, rho=None):
             raise DesignError("epsilon", f"A - rho*B*K is not Schur stable at "
                               f"epsilon = {pinned:.6g}, rho = {rho_val:.6g}")
 
-    F = _observer_gain(model.A, model.C) if mode == PARTIAL_STATE else None
+    F = design_observer(model.A, model.C) if mode == PARTIAL_STATE else None
     return ProtocolDesign(mode=mode, model=model, epsilon_star=sol.epsilon,
                           epsilon=sol.epsilon, rho=rho_val, K=sol.K, P=sol.P,
                           F=F, omega_max=w, kappa_bar=kappa_bar, theta=theta,

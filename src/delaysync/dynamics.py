@@ -57,7 +57,11 @@ class DelayProfile:
             raise DimensionError(f"kappa must be a vector, got {kappa.shape}")
         if np.any(kappa < 0):
             raise ScenarioError("delays must be non-negative integers")
-        kappa_bar = int(_whole(self.kappa_bar, "kappa_bar"))
+        kappa_bar = _whole(self.kappa_bar, "kappa_bar")
+        if kappa_bar.ndim != 0:
+            raise DimensionError(
+                f"kappa_bar must be a scalar, got shape {kappa_bar.shape}")
+        kappa_bar = int(kappa_bar)
         if kappa_bar < (kappa.max() if kappa.size else 0):
             raise ScenarioError(
                 f"kappa_bar = {kappa_bar} is below the largest delay "
@@ -67,8 +71,8 @@ class DelayProfile:
 
     @classmethod
     def from_list(cls, kappa, kappa_bar=None):
-        kappa = np.asarray(kappa)
         if kappa_bar is None:
+            kappa = _whole(kappa, "delays")
             kappa_bar = kappa.max() if kappa.size else 0
         return cls(kappa=kappa, kappa_bar=kappa_bar)
 
@@ -76,10 +80,11 @@ class DelayProfile:
 def _whole(values, name):
     """`values` as ints; a delay that is not a whole number is an error,
     never truncated (whole floats such as 2.0 are accepted), and a boolean
-    is not a delay."""
+    is not a delay, not even one entry of a list."""
+    items = np.asarray(values, dtype=object)
+    if any(isinstance(v, (bool, np.bool_)) for v in items.flat):
+        raise ScenarioError(f"boolean {name}: {items.tolist()}")
     arr = np.asarray(values)
-    if arr.dtype.kind == "b":
-        raise ScenarioError(f"boolean {name}: {arr.tolist()}")
     if arr.dtype.kind not in "iu":
         arr = np.asarray(arr, dtype=float)
         if not np.all(np.isfinite(arr) & (arr == np.round(arr))):

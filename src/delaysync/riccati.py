@@ -13,13 +13,11 @@ count flat as eps shrinks.  The result is a `DareSolution`, so a caller
 that needs P, K or gamma at one eps solves once and passes the solution
 on.
 
-The solver's checks on (A, B) (shapes, spectrum in the closed unit disc,
-the PBH stabilizability test) do not depend on eps, so they live apart in
-`_check_pair`, and the doubling-plus-polish body in `_low_gain_dare`.
-`solve_low_gain_dare` runs both; the designer's epsilon sweep
-(`design.choose_epsilon_star`) checks the pair once and then solves every
-sweep point unchecked, and `design.design_observer` checks detectability
-and the disc itself before its unchecked solves.
+`solve_low_gain_dare` is the one checked entry: it checks the shapes,
+epsilon, the closed unit disc and the PBH stabilizability test, then runs
+the doubling-plus-polish body `_low_gain_dare`.  The designer validates its
+model once per design (`design.validate_assumptions`), so its epsilon
+sweep and observer call `_low_gain_dare` directly.
 
 `gain_disc` and `check_lambda_stabilized` expose the complex gain region
 of a solution at weight delta: for gamma = lambda_max(B'P_delta B), every
@@ -132,28 +130,6 @@ def feedback_gain(A, B, P):
     return np.linalg.solve(np.eye(B.shape[1]) + B.T @ P @ B, B.T @ P @ A)
 
 
-def _check_disc(A):
-    """Raise AssumptionError if A has an eigenvalue outside the closed unit
-    disc."""
-    mods = np.abs(eigenvalues(A))
-    if np.any(mods > 1.0 + UNIT_CIRCLE_TOL):
-        raise AssumptionError(
-            "A has an eigenvalue outside the closed unit disc "
-            f"(max modulus {mods.max():.12g})")
-
-
-def _check_pair(A, B):
-    """Raise unless (A, B) is in the model class the low-gain solver
-    targets: shapes as `_check_ab` wants, A in the closed unit disc, and
-    (A, B) stabilizable by the PBH test.  These are facts about the pair
-    alone, so a caller that solves at many epsilons checks them once."""
-    A, B = _check_ab(A, B)
-    _check_disc(A)
-    if not is_stabilizable(A, B):
-        raise AssumptionError("(A, B) is not stabilizable (PBH rank test "
-                              "failed at a closed-loop-relevant eigenvalue)")
-
-
 def solve_low_gain_dare(A, B, epsilon):
     """Stabilizing solution of the low-gain DARE with weights eps*I and I.
 
@@ -167,13 +143,21 @@ def solve_low_gain_dare(A, B, epsilon):
     A, B = _check_ab(A, B)
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    _check_pair(A, B)
+    mods = np.abs(eigenvalues(A))
+    if np.any(mods > 1.0 + UNIT_CIRCLE_TOL):
+        raise AssumptionError(
+            "A has an eigenvalue outside the closed unit disc "
+            f"(max modulus {mods.max():.12g})")
+    if not is_stabilizable(A, B):
+        raise AssumptionError("(A, B) is not stabilizable (PBH rank test "
+                              "failed at a closed-loop-relevant eigenvalue)")
     return _low_gain_dare(A, B, epsilon)
 
 
 def _low_gain_dare(A, B, epsilon):
-    """`solve_low_gain_dare` without its checks: float arrays A, B of a pair
-    that passed `_check_pair`, and epsilon in (0, 1]."""
+    """`solve_low_gain_dare` without its checks: float arrays A, B of a
+    stabilizable pair with A in the closed unit disc, and epsilon in
+    (0, 1]."""
     n, m = B.shape
     eye = np.eye(n)
     Q = epsilon * eye

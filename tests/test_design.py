@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 import delaysync.design
 import delaysync.riccati
-from delaysync import (AgentModel, choose_epsilon_star, choose_rho,
-                       choose_theta, closed_loop_certificate, delay_admissible,
-                       design_observer, design_protocol, estimate_mu,
-                       is_schur_stable, omega_max, validate_assumptions)
+from delaysync import (AgentModel, choose_rho, choose_theta,
+                       closed_loop_certificate, delay_admissible,
+                       design_protocol, estimate_mu, is_schur_stable,
+                       omega_max, validate_assumptions)
 from delaysync.demos import demo_model
-from delaysync.design import EPSILON_SWEEP, MU_GRID_POINTS
+from delaysync.design import (EPSILON_SWEEP, MU_GRID_POINTS,
+                              choose_epsilon_star, design_observer)
 from delaysync.errors import (AssumptionError, ConvergenceError,
                               DesignError)
 from delaysync.riccati import solve_low_gain_dare
@@ -54,6 +55,8 @@ class TestDelayAdmissible:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             delay_admissible(BENCH_A, -1)
+        with pytest.raises(ValueError):  # choose_rho applies the same rule
+            choose_rho(-1, 0.3)
 
 
 class TestChooseRho:
@@ -330,18 +333,22 @@ class TestDesignObserver:
         assert spectral_radius(A - F @ C) <= 0.9
 
     def test_undetectable_rejected(self):
+        # design_protocol validates the model before the observer stage
         A = block_diag([rotation(0.5), np.array([[0.2]])])
         C = np.array([[0.0, 0.0, 1.0]])  # boundary modes unobserved
-        with pytest.raises(AssumptionError, match="no observer exists"):
-            design_observer(A, C)
+        model = AgentModel(A=A, B=np.ones((3, 1)), C=C)
+        with pytest.raises(AssumptionError, match=r"^\(C, A\) is not "
+                           "detectable$"):
+            design_protocol(model, 1, mode="partial")
 
     def test_spectrum_outside_disc_rejected_after_detectability(self):
-        A = np.diag([1.5, 0.2])
-        with pytest.raises(AssumptionError, match="closed unit disc"):
-            design_observer(A, np.array([[1.0, 0.0]]))
-        # an undetectable pair is named first, whatever the spectrum
-        with pytest.raises(AssumptionError, match="no observer exists"):
-            design_observer(A, np.array([[0.0, 1.0]]))
+        # both failures are named in one message, detectability first
+        model = AgentModel(A=np.diag([1.5, 0.2]), B=np.array([[1.0], [0.0]]),
+                           C=np.array([[0.0, 1.0]]))
+        with pytest.raises(AssumptionError, match=(
+                r"\(C, A\) is not detectable; A has an eigenvalue outside "
+                "the closed unit disc")):
+            design_protocol(model, 1, mode="partial")
 
 
 class TestDesignProtocol:
@@ -413,23 +420,32 @@ class TestDesignProtocol:
 
     def test_one_solve_per_sweep_point(self, monkeypatch):
         # the swept design reuses the solution the sweep accepted, and a
-        # pinned epsilon is solved exactly once, by the checked solver
-        model = demo_model("full")
-        calls = {"_low_gain_dare": [], "solve_low_gain_dare": []}
+        # pinned epsilon is solved exactly once, by the checked solver.  The
+        # stages are counted through their module attributes, where the
+        # benchmark's tracer wraps them, so a stage the designer stops
+        # calling by that name shows here
+        calls = {name: [] for name in ("_low_gain_dare", "solve_low_gain_dare",
+                                       "choose_epsilon_star",
+                                       "design_observer")}
 
         def counting(name):
-            solve = getattr(delaysync.design, name)
+            original = getattr(delaysync.design, name)
 
-            def counted(A, B, epsilon):
-                calls[name].append(epsilon)
-                return solve(A, B, epsilon)
+            def counted(*args):
+                calls[name].append(args)
+                return original(*args)
             monkeypatch.setattr(delaysync.design, name, counted)
 
-        counting("_low_gain_dare")
-        counting("solve_low_gain_dare")
+        def solved(name):
+            return [args[2] for args in calls[name]]
+
+        for name in calls:
+            counting(name)
+        model = demo_model("full")
         d = design_protocol(model, 2)
-        assert calls == {"_low_gain_dare": list(EPSILON_SWEEP[:24]),
-                         "solve_low_gain_dare": []}
+        assert solved("_low_gain_dare") == list(EPSILON_SWEEP[:24])
+        assert len(calls["choose_epsilon_star"]) == 1
+        assert calls["solve_low_gain_dare"] == calls["design_observer"] == []
         assert d.epsilon == d.epsilon_star == EPSILON_SWEEP[23]
         assert d.epsilon == pytest.approx(10.0 ** -6.75)
         w = omega_max(model.A)
@@ -439,10 +455,19 @@ class TestDesignProtocol:
         assert np.array_equal(d.K, accepted.K)
         assert np.array_equal(d.P, accepted.P)
 
-        for solves in calls.values():
-            solves.clear()
+        for args in calls.values():
+            args.clear()
         design_protocol(model, 2, epsilon=1e-3)
-        assert calls == {"_low_gain_dare": [], "solve_low_gain_dare": [1e-3]}
+        assert solved("solve_low_gain_dare") == [1e-3]
+        assert calls["_low_gain_dare"] == calls["choose_epsilon_star"] \
+            == calls["design_observer"] == []
+
+        for args in calls.values():
+            args.clear()
+        design_protocol(demo_model("partial"), 2, mode="partial")
+        assert len(calls["choose_epsilon_star"]) == 1
+        assert len(calls["design_observer"]) == 1
+        assert calls["solve_low_gain_dare"] == []
 
     @pytest.mark.parametrize("mode, pbh_tests", [("full", 2), ("partial", 2)])
     def test_model_facts_decided_once(self, monkeypatch, mode, pbh_tests):
@@ -461,12 +486,13 @@ class TestDesignProtocol:
         assert d.epsilon_star == pytest.approx(10.0 ** -6.75)
         assert len(calls) == pbh_tests
 
-        # the sweep still rejects an unstabilizable pair before any solve
+        # an unstabilizable pair is still rejected before any solve
         solves = []
         monkeypatch.setattr(delaysync.design, "_low_gain_dare",
                             lambda A, B, epsilon: solves.append(epsilon))
+        bad = AgentModel(A=np.eye(1), B=np.zeros((1, 1)), C=np.eye(1))
         with pytest.raises(AssumptionError, match="not stabilizable"):
-            choose_epsilon_star(np.eye(1), np.zeros((1, 1)), 1.05, 0.5, 2)
+            design_protocol(bad, 2, mode=mode)
         assert solves == []
 
     def test_omega_max_consistency(self, bench_full):

@@ -16,7 +16,7 @@ from delaysync import dynamics
 from delaysync.demos import demo_model, demo_scenario, _initial_states
 from delaysync.dynamics import (control_input, extra_exchange_full,
                                 extra_exchange_partial, network_measurement)
-from delaysync.errors import NumericError, ScenarioError
+from delaysync.errors import DimensionError, NumericError, ScenarioError
 from delaysync.network import network_matrices
 from delaysync.spectral import spectral_radius
 
@@ -67,11 +67,18 @@ class TestDelayProfile:
 
     @pytest.mark.parametrize("kappa, kappa_bar", [
         (np.array([True, False]), 1), ([1, 0], True), ([1, 0], np.True_),
-        (np.array([True, False]), True)])
+        (np.array([True, False]), True), ([True, 2], None)])
     def test_boolean_delays_rejected(self, kappa, kappa_bar):
-        # a flag is not a delay, as in the scenario schema
+        # a flag is not a delay, as in the scenario schema, even as one
+        # entry of a list of integers
         with pytest.raises(ScenarioError, match="boolean"):
             DelayProfile(kappa=kappa, kappa_bar=kappa_bar)
+        with pytest.raises(ScenarioError, match="boolean"):
+            DelayProfile.from_list(kappa, kappa_bar)
+
+    def test_non_scalar_bound_rejected(self):
+        with pytest.raises(DimensionError, match="kappa_bar"):
+            DelayProfile(kappa=[1, 0], kappa_bar=np.array([2]))
 
     def test_whole_floats_accepted(self):
         prof = DelayProfile.from_list([1.0, 0.0, 2.0], 3.0)

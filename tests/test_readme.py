@@ -1,5 +1,6 @@
 """README stays in step with the code: every command line it shows parses
-against the real CLI, and every repo path it names exists."""
+against the real CLI, every repo path it names exists, and its library
+example runs."""
 
 import argparse
 import pathlib
@@ -52,3 +53,10 @@ def test_named_repo_paths_exist():
     assert paths
     missing = [path for path in paths if not (ROOT / path).exists()]
     assert not missing
+
+
+def test_quick_library_example_runs(capsys):
+    section = README.split("## Quick library example", 1)[1]
+    code = re.search(r"^```python\n(.*?)^```", section, re.M | re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.rstrip().endswith("True")
