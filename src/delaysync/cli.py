@@ -111,25 +111,25 @@ def _report_text(report):
 
 
 def write_report(report, txt_path, json_path, convergence=None):
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write(_report_text(report))
-        if convergence is not None:
-            fh.write(f"converged: {'yes' if convergence.converged else 'no'}\n")
-            fh.write(f"final_error: {convergence.final_error!r}\n")
-            fh.write(f"decay_ratio: {convergence.decay_ratio!r}\n")
+    """Write report.txt and report.json; returns the text of report.txt."""
+    text = _report_text(report)
     payload = {"certificate": dataclasses.asdict(report)}
     if convergence is not None:
+        text += (f"converged: {'yes' if convergence.converged else 'no'}\n"
+                 f"final_error: {convergence.final_error!r}\n"
+                 f"decay_ratio: {convergence.decay_ratio!r}\n")
         payload["convergence"] = dataclasses.asdict(convergence)
+    with open(txt_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+    return text
 
 
-def _designed(cfg, epsilon=None, rho=None):
-    return design_protocol(
-        cfg.model, cfg.delays.kappa_bar, mode=cfg.mode,
-        epsilon=epsilon if epsilon is not None else cfg.epsilon,
-        rho=rho if rho is not None else cfg.rho)
+def _designed(cfg):
+    return design_protocol(cfg.model, cfg.delays.kappa_bar, mode=cfg.mode,
+                           epsilon=cfg.epsilon, rho=cfg.rho)
 
 
 def _ensure_dir(path):
@@ -139,7 +139,7 @@ def _ensure_dir(path):
 
 def cmd_design(args):
     cfg = load_config(args.config)
-    design = _designed(cfg, epsilon=args.epsilon, rho=args.rho)
+    design = _designed(cfg)
     text = _design_text(design)
     sys.stdout.write(text)
     out_dir = _ensure_dir(cfg.out_dir)
@@ -169,9 +169,8 @@ def cmd_verify(args):
     design = _designed(cfg)
     report = closed_loop_certificate(design)
     out_dir = _ensure_dir(cfg.out_dir)
-    write_report(report, os.path.join(out_dir, "report.txt"),
-                 os.path.join(out_dir, "report.json"))
-    sys.stdout.write(_report_text(report))
+    sys.stdout.write(write_report(report, os.path.join(out_dir, "report.txt"),
+                                  os.path.join(out_dir, "report.json")))
     return 0 if report.passed else 2
 
 
@@ -205,8 +204,6 @@ def build_parser():
 
     p = sub.add_parser("design", help="design a protocol from a scenario")
     p.add_argument("--config", required=True)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("simulate", help="run the closed loop and export CSVs")

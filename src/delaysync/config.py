@@ -8,19 +8,27 @@ notation):
       "model":    {"A": [[...]], "B": [[...]], "C": [[...]]},
       "mode":     "full" | "partial",
       "graph":    {"adjacency": [[...]], "roots": [0/1 flags, length N]},
-      "delays":   {"kappa": [ints, length N], "kappa_bar": int (optional)},
+      "delays":   {"kappa": [whole numbers, length N],
+                   "kappa_bar": whole number (optional)},
       "protocol": {"epsilon": float, "rho": float}          (optional keys),
       "sim":      {"k_max": int, "x0": [[...] per agent], "xr0": [...]},
       "output":   {"directory": str, "emit_plot_data": bool} (optional)
     }
 
 Validation is not fail-fast: every violation is collected and reported in
-one ScenarioError, each message naming the offending field.
+one ScenarioError, each message naming the offending field.  A value's
+rules live in the type that owns it: `AgentModel`, `CommGraph` (weights
+and root flags) and `DelayProfile` (whole, non-negative delays), whose
+errors are reported under `model:`, `graph:` and `delays:`.  This module
+checks only what a file adds: the sections, finite numeric matrices, the
+typed scalar fields (`protocol`, `sim.k_max`, `output`), and agreement
+across sections (the adjacency order against `delays.kappa` and
+`sim.x0`, `C = I` in full mode, at least one root).
 """
 
 import json
-import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,28 +54,41 @@ class ScenarioConfig:
     emit_plot_data: bool = False
 
 
-def _matrix(raw, name, problems):
+def _matrix(raw, name, problems, ndim=2):
+    rows = " of row arrays" if ndim == 2 else ""
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
-        problems.append(f"{name}: not a numeric array of row arrays")
+        problems.append(f"{name}: not a numeric array{rows}")
         return None
-    if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-        problems.append(f"{name}: must be a finite 2-d array of row arrays")
+    if arr.ndim != ndim or not np.all(np.isfinite(arr)):
+        problems.append(f"{name}: must be a finite {ndim}-d array{rows}")
         return None
     return arr
 
 
-def _vector(raw, name, problems):
+def _number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _field(sec, name, problems, must, valid, default=None):
+    """The value of the field `name` ("section.key") in `sec`, `default`
+    when the key is absent.  A value `valid` rejects is reported, naming
+    the field, and read as `default`."""
+    value = sec.get(name.split(".")[1], default)
+    if valid(value):
+        return value
+    problems.append(f"{name}: must be {must}, got {value!r}")
+    return default
+
+
+def _build(section, problems, make, **fields):
+    """make(**fields), or None with its error reported under `section`."""
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        problems.append(f"{name}: not a numeric array")
+        return make(**fields)
+    except DelaySyncError as exc:
+        problems.append(f"{section}: {exc}")
         return None
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-        problems.append(f"{name}: must be a finite 1-d array")
-        return None
-    return arr
 
 
 def _section(data, name, problems, required=True):
@@ -97,90 +118,50 @@ def parse_config(data):
     C = _matrix(model_sec.get("C"), "model.C", problems)
     model = None
     if A is not None and B is not None and C is not None:
-        try:
-            model = AgentModel(A=A, B=B, C=C)
-        except DelaySyncError as exc:
-            problems.append(f"model: {exc}")
+        model = _build("model", problems, AgentModel, A=A, B=B, C=C)
 
     mode = data.get("mode")
     if mode not in (FULL_STATE, PARTIAL_STATE):
         problems.append(f"mode: must be '{FULL_STATE}' or '{PARTIAL_STATE}', "
                         f"got {mode!r}")
-    if mode == FULL_STATE and model is not None:
-        if model.C.shape != model.A.shape or not np.array_equal(
-                model.C, np.eye(model.n)):
-            problems.append("model.C: full-state coupling requires C to be "
-                            "the identity")
+    if (mode == FULL_STATE and model is not None
+            and not np.array_equal(model.C, np.eye(model.n))):
+        problems.append("model.C: full-state coupling requires C to be "
+                        "the identity")
 
     graph_sec = _section(data, "graph", problems)
     adj = _matrix(graph_sec.get("adjacency"), "graph.adjacency", problems)
-    roots_raw = graph_sec.get("roots")
-    graph = None
-    n_agents = None
+    n_agents = graph = None
     if adj is not None:
         n_agents = adj.shape[0]
-        roots = None
-        if (isinstance(roots_raw, list) and len(roots_raw) == n_agents
-                and all(r in (0, 1, True, False) for r in roots_raw)):
-            roots = np.asarray(roots_raw, dtype=bool)
-        else:
-            problems.append(f"graph.roots: must be a list of {n_agents} 0/1 "
-                            "flags matching the adjacency order")
-        if roots is not None:
-            if not roots.any():
-                problems.append("graph.roots: at least one agent must be a root")
-            try:
-                graph = CommGraph(adjacency=adj, roots=roots)
-            except DelaySyncError as exc:
-                problems.append(f"graph: {exc}")
+        graph = _build("graph", problems, CommGraph, adjacency=adj,
+                       roots=graph_sec.get("roots"))
+    if graph is not None and not graph.roots.any():
+        problems.append("graph.roots: at least one agent must be a root")
 
     delays_sec = _section(data, "delays", problems)
-    kappa_raw = delays_sec.get("kappa")
-    delays = None
-    if not isinstance(kappa_raw, list) or not all(
-            isinstance(k, int) and not isinstance(k, bool) for k in kappa_raw):
-        problems.append("delays.kappa: must be a list of non-negative integers")
-    else:
-        if n_agents is not None and len(kappa_raw) != n_agents:
-            problems.append(
-                f"delays.kappa: length {len(kappa_raw)} does not match the "
-                f"graph.adjacency order {n_agents}")
-        kb = delays_sec.get("kappa_bar")
-        if kb is not None and (not isinstance(kb, int) or isinstance(kb, bool)):
-            problems.append("delays.kappa_bar: must be an integer")
-            kb = None
-        try:
-            delays = DelayProfile.from_list(kappa_raw, kappa_bar=kb)
-        except DelaySyncError as exc:
-            problems.append(f"delays: {exc}")
+    delays = _build("delays", problems, DelayProfile.from_list,
+                    kappa=delays_sec.get("kappa"),
+                    kappa_bar=delays_sec.get("kappa_bar"))
+    if (delays is not None and n_agents is not None
+            and delays.kappa.size != n_agents):
+        problems.append(
+            f"delays.kappa: length {delays.kappa.size} does not match the "
+            f"graph.adjacency order {n_agents}")
 
     proto_sec = _section(data, "protocol", problems, required=False)
-    epsilon = proto_sec.get("epsilon")
-    if epsilon is not None:
-        if (not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool)
-                or not 0 < epsilon <= 1):
-            problems.append(f"protocol.epsilon: must be in (0, 1], got {epsilon!r}")
-            epsilon = None
-        else:
-            epsilon = float(epsilon)
-    rho = proto_sec.get("rho")
-    if rho is not None:
-        if (not isinstance(rho, (int, float)) or isinstance(rho, bool)
-                or not 0 < rho < math.inf):
-            problems.append(
-                f"protocol.rho: must be positive and finite, got {rho!r}")
-            rho = None
-        else:
-            rho = float(rho)
+    epsilon = _field(proto_sec, "protocol.epsilon", problems, "in (0, 1]",
+                     lambda v: v is None or _number(v) and 0 < v <= 1)
+    rho = _field(proto_sec, "protocol.rho", problems, "positive and finite",
+                 lambda v: v is None or _number(v)
+                 and 0 < v <= sys.float_info.max)
+    epsilon, rho = (v if v is None else float(v) for v in (epsilon, rho))
 
     sim_sec = _section(data, "sim", problems)
-    k_max = sim_sec.get("k_max")
-    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 10:
-        problems.append(f"sim.k_max: must be an integer of at least 10, "
-                        f"got {k_max!r}")
-        k_max = None
+    k_max = _field(sim_sec, "sim.k_max", problems, "an integer of at least 10",
+                   lambda v: _number(v) and isinstance(v, int) and v >= 10)
     x0 = _matrix(sim_sec.get("x0"), "sim.x0", problems)
-    xr0 = _vector(sim_sec.get("xr0"), "sim.xr0", problems)
+    xr0 = _matrix(sim_sec.get("xr0"), "sim.xr0", problems, ndim=1)
     if x0 is not None and model is not None and n_agents is not None:
         if x0.shape != (n_agents, model.n):
             problems.append(f"sim.x0: expected shape "
@@ -189,14 +170,10 @@ def parse_config(data):
         problems.append(f"sim.xr0: expected length {model.n}, got {xr0.shape[0]}")
 
     out_sec = _section(data, "output", problems, required=False)
-    out_dir = out_sec.get("directory", ".")
-    if not isinstance(out_dir, str):
-        problems.append("output.directory: must be a string")
-        out_dir = "."
-    emit_plot = out_sec.get("emit_plot_data", False)
-    if not isinstance(emit_plot, bool):
-        problems.append("output.emit_plot_data: must be a boolean")
-        emit_plot = False
+    out_dir = _field(out_sec, "output.directory", problems, "a string",
+                     lambda v: isinstance(v, str), default=".")
+    emit_plot = _field(out_sec, "output.emit_plot_data", problems, "a boolean",
+                       lambda v: isinstance(v, bool), default=False)
 
     if problems:
         raise ScenarioError(problems)

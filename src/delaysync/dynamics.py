@@ -52,7 +52,7 @@ class DelayProfile:
     kappa_bar: int
 
     def __post_init__(self):
-        kappa = _whole(self.kappa, "delays")
+        kappa = _whole(self.kappa, "kappa")
         if kappa.ndim != 1:
             raise DimensionError(f"kappa must be a vector, got {kappa.shape}")
         if np.any(kappa < 0):
@@ -72,18 +72,23 @@ class DelayProfile:
     @classmethod
     def from_list(cls, kappa, kappa_bar=None):
         if kappa_bar is None:
-            kappa = _whole(kappa, "delays")
+            kappa = _whole(kappa, "kappa")
             kappa_bar = kappa.max() if kappa.size else 0
         return cls(kappa=kappa, kappa_bar=kappa_bar)
 
 
 def _whole(values, name):
-    """`values` as ints; a delay that is not a whole number is an error,
-    never truncated (whole floats such as 2.0 are accepted), and a boolean
-    is not a delay, not even one entry of a list."""
-    items = np.asarray(values, dtype=object)
-    if any(isinstance(v, (bool, np.bool_)) for v in items.flat):
-        raise ScenarioError(f"boolean {name}: {items.tolist()}")
+    """`values` as ints.  Each entry must be a real number (a boolean or a
+    string is not a delay), and a whole one: a delay is never truncated,
+    but whole floats such as 2.0 are accepted."""
+    try:
+        items = np.asarray(values, dtype=object)
+        numeric = all(isinstance(v, (int, float, np.integer, np.floating))
+                      and not isinstance(v, bool) for v in items.flat)
+    except ValueError:  # a nesting numpy cannot hold even as objects
+        numeric = False
+    if not numeric:
+        raise ScenarioError(f"non-numeric or boolean {name}: {values!r}")
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         arr = np.asarray(arr, dtype=float)

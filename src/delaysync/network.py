@@ -43,8 +43,12 @@ class CommGraph:
     edge_weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=float)
-        roots = np.asarray(self.roots)
+        try:
+            adj = np.asarray(self.adjacency, dtype=float)
+            roots = np.asarray(self.roots)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            raise ScenarioError("adjacency must be a numeric matrix and roots "
+                                "a vector of 0/1 flags") from None
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise DimensionError(f"adjacency must be square, got {adj.shape}")
         if adj.shape[0] == 0:

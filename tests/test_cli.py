@@ -163,6 +163,26 @@ class TestValidation:
         assert "sim.k_max" in problems
         assert len(err.value.problems) >= 2
 
+    def test_reports_every_bad_field(self):
+        # one bad value in every field at once: each is reported, by name
+        data = config_to_dict(demo_scenario(1, "full"))
+        data["model"]["A"][0][0] = float("nan")
+        data["mode"] = "both"
+        data["graph"]["roots"] = [2, 0, 0]
+        data["delays"]["kappa"] = [1, "1", 2]
+        data["protocol"] = {"epsilon": 2.0, "rho": -1.0}
+        data["sim"] = {"k_max": 5, "x0": "x", "xr0": [[0.0]]}
+        data["output"] = {"directory": 3, "emit_plot_data": None}
+        with pytest.raises(ScenarioError) as err:
+            parse_config(data)
+        for name in ("model.A", "mode", "graph.roots", "delays.kappa",
+                     "protocol.epsilon", "protocol.rho", "sim.k_max",
+                     "sim.x0", "sim.xr0", "output.directory",
+                     "output.emit_plot_data"):
+            section, _, key = name.partition(".")
+            named = rf"^{section}\b" + (rf".*\b{key}\b" if key else "")
+            assert any(re.search(named, p) for p in err.value.problems), name
+
     def test_negative_weight_named(self):
         data = config_to_dict(demo_scenario(1, "full"))
         data["graph"]["adjacency"][0][1] = -1.0
@@ -192,6 +212,14 @@ class TestValidation:
                                  rf", got {float(value)!r}"):
             load_config(path)
 
+    def test_protocol_rho_beyond_float_range_rejected(self):
+        # json reads a long integer literal exactly; float() of it overflows
+        data = config_to_dict(demo_scenario(1, "full"))
+        data["protocol"]["rho"] = 10 ** 400
+        with pytest.raises(ScenarioError,
+                           match="protocol.rho: must be positive and finite"):
+            parse_config(data)
+
     def test_parse_error_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  \"model\": [,]\n}")
@@ -207,11 +235,15 @@ class TestCommands:
         assert "epsilon_star:" in out and "rho:" in out
         assert (tmp_path / "out" / "design.txt").exists()
 
-    def test_design_epsilon_flag_overrides_config(self, tmp_path, capsys):
-        path = demo_config_file(tmp_path)
-        assert main(["design", "--config", str(path),
-                     "--epsilon", "0.01"]) == 0
-        assert "epsilon: 0.01" in capsys.readouterr().out
+    def test_design_prints_pinned_epsilon(self, tmp_path, capsys):
+        path = demo_config_file(tmp_path, **{"protocol.epsilon": 0.01})
+        assert main(["design", "--config", str(path)]) == 0
+        assert "epsilon: 0.01" in capsys.readouterr().out.splitlines()
+
+    def test_design_takes_only_a_config(self, capsys):
+        assert main(["design", "--help"]) == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--config"}
 
     def test_simulate_writes_schema_csv(self, tmp_path):
         path = demo_config_file(tmp_path)
@@ -243,13 +275,6 @@ class TestCommands:
         series = {r[1] for r in rows[1:]}
         assert "error" in series and "exo.x0" in series \
             and "agent1.x0" in series
-
-    @pytest.mark.parametrize("rho", ["nan", "inf"])
-    def test_design_rejects_non_finite_rho_flag(self, tmp_path, capsys, rho):
-        path = demo_config_file(tmp_path)
-        assert main(["design", "--config", str(path), "--rho", rho]) == 1
-        err = capsys.readouterr().err
-        assert "[rho]" in err and "Traceback" not in err
 
     def test_verify_passes_on_demo(self, tmp_path, capsys):
         path = demo_config_file(tmp_path)
@@ -326,6 +351,13 @@ class TestCommands:
         assert main(["frobnicate"]) == 1      # unknown command
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("field", ["graph.roots", "delays.kappa"])
+    def test_ragged_list_is_config_error(self, tmp_path, capsys, field):
+        path = demo_config_file(tmp_path, **{field: [[1], [0, 1], 1]})
+        assert main(["verify", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
 
     def test_inadmissible_scenario_is_config_error(self, tmp_path, capsys):
         path = demo_config_file(tmp_path, **{"delays.kappa": [3, 1, 1],

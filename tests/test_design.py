@@ -373,8 +373,10 @@ class TestDesignProtocol:
         assert err.value.stage == "delay_admissibility"
 
     def test_pinned_rho_validated(self, bench_full):
-        with pytest.raises(DesignError):
-            design_protocol(bench_full, 2, epsilon=1e-3, rho=0.8)
+        for rho in (0.8, math.nan, math.inf):
+            with pytest.raises(DesignError) as err:
+                design_protocol(bench_full, 2, epsilon=1e-3, rho=rho)
+            assert err.value.stage == "rho", rho
 
     def test_pinned_epsilon_validated(self, bench_full):
         with pytest.raises(DesignError):

@@ -66,6 +66,16 @@ class TestDelayProfile:
             DelayProfile.from_list(kappa, kappa_bar)
 
     @pytest.mark.parametrize("kappa, kappa_bar", [
+        (['1', 0], '2'), ([1, 0], '2'), ([[1], [2, 3]], None),
+        ({'a': 1}, None), ([1j, 0], None), ([None, 1], 1)])
+    def test_non_numeric_delays_rejected(self, kappa, kappa_bar):
+        # strings, ragged lists and other objects are not delays either
+        with pytest.raises(ScenarioError, match="non-numeric"):
+            DelayProfile(kappa=kappa, kappa_bar=kappa_bar)
+        with pytest.raises(ScenarioError, match="non-numeric"):
+            DelayProfile.from_list(kappa, kappa_bar)
+
+    @pytest.mark.parametrize("kappa, kappa_bar", [
         (np.array([True, False]), 1), ([1, 0], True), ([1, 0], np.True_),
         (np.array([True, False]), True), ([True, 2], None)])
     def test_boolean_delays_rejected(self, kappa, kappa_bar):

@@ -52,11 +52,17 @@ class TestCommGraph:
 
     @pytest.mark.parametrize("roots", [[0.5, 7.0], [np.nan, 1.0], [2, 0],
                                        [-1, 1], ["1", "0"], [None, 1],
-                                       [1j, 0]])
+                                       [1j, 0], [[1], [0, 1]]])
     def test_rejects_roots_that_are_not_flags(self, roots):
-        # np.asarray(..., dtype=bool) would read each of these as flags
+        # np.asarray(..., dtype=bool) would read each of these as flags,
+        # or raise numpy's own error on the ragged list
         with pytest.raises(ScenarioError, match="0/1 flags"):
             CommGraph(adjacency=np.zeros((2, 2)), roots=roots)
+
+    @pytest.mark.parametrize("adjacency", [[[0, 1], [0]], [[0, {}], [0, 0]]])
+    def test_rejects_adjacency_that_is_not_numeric(self, adjacency):
+        with pytest.raises(ScenarioError, match="numeric matrix"):
+            CommGraph(adjacency=adjacency, roots=[1, 0])
 
     @pytest.mark.parametrize("roots", [[True, False], [1, 0], [1.0, 0.0],
                                        np.array([1, 0], dtype=np.uint8)])

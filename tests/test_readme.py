@@ -1,11 +1,13 @@
 """README stays in step with the code: every command line it shows parses
-against the real CLI, every repo path it names exists, and its library
-example runs."""
+against the real CLI, every repo path it names exists, its scenario file
+example loads, and its library example runs."""
 
 import argparse
+import json
 import pathlib
 import re
 
+from delaysync import parse_config
 from delaysync.cli import build_parser
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -53,6 +55,13 @@ def test_named_repo_paths_exist():
     assert paths
     missing = [path for path in paths if not (ROOT / path).exists()]
     assert not missing
+
+
+def test_scenario_file_example_parses():
+    section = README.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"^```json\n(.*?)^```", section, re.M | re.S).group(1)
+    cfg = parse_config(json.loads(block))
+    assert cfg.graph.n_agents == len(cfg.delays.kappa) == 2
 
 
 def test_quick_library_example_runs(capsys):
