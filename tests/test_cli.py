@@ -240,6 +240,15 @@ class TestCommands:
         assert main(["design", "--config", str(path)]) == 0
         assert "epsilon: 0.01" in capsys.readouterr().out.splitlines()
 
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_design_rejects_non_finite_rho_flag(self, tmp_path, capsys, rho):
+        # A pinned rho comes only from the scenario's protocol section now.
+        path = demo_config_file(tmp_path, **{"protocol.rho": float(rho)})
+        assert main(["design", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "protocol.rho" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "design.txt").exists()
+
     def test_design_takes_only_a_config(self, capsys):
         assert main(["design", "--help"]) == 0
         flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
