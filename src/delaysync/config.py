@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import FULL_STATE, PARTIAL_STATE, AgentModel
+from .design import FULL_STATE, PARTIAL_STATE, AgentModel, _real_array
 from .dynamics import DelayProfile
 from .errors import DelaySyncError, ScenarioError
 from .network import CommGraph
@@ -57,8 +57,8 @@ class ScenarioConfig:
 def _matrix(raw, name, problems, ndim=2):
     rows = " of row arrays" if ndim == 2 else ""
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+        arr = _real_array(raw, name)
+    except DelaySyncError:  # ragged rows, or an entry that is no number
         problems.append(f"{name}: not a numeric array{rows}")
         return None
     if arr.ndim != ndim or not np.all(np.isfinite(arr)):

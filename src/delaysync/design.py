@@ -8,20 +8,17 @@ a design valid on every admissible network.
 The construction runs in stages: the peak unit-circle angle of A fixes the
 admissible delay bound (kappa_bar * omega_max < pi/2); the loop gain rho
 is pushed just above 1 / (2 cos(kappa_bar * omega_max)); a band margin
-theta and a high-frequency floor mu follow (mu is the minimum of
-sigma_min(e^{jw} I - A) over a fixed grid of the band, found exactly by a
-coarse-to-fine pass that decomposes only the grid points a Lipschitz bound
-cannot rule out); and finally epsilon is swept downward until the
-low-gain feedback is small enough for the floor and every delayed loop up
-to kappa_bar passes the certificate's exact test
-(`verify.delay_loop_radii`), so swept designs certify by construction.
-The Riccati solution accepted by the sweep is the design's; nothing is
-solved twice.  Each stage raises DesignError with a stage tag on failure.
+theta and a high-frequency floor mu (the minimum of sigma_min(e^{jw} I -
+A) over a grid of the band) follow; and epsilon is swept downward, in
+stacked chunks, until the low-gain feedback is small enough for the floor
+and every delayed loop up to kappa_bar passes the certificate's exact
+test (`verify.delay_loop_radii`), so swept designs certify by
+construction, with the sweep's accepted solution.  Each stage raises
+DesignError with a stage tag on failure.
 
-Facts about the model are decided once per design: `design_protocol`
-runs `validate_assumptions` (the PBH tests and the closed-disc test) up
-front, which also yields omega_max, and every stage after it trusts the
-validated model: the sweep and the observer solve unchecked.  A pinned
+`design_protocol` decides the model's facts once, up front, in
+`validate_assumptions` (PBH and closed-disc tests, which also yield
+omega_max); the sweep and the observer then solve unchecked.  A pinned
 epsilon goes through the public, checked solver.
 """
 
@@ -31,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AssumptionError, ConvergenceError, DesignError,
-                     DimensionError)
-from .riccati import (_low_gain_dare, is_detectable, is_stabilizable,
-                      solve_low_gain_dare)
+                     DimensionError, ScenarioError)
+from .riccati import (_doubling, _low_gain_dare, _polish, is_detectable,
+                      is_stabilizable, solve_low_gain_dare)
 from .spectral import is_schur_stable, omega_max, spectral_radius
 from .verify import CERTIFICATE_THRESHOLD, delay_loop_radii
 
@@ -43,6 +40,9 @@ DELAY_BOUNDARY_GUARD = 1e-9
 
 #: epsilon sweep: quarter-decade geometric grid from 1e-1 down to 1e-8
 EPSILON_SWEEP = tuple(10.0 ** e for e in np.arange(-1.0, -8.25, -0.25))
+
+#: sweep points solved together after the top point, which is solved alone
+_SWEEP_CHUNK = 8
 
 #: multiplicative headroom of rho above its critical gain
 RHO_MARGIN = 1.05
@@ -60,6 +60,29 @@ FULL_STATE = "full"
 PARTIAL_STATE = "partial"
 
 
+def _real_array(values, name):
+    """`values` as a float array.  Every entry must be a real number: a
+    boolean or a quoted number is none (ScenarioError), and nested rows
+    must have one length (DimensionError)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return np.asarray(values, dtype=float)
+    try:
+        items = np.asarray(values, dtype=object)
+        kinds = set(map(type, items.flat))  # one pass: adjacencies are large
+    except ValueError:  # a nesting numpy cannot hold even as objects
+        kinds = {list}
+    if any(issubclass(k, (list, tuple, np.ndarray)) for k in kinds):
+        raise DimensionError(f"{name} has rows of unequal length: {values!r}")
+    if not all(issubclass(k, (int, float, np.integer, np.floating))
+               and not issubclass(k, bool) for k in kinds):
+        raise ScenarioError(f"non-numeric or boolean {name}: {values!r}")
+    try:
+        return items.astype(float)
+    except OverflowError:  # an integer too large for a float
+        raise ScenarioError(f"{name} has an entry beyond the float range: "
+                            f"{values!r}") from None
+
+
 @dataclass(frozen=True)
 class AgentModel:
     """Agent dynamics triple: x+ = A x + B u (delayed), y = C x."""
@@ -68,9 +91,7 @@ class AgentModel:
     C: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        C = np.asarray(self.C, dtype=float)
+        A, B, C = (_real_array(getattr(self, name), name) for name in "ABC")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionError(f"A must be square, got {A.shape}")
         if B.ndim != 2 or B.shape[0] != A.shape[0]:
@@ -99,8 +120,7 @@ class ProtocolDesign:
     """Complete designed protocol: gains plus the scalars that certified them.
 
     F is None in full-state mode.  epsilon_star equals epsilon in every
-    design: the sweep's accepted value, or the pinned value after
-    validation when the user pins epsilon.
+    design: the sweep's accepted value, or the validated pinned value.
     """
     mode: str
     model: AgentModel
@@ -135,11 +155,8 @@ def validate_assumptions(model):
 
 
 def delay_admissible(A, kappa_bar):
-    """True iff kappa_bar * omega_max(A) < pi/2.
-
-    The strict comparison carries an absolute guard of 1e-9 so that models
-    sitting exactly on the boundary (up to eigenvalue rounding) are rejected.
-    """
+    """True iff kappa_bar * omega_max(A) < pi/2, less an absolute guard of
+    1e-9 that rejects models on the boundary up to eigenvalue rounding."""
     return _admissible(kappa_bar, omega_max(A))
 
 
@@ -164,11 +181,9 @@ def choose_theta(rho, kappa_bar, omega):
     """Width of the frequency band beyond omega on which the gain condition
     rho * cos(kappa_bar * w) >= 1/2 + THETA_SAFETY still holds.
 
-    With kappa_bar = 0 the condition is frequency-independent and theta is
-    simply pi - omega; otherwise theta is the largest band width compatible
-    with the safety gap, capped so omega + theta never exceeds pi.  The
-    effective safety shrinks automatically when rho sits very close to its
-    critical value, keeping theta strictly positive whenever
+    pi - omega when kappa_bar = 0; otherwise the widest band the safety gap
+    allows, capped so omega + theta <= pi.  The gap shrinks when rho sits
+    close to its critical value, so theta stays positive whenever
     rho * cos(kappa_bar * omega) > 1/2.
     """
     headroom = rho * math.cos(kappa_bar * omega) - 0.5
@@ -185,25 +200,22 @@ def choose_theta(rho, kappa_bar, omega):
 def estimate_mu(A, omega, theta):
     """Lower bound on sigma_min(e^{jw} I - A) over the band [omega+theta, pi].
 
-    The minimum of sigma_min over a uniform grid of MU_GRID_POINTS
-    (endpoints included), scaled by 0.9 as a grid-safety factor.  Positive
-    by construction since no eigenvalue of A has its angle inside the band;
-    a band that touches an eigenvalue (theta = 0 at an eigenvalue on the
-    circle) leaves only a rounding-level value, so mu <= 1e-10 * (1 +
-    ||A||_2) raises DesignError("mu").
+    The minimum over a uniform grid of MU_GRID_POINTS (endpoints included)
+    times a grid-safety factor 0.9.  Positive, as no eigenvalue of A has
+    its angle inside the band; a band that touches one (theta = 0 at an
+    eigenvalue on the circle) leaves a rounding-level value, so mu <=
+    1e-10 * (1 + ||A||_2) raises DesignError("mu").
 
-    The grid's minimum is found without decomposing every grid point.
-    Equal angles are decomposed once (with kappa_bar = 0 the band is the
-    single angle pi).  The distinct angles are then refined coarse to fine
-    over the strides _MU_STRIDES.  sigma_min(e^{jw} I - A) is 1-Lipschitz
-    in w (Weyl's inequality: two grid matrices differ by (e^{jw} -
-    e^{jw'}) I), so no point between decomposed neighbours a and b lies
-    below (s_a + s_b - (w_b - w_a)) / 2.  An interval is refined only while
-    that bound is within 1e-9 * (1 + ||A||_2) of the smallest value
-    found, a slack far above the SVD's rounding.  The grid's argmin is
-    therefore always decomposed, and numpy decomposes each matrix of a
-    batch on its own, so mu is bit-identical to the minimum over the whole
-    grid.
+    Not every grid point is decomposed.  Equal angles are decomposed once
+    (with kappa_bar = 0 the band is the single angle pi), and the distinct
+    ones refined coarse to fine over the strides _MU_STRIDES.  By Weyl's
+    inequality sigma_min(e^{jw} I - A) is 1-Lipschitz in w, so no point
+    between decomposed neighbours a and b lies below (s_a + s_b - (w_b -
+    w_a)) / 2; an interval is refined only while that bound is within
+    1e-9 * (1 + ||A||_2), far above the SVD's rounding, of the smallest
+    value found.  The grid's argmin is therefore always decomposed, and
+    numpy decomposes each matrix of a batch on its own, so mu is
+    bit-identical to the minimum over the whole grid.
     """
     A = np.asarray(A, dtype=float)
     if omega + theta > math.pi + 1e-12:
@@ -254,28 +266,34 @@ def choose_epsilon_star(A, B, rho, mu, kappa_bar):
         0..kappa_bar, has lift radius below 1 - CERTIFICATE_THRESHOLD, the
         test `closed_loop_certificate` applies.
 
-    A, B are the float arrays of a model that passed
-    `validate_assumptions`, so every sweep point is solved unchecked.  The
-    accepted epsilon is the returned solution's `.epsilon`.  A point whose
-    Riccati solve does not converge fails, and the sweep goes on.  Raises
-    DesignError with per-condition diagnostics if the sweep is exhausted.
+    A, B are the float arrays of a model that passed `validate_assumptions`,
+    so points are solved unchecked: the top one, where most models accept,
+    alone, the rest in chunks of _SWEEP_CHUNK by one stacked doubling and
+    one stacked lift decomposition per delay.  They are judged in grid
+    order, so the first to pass is accepted, as in a one-by-one scan (no
+    bisection: the delayed-loop margin is not monotone in epsilon).  A
+    point whose Riccati solve does not converge fails and the sweep goes
+    on; an exhausted sweep raises DesignError with per-condition reasons.
     """
     last, stalled = None, []
-    for eps in EPSILON_SWEEP:
-        try:
-            sol = _low_gain_dare(A, B, eps)
-        except ConvergenceError as exc:
-            stalled.append(f"at eps={eps:.3e} ({exc})")
-            continue
-        BK = B @ sol.K
-        cond_a = rho * np.linalg.norm(BK, 2) <= mu / 2.0
-        radius = max(delay_loop_radii(A, -rho * BK, kappa_bar))
-        cond_b = 1.0 - radius > CERTIFICATE_THRESHOLD
-        if cond_a and cond_b:
-            return sol
-        last = (f"at eps={eps:.3e} gain condition(a)={cond_a}, delayed-loop "
-                f"condition(b)={cond_b} (largest lift radius {radius:.9g}, "
-                f"mu={mu:.3e}, rho={rho:.6g})")
+    bounds = (0, *range(1, len(EPSILON_SWEEP), _SWEEP_CHUNK), None)
+    for chunk in (EPSILON_SWEEP[lo:hi] for lo, hi in zip(bounds, bounds[1:])):
+        sols = []
+        for eps, H, count in zip(chunk, *_doubling(A, B, chunk)):
+            try:
+                sols.append(_polish(A, B, eps, H, count))
+            except ConvergenceError as exc:
+                stalled.append(f"at eps={eps:.3e} ({exc})")
+        BK = np.reshape([B @ sol.K for sol in sols], (-1, *A.shape))
+        radii = np.max(delay_loop_radii(A, -rho * BK, kappa_bar), axis=0)
+        for sol, BK_eps, radius in zip(sols, BK, radii):
+            cond_a = rho * np.linalg.norm(BK_eps, 2) <= mu / 2.0
+            cond_b = 1.0 - radius > CERTIFICATE_THRESHOLD
+            if cond_a and cond_b:
+                return sol
+            last = (f"at eps={sol.epsilon:.3e} gain condition(a)={cond_a}, "
+                    f"delayed-loop condition(b)={cond_b} (largest lift "
+                    f"radius {radius:.9g}, mu={mu:.3e}, rho={rho:.6g})")
     reasons = [last] if last else []
     if stalled:
         reasons.append(f"the Riccati solve did not converge at {len(stalled)} "
@@ -289,9 +307,8 @@ def design_observer(A, C):
 
     A, C are the float arrays of a model that passed
     `validate_assumptions`.  Solves the low-gain Riccati equation on the
-    transposed pair, unchecked; the fixed weight 0.1 usually leaves margin,
-    and the solve is retried at weight 1 before giving up.  Deterministic
-    for a given model.
+    transposed pair, unchecked, at weight 0.1, which usually leaves margin,
+    and else at weight 1.  Deterministic for a given model.
     """
     for weight in (0.1, 1.0):
         sol = _low_gain_dare(A.T, C.T, weight)

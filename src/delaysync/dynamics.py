@@ -79,8 +79,8 @@ class DelayProfile:
 
 def _whole(values, name):
     """`values` as ints.  Each entry must be a real number (a boolean or a
-    string is not a delay), and a whole one: a delay is never truncated,
-    but whole floats such as 2.0 are accepted."""
+    string is not a delay), and a whole one within the int64 range: a delay
+    is never truncated, but whole floats such as 2.0 are accepted."""
     try:
         items = np.asarray(values, dtype=object)
         numeric = all(isinstance(v, (int, float, np.integer, np.floating))
@@ -94,7 +94,13 @@ def _whole(values, name):
         arr = np.asarray(arr, dtype=float)
         if not np.all(np.isfinite(arr) & (arr == np.round(arr))):
             raise ScenarioError(f"non-integer {name}: {arr.tolist()}")
-    return arr.astype(int)
+    with np.errstate(invalid="ignore"):  # a float beyond int64 casts wrong
+        whole = arr.astype(int)
+    beyond = whole != arr
+    if np.any(beyond):
+        raise ScenarioError(f"{name} beyond the integer range: "
+                            f"{arr[beyond].tolist()}")
+    return whole
 
 
 class InputHistory:

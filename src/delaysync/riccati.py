@@ -5,19 +5,16 @@
     A'PA - P - A'PB (I + B'PB)^{-1} B'PA + eps*I = 0
 
 for eps in (0, 1]: the one Riccati family the protocol designer, the
-observer and the gain-disc tools use.  The solver runs the structure-
-preserving doubling iteration of Chu, Fan, Lin et al. on the triple
-(A, BB', eps*I) and then polishes with plain fixed-point sweeps until the
-Frobenius residual meets DARE_TOL; doubling is what keeps the iteration
-count flat as eps shrinks.  The result is a `DareSolution`, so a caller
-that needs P, K or gamma at one eps solves once and passes the solution
-on.
-
-`solve_low_gain_dare` is the one checked entry: it checks the shapes,
-epsilon, the closed unit disc and the PBH stabilizability test, then runs
-the doubling-plus-polish body `_low_gain_dare`.  The designer validates its
-model once per design (`design.validate_assumptions`), so its epsilon
-sweep and observer call `_low_gain_dare` directly.
+observer and the gain-disc tools use.  One body, `_doubling`, runs the
+structure-preserving doubling of Chu, Fan, Lin et al. on (A, BB', eps*I),
+whose iteration count stays flat as eps shrinks, for a stack of epsilons;
+each point is frozen when it stops, bit-identical to a doubling at its
+epsilon alone.  `_polish` sweeps a point to the Frobenius residual DARE_TOL
+and returns its `DareSolution` (P, K, gamma: solve once, pass it on).
+`_low_gain_dare` is the one-point case, run by `solve_low_gain_dare` after
+it checks the shapes, epsilon, the closed disc and the PBH test; the
+designer, which validates its model once, solves unchecked, its sweep in
+stacked chunks.
 
 `gain_disc` and `check_lambda_stabilized` expose the complex gain region
 of a solution at weight delta: for gamma = lambda_max(B'P_delta B), every
@@ -120,8 +117,7 @@ def dare_residual(A, B, P, epsilon):
 def feedback_gain(A, B, P):
     """Feedback gain K = (I + B'PB)^{-1} B'PA for a given Riccati solution P.
 
-    The m-by-m system matrix I + B'PB is positive definite whenever P >= 0,
-    so the solve always succeeds.
+    I + B'PB is positive definite whenever P >= 0, so the solve succeeds.
     """
     A, B = _check_ab(A, B)
     P = np.asarray(P, dtype=float)
@@ -133,12 +129,11 @@ def feedback_gain(A, B, P):
 def solve_low_gain_dare(A, B, epsilon):
     """Stabilizing solution of the low-gain DARE with weights eps*I and I.
 
-    Requires (A, B) stabilizable and all eigenvalues of A inside the closed
-    unit disc (the model class the protocol targets); epsilon must lie in
-    (0, 1].  The returned P is symmetric with residual at most DARE_TOL and
-    the closed loop A - B K is strictly Schur stable.  Raises
-    ConvergenceError (carrying the last residual) if DARE_MAX_ITER combined
-    doubling/polish iterations do not meet the residual.
+    Requires (A, B) stabilizable, A's spectrum in the closed unit disc (the
+    model class the protocol targets) and epsilon in (0, 1].  P is
+    symmetric with residual at most DARE_TOL and A - B K strictly Schur
+    stable.  Raises ConvergenceError (carrying the last residual) if
+    DARE_MAX_ITER doubling and polish iterations miss the residual.
     """
     A, B = _check_ab(A, B)
     if not (0.0 < epsilon <= 1.0):
@@ -155,56 +150,65 @@ def solve_low_gain_dare(A, B, epsilon):
 
 
 def _low_gain_dare(A, B, epsilon):
-    """`solve_low_gain_dare` without its checks: float arrays A, B of a
-    stabilizable pair with A in the closed unit disc, and epsilon in
-    (0, 1]."""
-    n, m = B.shape
-    eye = np.eye(n)
-    Q = epsilon * eye
+    """`solve_low_gain_dare` unchecked: float A, B of a stabilizable pair,
+    A in the closed unit disc, and epsilon in (0, 1]."""
+    H, iterations = _doubling(A, B, [epsilon])
+    return _polish(A, B, epsilon, H[0], iterations[0])
 
-    # structure-preserving doubling on the triple (A_k, G_k, H_k)
-    Ak = A.copy()
-    G = B @ B.T
-    H = Q
-    iterations = 0
-    for _ in range(DARE_MAX_ITER):
+
+def _doubling(A, B, epsilons):
+    """Doubling on (A, BB', eps*I) per epsilon: each H and step count."""
+    eps, eye = np.asarray(epsilons, dtype=float), np.eye(A.shape[0])
+    Ak, G, H = A, B @ B.T, eps[:, None, None] * eye  # stacked by step 1
+    out, iterations = np.empty_like(H), np.empty(eps.size, dtype=int)
+    live = np.arange(eps.size)
+    for step in range(1, DARE_MAX_ITER + 1):
         IGH = eye + G @ H
         AX = np.linalg.solve(IGH, Ak)
         GX = np.linalg.solve(IGH, G)
-        H_next = H + Ak.T @ (H @ AX)
-        G_next = G + Ak @ GX @ Ak.T
+        H_next = H + Ak.mT @ (H @ AX)
+        G_next = G + Ak @ GX @ Ak.mT
         Ak = Ak @ AX
-        G = 0.5 * (G_next + G_next.T)
-        H_prev, H = H, 0.5 * (H_next + H_next.T)
-        iterations += 1
-        if np.linalg.norm(H - H_prev, "fro") <= 1e-15 * max(1.0, np.linalg.norm(H, "fro")):
-            break
+        G = 0.5 * (G_next + G_next.mT)
+        H_prev, H = H, 0.5 * (H_next + H_next.mT)
+        done = _frobenius(H - H_prev) <= 1e-15 * np.maximum(1.0, _frobenius(H))
+        stopped = np.count_nonzero(done)
+        if stopped == live.size or step == DARE_MAX_ITER:  # freeze the rest
+            out[live], iterations[live] = H, step
+            return out, iterations
+        if stopped:  # freeze the points that stopped, go on with the rest
+            out[live[done]], iterations[live[done]] = H[done], step
+            live, Ak, G, H = live[~done], Ak[~done], G[~done], H[~done]
 
-    # fixed-point polish until the residual contract is met
-    P = H
+
+def _frobenius(X):
+    """Frobenius norms of a stack's matrices, bit for bit np.linalg.norm's."""
+    flat = X.reshape(X.shape[0], -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def _polish(A, B, epsilon, H, iterations):
+    """Fixed-point polish of one point's doubled H to DARE_TOL: its solution."""
+    Q, I_m = epsilon * np.eye(A.shape[0]), np.eye(B.shape[1])
+    P, iterations, stalls = H, int(iterations), 0
     residual = dare_residual(A, B, P, epsilon)
-    stalls = 0
     while residual > DARE_TOL:
         if iterations >= DARE_MAX_ITER:
             raise ConvergenceError(
                 f"DARE solver exhausted {DARE_MAX_ITER} iterations "
                 f"(residual {residual:.3e} > tol {DARE_TOL:.3e})",
                 residual=residual, iterations=iterations)
-        M = np.eye(m) + B.T @ P @ B
+        M = I_m + B.T @ P @ B
         P_next = A.T @ P @ A + Q - A.T @ P @ B @ np.linalg.solve(M, B.T @ P @ A)
         P_next = 0.5 * (P_next + P_next.T)
         iterations += 1
         res_next = dare_residual(A, B, P_next, epsilon)
-        if res_next >= residual:
-            stalls += 1
-            if stalls >= 5:
-                raise ConvergenceError(
-                    f"DARE polish stalled at residual {residual:.3e} > tol "
-                    f"{DARE_TOL:.3e}", residual=residual, iterations=iterations)
-        else:
-            stalls = 0
+        stalls = stalls + 1 if res_next >= residual else 0
+        if stalls >= 5:
+            raise ConvergenceError(
+                f"DARE polish stalled at residual {residual:.3e} > tol "
+                f"{DARE_TOL:.3e}", residual=residual, iterations=iterations)
         P, residual = P_next, res_next
-
     K = feedback_gain(A, B, P)
     gamma = float(np.linalg.eigvalsh(B.T @ P @ B).max())
     return DareSolution(P=P, epsilon=float(epsilon), K=K, gamma=gamma,

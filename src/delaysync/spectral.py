@@ -17,15 +17,20 @@ UNIT_CIRCLE_TOL = 1e-7
 SCHUR_TOL = 1e-9
 
 
-def _square(M):
+def _eigvals(M, stack=False):
+    """Unordered eigenvalues of a checked square matrix, or stack if `stack`."""
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.ndim > 2 and not stack or M.shape[-2] != M.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] < 1:
+    if M.shape[-1] < 1:
         raise DimensionError("matrix order must be at least 1")
     if not np.all(np.isfinite(M)):
         raise NumericError("matrix has non-finite entries")
-    return M
+    try:
+        return np.linalg.eigvals(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalue iteration failed for order-{M.shape[-1]} "
+                           f"matrix: {exc}") from exc
 
 
 def eigenvalues(M):
@@ -34,19 +39,15 @@ def eigenvalues(M):
     Sorted by descending modulus, ties broken by ascending argument, so
     repeated calls on identical input give identical vectors.
     """
-    M = _square(M)
-    try:
-        vals = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue iteration failed for order-{M.shape[0]} "
-                           f"matrix: {exc}") from exc
+    vals = _eigvals(M)
     order = np.lexsort((np.angle(vals), -np.abs(vals)))
     return vals[order]
 
 
 def spectral_radius(M):
-    """Largest eigenvalue modulus of a square matrix."""
-    return float(np.abs(eigenvalues(M)).max())
+    """Largest eigenvalue modulus of a square matrix (of each in a stack)."""
+    radii = np.abs(_eigvals(M, stack=True)).max(axis=-1)
+    return float(radii) if radii.ndim == 0 else radii
 
 
 def is_schur_stable(M):
@@ -62,11 +63,10 @@ def is_schur_stable(M):
 def omega_max(A):
     """Largest angle (radians, in [0, pi]) of any unit-circle eigenvalue of A.
 
-    Returns 0.0 when every eigenvalue has modulus below 1 - UNIT_CIRCLE_TOL.
-    Eigenvalues with modulus within UNIT_CIRCLE_TOL of 1 are treated as on
-    the circle; anything beyond 1 + UNIT_CIRCLE_TOL violates the
-    neutrally-stable model assumption and raises AssumptionError, since the
-    delay tolerance is undefined for such models.
+    Eigenvalues within UNIT_CIRCLE_TOL of the circle count as on it, and
+    0.0 means none is.  One beyond 1 + UNIT_CIRCLE_TOL breaks the
+    neutrally-stable model assumption, where the delay tolerance is
+    undefined, and raises AssumptionError.
     """
     vals = eigenvalues(A)
     mods = np.abs(vals)

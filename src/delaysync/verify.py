@@ -13,8 +13,8 @@ under A - F C.  A design therefore works on every rooted graph and every
 profile up to kappa_bar iff these loops, for every kappa in 0..kappa_bar,
 are Schur stable, which `closed_loop_certificate` decides exactly from the
 spectral radius of each loop's companion lift, of order n (kappa + 1).
-`delay_loop_radii` computes those radii; the designer's epsilon sweep
-accepts a point by the same test.
+`delay_loop_radii` computes those radii, for one gain or a stack of them;
+the designer's epsilon sweep accepts a point by the same test.
 
 `frequency_sweep_certificate` only rules out characteristic roots on the
 unit circle, not outside it, so it is no stability test; the tests keep it
@@ -132,17 +132,17 @@ def frequency_sweep_certificate(A0, A1, kappas, omega_points=4096):
 
 def _delay_lift(A0, A1, kappa):
     """Companion matrix of x(k+1) = A0 x(k) + A1 x(k - kappa) over the
-    stacked state [x(k); x(k-1); ...; x(k-kappa)]."""
+    state [x(k); x(k-1); ...; x(k-kappa)], one per matrix of a stack A1."""
     n = A0.shape[0]
-    lift = np.eye(n * (kappa + 1), k=-n)
-    lift[:n, :n] = A0
-    lift[:n, kappa * n:] += A1
+    lift = np.tile(np.eye(n * (kappa + 1), k=-n), A1.shape[:-2] + (1, 1))
+    lift[..., :n, :n] = A0
+    lift[..., :n, kappa * n:] += A1
     return lift
 
 
 def delay_loop_radii(A0, A1, kappa_bar):
-    """Spectral radii of x(k+1) = A0 x(k) + A1 x(k - kappa) for every
-    integer delay kappa in 0..kappa_bar, from each delay's companion lift."""
+    """Spectral radii of x(k+1) = A0 x(k) + A1 x(k - kappa) for every delay
+    kappa in 0..kappa_bar from its companion lift (arrays for a stack A1)."""
     return tuple(spectral_radius(_delay_lift(A0, A1, kappa))
                  for kappa in range(kappa_bar + 1))
 

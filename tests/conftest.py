@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from delaysync import AgentModel, CommGraph
-from delaysync.riccati import is_detectable, is_stabilizable
+from delaysync.design import EPSILON_SWEEP
+from delaysync.errors import ConvergenceError
+from delaysync.riccati import (DARE_MAX_ITER, DARE_TOL, DareSolution,
+                               dare_residual, feedback_gain, is_detectable,
+                               is_stabilizable)
+from delaysync.verify import CERTIFICATE_THRESHOLD, delay_loop_radii
 
 # benchmark agent used across the suite: spectrum {e^{+j pi/6}, e^{-j pi/6}, 1/2}
 BENCH_A = np.array([[0.5, 1.0, 1.0],
@@ -96,3 +101,72 @@ def random_admissible_model(rng, n_max=4, m=1, with_output=False):
         C = rng.normal(size=(1, n))
         if is_detectable(A, C):
             return A, B, C
+
+
+def _serial_low_gain_dare(A, B, epsilon):
+    """The serial doubling-plus-polish that `riccati._low_gain_dare` ran
+    before its doubling was stacked over epsilons: the oracle the stacked
+    body must reproduce bit for bit, iteration counts and failures
+    included."""
+    n, m = B.shape
+    eye = np.eye(n)
+    Q = epsilon * eye
+    Ak, G, H = A.copy(), B @ B.T, Q
+    iterations = 0
+    for _ in range(DARE_MAX_ITER):
+        IGH = eye + G @ H
+        AX = np.linalg.solve(IGH, Ak)
+        GX = np.linalg.solve(IGH, G)
+        H_next = H + Ak.T @ (H @ AX)
+        G_next = G + Ak @ GX @ Ak.T
+        Ak = Ak @ AX
+        G = 0.5 * (G_next + G_next.T)
+        H_prev, H = H, 0.5 * (H_next + H_next.T)
+        iterations += 1
+        if np.linalg.norm(H - H_prev, "fro") \
+                <= 1e-15 * max(1.0, np.linalg.norm(H, "fro")):
+            break
+    P = H
+    residual = dare_residual(A, B, P, epsilon)
+    stalls = 0
+    while residual > DARE_TOL:
+        if iterations >= DARE_MAX_ITER:
+            raise ConvergenceError(
+                f"DARE solver exhausted {DARE_MAX_ITER} iterations "
+                f"(residual {residual:.3e} > tol {DARE_TOL:.3e})",
+                residual=residual, iterations=iterations)
+        M = np.eye(m) + B.T @ P @ B
+        P_next = A.T @ P @ A + Q - A.T @ P @ B @ np.linalg.solve(M, B.T @ P @ A)
+        P_next = 0.5 * (P_next + P_next.T)
+        iterations += 1
+        res_next = dare_residual(A, B, P_next, epsilon)
+        if res_next >= residual:
+            stalls += 1
+            if stalls >= 5:
+                raise ConvergenceError(
+                    f"DARE polish stalled at residual {residual:.3e} > tol "
+                    f"{DARE_TOL:.3e}", residual=residual, iterations=iterations)
+        else:
+            stalls = 0
+        P, residual = P_next, res_next
+    K = feedback_gain(A, B, P)
+    gamma = float(np.linalg.eigvalsh(B.T @ P @ B).max())
+    return DareSolution(P=P, epsilon=float(epsilon), K=K, gamma=gamma,
+                        residual=residual, iterations=iterations)
+
+
+def _serial_sweep(A, B, rho, mu, kappa_bar):
+    """eps* as the sweep found it before it was chunked: one point at a
+    time, in grid order, each solved by the serial oracle and judged on
+    its own lifts.  None when no point passes."""
+    for eps in EPSILON_SWEEP:
+        try:
+            sol = _serial_low_gain_dare(A, B, eps)
+        except ConvergenceError:
+            continue
+        BK = B @ sol.K
+        radius = max(delay_loop_radii(A, -rho * BK, kappa_bar))
+        if (rho * np.linalg.norm(BK, 2) <= mu / 2.0
+                and 1.0 - radius > CERTIFICATE_THRESHOLD):
+            return sol
+    return None

@@ -183,6 +183,26 @@ class TestValidation:
             named = rf"^{section}\b" + (rf".*\b{key}\b" if key else "")
             assert any(re.search(named, p) for p in err.value.problems), name
 
+    @pytest.mark.parametrize("name", ["model.A", "model.B",
+                                      "graph.adjacency", "sim.x0"])
+    @pytest.mark.parametrize("entry", ["0.5", True, 10 ** 400])
+    def test_quoted_or_boolean_matrix_entries_named(self, name, entry):
+        # json keeps "0.5" a string and true a boolean; neither is read as
+        # a number, as for the delays, nor is an integer no float can hold
+        data = config_to_dict(demo_scenario(1, "full"))
+        section, key = name.split(".")
+        data[section][key][0][0] = entry
+        with pytest.raises(ScenarioError) as err:
+            parse_config(data)
+        assert f"{name}: not a numeric array of row arrays" \
+            in err.value.problems
+
+    def test_ragged_model_matrix_named(self):
+        data = config_to_dict(demo_scenario(1, "full"))
+        data["model"]["A"][1] = [0.0]
+        with pytest.raises(ScenarioError, match="model.A: not a numeric"):
+            parse_config(data)
+
     def test_negative_weight_named(self):
         data = config_to_dict(demo_scenario(1, "full"))
         data["graph"]["adjacency"][0][1] = -1.0

@@ -18,13 +18,14 @@ from delaysync.demos import demo_model
 from delaysync.design import (EPSILON_SWEEP, MU_GRID_POINTS,
                               choose_epsilon_star, design_observer)
 from delaysync.errors import (AssumptionError, ConvergenceError,
-                              DesignError)
+                              DesignError, DimensionError, ScenarioError)
 from delaysync.riccati import solve_low_gain_dare
 from delaysync.spectral import spectral_radius
 from delaysync.verify import CERTIFICATE_THRESHOLD, delay_loop_radii
 
-from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_F, block_diag,
-                      random_admissible_model, rotation)
+from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_F, _serial_sweep,
+                      block_diag, random_admissible_model, rotation)
+from test_acceptance import _battery
 
 #: the stage tags design_protocol's DesignError can carry
 DESIGN_STAGES = {"delay_admissibility", "rho", "theta", "mu", "epsilon",
@@ -33,6 +34,37 @@ DESIGN_STAGES = {"delay_admissibility", "rho", "theta", "mu", "epsilon",
 #: the random model family the benchmark designs, with each recorded eps*
 FAMILY = json.loads((pathlib.Path(__file__).parents[1] / "perfbench" / "data"
                      / "models.json").read_text())["models"]
+
+
+class TestAgentModel:
+    @pytest.mark.parametrize("A", [[[1], [2, 3]], [[1.0], [2.0, [3.0]]],
+                                   [np.zeros(1), np.zeros(2)]])
+    def test_ragged_rows_rejected(self, A):
+        with pytest.raises(DimensionError, match="A has rows of unequal"):
+            AgentModel(A=A, B=[[1.0]], C=[[1.0]])
+
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    @pytest.mark.parametrize("entry", ["0.5", True, np.True_, None, 1j])
+    def test_entries_must_be_real_numbers(self, name, entry):
+        # a quoted number or a flag is not a matrix entry, as for delays
+        parts = {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], name: [[entry]]}
+        with pytest.raises(ScenarioError, match=f"non-numeric or boolean "
+                                                f"{name}"):
+            AgentModel(**parts)
+
+    def test_boolean_array_rejected(self):
+        with pytest.raises(ScenarioError, match="boolean"):
+            AgentModel(A=np.array([[True]]), B=[[1.0]], C=[[1.0]])
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ScenarioError, match="beyond the float range"):
+            AgentModel(A=[[10 ** 400]], B=[[1.0]], C=[[1.0]])
+
+    def test_numbers_accepted(self):
+        m = AgentModel(A=[[1, 0.5], [np.float32(0.25), np.int8(2)]],
+                       B=np.array([[1], [0]]), C=[np.array([1.0, 0.0])])
+        assert m.A.dtype == m.B.dtype == m.C.dtype == np.float64
+        assert m.A.tolist() == [[1.0, 0.5], [0.25, 2.0]]
 
 
 class TestDelayAdmissible:
@@ -136,8 +168,8 @@ class TestEstimateMu:
         # single point pi, where sigma_min is rounding noise (about 1e-16);
         # the design fails at the mu stage, before any Riccati solve
         solves = []
-        monkeypatch.setattr(delaysync.design, "_low_gain_dare",
-                            lambda A, B, epsilon: solves.append(epsilon))
+        monkeypatch.setattr(delaysync.design, "_doubling",
+                            lambda A, B, epsilons: solves.append(epsilons))
         model = AgentModel(A=np.diag([-1.0, 0.5]), B=np.ones((2, 1)),
                            C=np.eye(2))
         with pytest.raises(DesignError, match="rounding level") as info:
@@ -271,16 +303,16 @@ class TestChooseEpsilonStar:
         models = [(BENCH_A, BENCH_B, 2, 10.0 ** -6.75)] + [
             (np.array(e["A"]), np.array(e["B"]), e["kappa_bar"],
              e["epsilon_star"]) for e in FAMILY]
-        solve = delaysync.design._low_gain_dare
+        polish = delaysync.design._polish
         stalled = []
 
-        def stall_first(A, B, epsilon):
+        def stall_first(A, B, epsilon, H, iterations):
             if epsilon == EPSILON_SWEEP[0]:
                 stalled.append(epsilon)
                 raise ConvergenceError("DARE polish stalled")
-            return solve(A, B, epsilon)
+            return polish(A, B, epsilon, H, iterations)
 
-        monkeypatch.setattr(delaysync.design, "_low_gain_dare", stall_first)
+        monkeypatch.setattr(delaysync.design, "_polish", stall_first)
         for A, B, kappa_bar, eps_star in models:
             d = design_protocol(AgentModel(A=A, B=B, C=np.eye(A.shape[0])),
                                 kappa_bar)
@@ -290,10 +322,10 @@ class TestChooseEpsilonStar:
         assert len(stalled) == len(models)
 
     def test_exhausted_sweep_names_stalled_solves(self, monkeypatch):
-        def stall(A, B, epsilon):
+        def stall(A, B, epsilon, H, iterations):
             raise ConvergenceError("DARE polish stalled")
 
-        monkeypatch.setattr(delaysync.design, "_low_gain_dare", stall)
+        monkeypatch.setattr(delaysync.design, "_polish", stall)
         with pytest.raises(DesignError, match=(
                 r"did not converge at 29 of 29 points, first at "
                 r"eps=1\.000e-01 \(DARE polish stalled\)")) as info:
@@ -310,6 +342,33 @@ class TestChooseEpsilonStar:
         assert sol.epsilon == pytest.approx(10.0 ** -2.25)
         above = solve_low_gain_dare(BENCH_A, BENCH_B, EPSILON_SWEEP[4])
         assert delay_loop_radii(BENCH_A, -1.05 * (BENCH_B @ above.K), 2)[2] > 1
+
+
+def assert_linear_scan(design):
+    """The chunked sweep accepts, at the design's rho, mu and kappa_bar, the
+    point the one-by-one scan of the serial solver accepted, with the same
+    solution bit for bit; returns that solution."""
+    A, B = design.model.A, design.model.B
+    args = (design.rho, design.mu, design.kappa_bar)
+    got = choose_epsilon_star(A, B, *args)
+    want = _serial_sweep(A, B, *args)
+    assert got.epsilon == want.epsilon
+    assert np.array_equal(got.K, want.K)
+    assert np.array_equal(got.P, want.P)
+    return want
+
+
+class TestChunkedSweepIsTheLinearScan:
+    @pytest.mark.parametrize("mode", ["full", "partial"])
+    def test_bench_agent(self, mode):
+        d = design_protocol(demo_model(mode), 2, mode=mode)
+        want = assert_linear_scan(d)
+        assert d.epsilon_star == want.epsilon == EPSILON_SWEEP[23]
+        assert np.array_equal(d.K, want.K)
+
+    def test_acceptance_battery(self):
+        for _, design, _ in _battery():
+            assert_linear_scan(design)
 
 
 class TestDesignObserver:
@@ -425,8 +484,11 @@ class TestDesignProtocol:
         # pinned epsilon is solved exactly once, by the checked solver.  The
         # stages are counted through their module attributes, where the
         # benchmark's tracer wraps them, so a stage the designer stops
-        # calling by that name shows here
-        calls = {name: [] for name in ("_low_gain_dare", "solve_low_gain_dare",
+        # calling by that name shows here.  The sweep doubles the top point
+        # alone and then chunks of eight, and polishes every point it
+        # doubled: the bench agent accepts at index 23, in the chunk 17..24
+        calls = {name: [] for name in ("_doubling", "_polish",
+                                       "_low_gain_dare", "solve_low_gain_dare",
                                        "choose_epsilon_star",
                                        "design_observer")}
 
@@ -445,9 +507,12 @@ class TestDesignProtocol:
             counting(name)
         model = demo_model("full")
         d = design_protocol(model, 2)
-        assert solved("_low_gain_dare") == list(EPSILON_SWEEP[:24])
+        assert solved("_doubling") == [EPSILON_SWEEP[lo:lo + size] for lo, size
+                                       in ((0, 1), (1, 8), (9, 8), (17, 8))]
+        assert solved("_polish") == list(EPSILON_SWEEP[:25])
         assert len(calls["choose_epsilon_star"]) == 1
-        assert calls["solve_low_gain_dare"] == calls["design_observer"] == []
+        assert calls["_low_gain_dare"] == calls["solve_low_gain_dare"] \
+            == calls["design_observer"] == []
         assert d.epsilon == d.epsilon_star == EPSILON_SWEEP[23]
         assert d.epsilon == pytest.approx(10.0 ** -6.75)
         w = omega_max(model.A)
@@ -461,14 +526,15 @@ class TestDesignProtocol:
             args.clear()
         design_protocol(model, 2, epsilon=1e-3)
         assert solved("solve_low_gain_dare") == [1e-3]
-        assert calls["_low_gain_dare"] == calls["choose_epsilon_star"] \
-            == calls["design_observer"] == []
+        assert calls["_doubling"] == calls["_polish"] \
+            == calls["choose_epsilon_star"] == calls["design_observer"] == []
 
         for args in calls.values():
             args.clear()
         design_protocol(demo_model("partial"), 2, mode="partial")
         assert len(calls["choose_epsilon_star"]) == 1
         assert len(calls["design_observer"]) == 1
+        assert solved("_low_gain_dare") == [0.1]
         assert calls["solve_low_gain_dare"] == []
 
     @pytest.mark.parametrize("mode, pbh_tests", [("full", 2), ("partial", 2)])
@@ -490,8 +556,8 @@ class TestDesignProtocol:
 
         # an unstabilizable pair is still rejected before any solve
         solves = []
-        monkeypatch.setattr(delaysync.design, "_low_gain_dare",
-                            lambda A, B, epsilon: solves.append(epsilon))
+        monkeypatch.setattr(delaysync.design, "_doubling",
+                            lambda A, B, epsilons: solves.append(epsilons))
         bad = AgentModel(A=np.eye(1), B=np.zeros((1, 1)), C=np.eye(1))
         with pytest.raises(AssumptionError, match="not stabilizable"):
             design_protocol(bad, 2, mode=mode)
@@ -507,6 +573,7 @@ class TestDesignProtocol:
         d = design_protocol(AgentModel(A=A, B=B, C=np.eye(A.shape[0])),
                             entry["kappa_bar"])
         assert d.epsilon_star == entry["epsilon_star"]
+        assert assert_linear_scan(d).epsilon == d.epsilon_star
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2]),

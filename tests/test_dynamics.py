@@ -90,6 +90,25 @@ class TestDelayProfile:
         with pytest.raises(DimensionError, match="kappa_bar"):
             DelayProfile(kappa=[1, 0], kappa_bar=np.array([2]))
 
+    @pytest.mark.parametrize("kappa, kappa_bar, beyond", [
+        ([1e19, 1], None, r"kappa .*\[1e\+19\]"),
+        ([1, 0], 1e19, r"kappa_bar .*\[1e\+19\]"),
+        ([-1e19, 1], 1, r"kappa .*\[-1e\+19\]"),
+        ([2 ** 70, 1], None, r"kappa .*\[1\.18\d*e\+21\]"),
+        (np.array([2 ** 63, 1], dtype=np.uint64), None,
+         r"kappa .*\[9223372036854775808\]")])
+    def test_delays_beyond_int64_rejected(self, kappa, kappa_bar, beyond):
+        # a whole float beyond int64 casts to garbage: it is named instead
+        with pytest.raises(ScenarioError, match="beyond the integer range"):
+            DelayProfile.from_list(kappa, kappa_bar)
+        with pytest.raises(ScenarioError, match=beyond):
+            DelayProfile.from_list(kappa, kappa_bar)
+
+    def test_largest_int64_delay_accepted(self):
+        prof = DelayProfile.from_list(
+            np.array([2 ** 63 - 1, 0], dtype=np.uint64))
+        assert prof.kappa_bar == 2 ** 63 - 1
+
     def test_whole_floats_accepted(self):
         prof = DelayProfile.from_list([1.0, 0.0, 2.0], 3.0)
         np.testing.assert_array_equal(prof.kappa, [1, 0, 2])

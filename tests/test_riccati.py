@@ -3,13 +3,22 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import conftest
+import delaysync.riccati
 from delaysync import (check_lambda_stabilized, dare_residual, feedback_gain,
                        gain_disc, is_schur_stable, solve_low_gain_dare)
-from delaysync.errors import AssumptionError, DegenerateInputError
-from delaysync.riccati import is_detectable, is_stabilizable
+from delaysync.design import _SWEEP_CHUNK, EPSILON_SWEEP
+from delaysync.errors import (AssumptionError, ConvergenceError,
+                              DegenerateInputError)
+from delaysync.riccati import (_doubling, _frobenius, _low_gain_dare,
+                               _polish, is_detectable, is_stabilizable)
 
-from conftest import BENCH_A, BENCH_B, random_admissible_model, rotation
+from conftest import (BENCH_A, BENCH_B, _serial_low_gain_dare,
+                      random_admissible_model, rotation)
 
 GOLDEN = (1 + math.sqrt(5)) / 2  # scalar solution of P^2 = eps (1 + P) at eps=1
 
@@ -177,3 +186,92 @@ class TestPbh:
     def test_detectable_examples(self):
         assert is_detectable(BENCH_A, np.array([[1.0, 0.0, 0.0]]))
         assert not is_detectable(np.eye(2), np.zeros((1, 2)))
+
+
+def _outcome(solve, *args):
+    """A solve's DareSolution, or the message of its ConvergenceError."""
+    try:
+        return solve(*args)
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+def _assert_bit_identical(got, want):
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got.P, want.P)
+    assert np.array_equal(got.K, want.K)
+    assert (got.epsilon, got.gamma, got.residual, got.iterations) \
+        == (want.epsilon, want.gamma, want.residual, want.iterations)
+
+
+def _sweep_stacks():
+    """(start, stop) of the whole sweep as one stack and of the sweep's
+    own chunks: the top point alone, then _SWEEP_CHUNK at a time."""
+    bounds = (0, *range(1, len(EPSILON_SWEEP), _SWEEP_CHUNK),
+              len(EPSILON_SWEEP))
+    return [(0, len(EPSILON_SWEEP)), *zip(bounds, bounds[1:])]
+
+
+class TestStackedDoubling:
+    """The doubling runs on a stack of epsilons; every point must come out
+    as the serial doubling-plus-polish at that epsilon alone gives it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
+    def test_reproduces_serial_oracle(self, seed, m):
+        A, B = random_admissible_model(np.random.default_rng(seed), n_max=6,
+                                       m=m)
+        want = [_outcome(_serial_low_gain_dare, A, B, eps)
+                for eps in EPSILON_SWEEP]
+        for lo, hi in _sweep_stacks():
+            H, iterations = _doubling(A, B, EPSILON_SWEEP[lo:hi])
+            for i, eps in enumerate(EPSILON_SWEEP[lo:hi]):
+                _assert_bit_identical(
+                    _outcome(_polish, A, B, eps, H[i], iterations[i]),
+                    want[lo + i])
+        for eps, serial in zip(EPSILON_SWEEP[:2], want):
+            _assert_bit_identical(_outcome(_low_gain_dare, A, B, eps), serial)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda k: st.integers(1, 7).flatmap(
+        lambda n: arrays(np.float64, (k, n, n), elements=st.floats(
+            -1e3, 1e3, allow_nan=False, allow_subnormal=False)))))
+    def test_stopping_norm_is_numpys_frobenius_norm(self, stack):
+        # the stopping test must see the very norm the serial test took;
+        # a sum of squares or an einsum differs in the last bit
+        assert _frobenius(stack).tolist() \
+            == [np.linalg.norm(M, "fro") for M in stack]
+
+    def test_points_freeze_at_different_steps(self):
+        # the bench agent's sweep stops its doubling anywhere from step 8
+        # to 18, so the whole-sweep stack drops points along the way
+        _, iterations = _doubling(BENCH_A, BENCH_B, EPSILON_SWEEP)
+        assert np.unique(iterations).size > 3
+        for lo, hi in _sweep_stacks():
+            H, iterations = _doubling(BENCH_A, BENCH_B, EPSILON_SWEEP[lo:hi])
+            for i, eps in enumerate(EPSILON_SWEEP[lo:hi]):
+                _assert_bit_identical(
+                    _polish(BENCH_A, BENCH_B, eps, H[i], iterations[i]),
+                    _serial_low_gain_dare(BENCH_A, BENCH_B, eps))
+
+    @pytest.mark.parametrize("budget", [5, 12])
+    def test_iteration_budget_as_in_serial_oracle(self, monkeypatch, budget):
+        # a budget below a point's doubling steps freezes it unconverged,
+        # mid-stack at 12, and its polish fails as the serial solve failed
+        for module in (delaysync.riccati, conftest):
+            monkeypatch.setattr(module, "DARE_MAX_ITER", budget)
+        outcomes = []
+        for lo, hi in _sweep_stacks():
+            H, iterations = _doubling(BENCH_A, BENCH_B, EPSILON_SWEEP[lo:hi])
+            for i, eps in enumerate(EPSILON_SWEEP[lo:hi]):
+                got = _outcome(_polish, BENCH_A, BENCH_B, eps, H[i],
+                               iterations[i])
+                _assert_bit_identical(got, _outcome(
+                    _serial_low_gain_dare, BENCH_A, BENCH_B, eps))
+                outcomes.append(isinstance(got, str))
+        if budget == 5:
+            assert all(outcomes)
+        else:
+            assert 0 < sum(outcomes) < len(outcomes)

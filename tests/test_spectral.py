@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from delaysync import eigenvalues, is_schur_stable, omega_max
-from delaysync.errors import AssumptionError, DimensionError
+from delaysync.errors import AssumptionError, DimensionError, NumericError
 from delaysync.spectral import SCHUR_TOL, spectral_radius
 
 from conftest import BENCH_A, BENCH_C, BENCH_F, rotation
@@ -59,6 +59,48 @@ class TestEigenvalues:
         tot = np.sum(vals)
         assert abs(prod - det) <= 1e-8 * max(1.0, abs(det), abs(prod))
         assert abs(tot - tr) <= 1e-8 * max(1.0, abs(tr), np.abs(vals).sum())
+
+
+class TestSpectralRadiusOfAStack:
+    @settings(max_examples=60, deadline=None)
+    @given(square)
+    def test_stack_of_one_is_the_matrix_result(self, M):
+        radii = spectral_radius(M[None])
+        assert radii.shape == (1,)
+        assert radii[0] == spectral_radius(M)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: arrays(
+        np.float64, (3, n, n), elements=st.floats(-5, 5, allow_nan=False))))
+    def test_each_member_is_its_own_result(self, stack):
+        assert spectral_radius(stack).tolist() \
+            == [spectral_radius(M) for M in stack]
+
+    def test_nan_in_one_member_rejected(self):
+        stack = np.stack([np.eye(2), np.eye(2), np.eye(2)])
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            spectral_radius(stack)
+
+    def test_eigenvalue_failure_is_a_numeric_error(self, monkeypatch):
+        def fail(M):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NumericError, match="order-2 matrix"):
+            spectral_radius(np.zeros((4, 2, 2)))
+
+    def test_shapes(self):
+        with pytest.raises(DimensionError):
+            spectral_radius(np.zeros((3, 2, 3)))
+        with pytest.raises(DimensionError):
+            spectral_radius(np.zeros(3))
+        with pytest.raises(DimensionError):
+            spectral_radius(np.zeros((2, 0, 0)))
+
+    def test_eigenvalues_take_no_stack(self):
+        with pytest.raises(DimensionError):
+            eigenvalues(np.zeros((1, 2, 2)))
 
 
 class TestSchurStable:

@@ -136,6 +136,21 @@ class TestClosedLoopCertificate:
             assert closed_loop_certificate(design).passed and sweep.passed
 
 
+class TestStackedLifts:
+    def test_stack_of_gains_matches_each_gain(self):
+        # the sweep decomposes one stacked lift per delay; each member's
+        # radius must be the one the certificate computes from its gain
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            n, kappa_bar = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+            A0 = rng.normal(size=(n, n))
+            gains = rng.normal(size=(int(rng.integers(1, 9)), n, n))
+            stacked = delay_loop_radii(A0, gains, kappa_bar)
+            for i, gain in enumerate(gains):
+                assert [r[i] for r in stacked] \
+                    == list(delay_loop_radii(A0, gain, kappa_bar))
+
+
 class TestPinnedEpsilonTradeoff:
     """Larger pinned epsilon converges faster only up to a point.
 
