@@ -12,9 +12,10 @@ theta and a high-frequency floor mu (the minimum of sigma_min(e^{jw} I -
 A) over a grid of the band) follow; and epsilon is swept downward, in
 stacked chunks, until the low-gain feedback is small enough for the floor
 and every delayed loop up to kappa_bar passes the certificate's exact
-test (`verify.delay_loop_radii`), so swept designs certify by
-construction, with the sweep's accepted solution.  Each stage raises
-DesignError with a stage tag on failure.
+test (`verify.delay_loop_radii`, on input-delay lifts of order n + m
+kappa), so swept designs certify by construction, with the sweep's
+accepted solution.  Each chunk is solved, polished and judged as one
+stack.  Each stage raises DesignError with a stage tag on failure.
 
 `design_protocol` decides the model's facts once, up front, in
 `validate_assumptions` (PBH and closed-disc tests, which also yield
@@ -268,10 +269,12 @@ def choose_epsilon_star(A, B, rho, mu, kappa_bar):
 
     A, B are the float arrays of a model that passed `validate_assumptions`,
     so points are solved unchecked: the top one, where most models accept,
-    alone, the rest in chunks of _SWEEP_CHUNK by one stacked doubling and
-    one stacked lift decomposition per delay.  They are judged in grid
-    order, so the first to pass is accepted, as in a one-by-one scan (no
-    bisection: the delayed-loop margin is not monotone in epsilon).  A
+    alone, the rest in chunks of _SWEEP_CHUNK.  A chunk is one stack
+    throughout: one doubling and one polish, condition (a) from one batched
+    SVD of the gains BK, and condition (b) from one stacked decomposition
+    per delay of the lifts, of order n + m kappa.  The points are judged in
+    grid order, so the first to pass is accepted, as in a one-by-one scan
+    (no bisection: the delayed-loop margin is not monotone in epsilon).  A
     point whose Riccati solve does not converge fails and the sweep goes
     on; an exhausted sweep raises DesignError with per-condition reasons.
     """
@@ -279,20 +282,23 @@ def choose_epsilon_star(A, B, rho, mu, kappa_bar):
     bounds = (0, *range(1, len(EPSILON_SWEEP), _SWEEP_CHUNK), None)
     for chunk in (EPSILON_SWEEP[lo:hi] for lo, hi in zip(bounds, bounds[1:])):
         sols = []
-        for eps, H, count in zip(chunk, *_doubling(A, B, chunk)):
-            try:
-                sols.append(_polish(A, B, eps, H, count))
-            except ConvergenceError as exc:
-                stalled.append(f"at eps={eps:.3e} ({exc})")
-        BK = np.reshape([B @ sol.K for sol in sols], (-1, *A.shape))
-        radii = np.max(delay_loop_radii(A, -rho * BK, kappa_bar), axis=0)
-        for sol, BK_eps, radius in zip(sols, BK, radii):
-            cond_a = rho * np.linalg.norm(BK_eps, 2) <= mu / 2.0
-            cond_b = 1.0 - radius > CERTIFICATE_THRESHOLD
-            if cond_a and cond_b:
+        for eps, sol in zip(chunk, _polish(A, B, chunk,
+                                           *_doubling(A, B, chunk))):
+            if isinstance(sol, ConvergenceError):
+                stalled.append(f"at eps={eps:.3e} ({sol})")
+            else:
+                sols.append(sol)
+        if not sols:
+            continue
+        K = np.array([sol.K for sol in sols])
+        cond_a = rho * _spectral_norms(B @ K) <= mu / 2.0
+        radii = np.max(delay_loop_radii(A, B, -rho * K, kappa_bar), axis=0)
+        cond_b = 1.0 - radii > CERTIFICATE_THRESHOLD
+        for sol, a, b, radius in zip(sols, cond_a, cond_b, radii):
+            if a and b:
                 return sol
-            last = (f"at eps={sol.epsilon:.3e} gain condition(a)={cond_a}, "
-                    f"delayed-loop condition(b)={cond_b} (largest lift "
+            last = (f"at eps={sol.epsilon:.3e} gain condition(a)={a}, "
+                    f"delayed-loop condition(b)={b} (largest lift "
                     f"radius {radius:.9g}, mu={mu:.3e}, rho={rho:.6g})")
     reasons = [last] if last else []
     if stalled:
@@ -300,6 +306,11 @@ def choose_epsilon_star(A, B, rho, mu, kappa_bar):
                        f"of {len(EPSILON_SWEEP)} points, first {stalled[0]}")
     raise DesignError("epsilon", "sweep exhausted without an acceptable "
                       "epsilon; " + "; ".join(reasons))
+
+
+def _spectral_norms(M):
+    """2-norms of a stack's matrices, bit for bit np.linalg.norm(., 2)'s."""
+    return np.linalg.svd(M, compute_uv=False).max(-1)
 
 
 def design_observer(A, C):

@@ -9,12 +9,14 @@ observer and the gain-disc tools use.  One body, `_doubling`, runs the
 structure-preserving doubling of Chu, Fan, Lin et al. on (A, BB', eps*I),
 whose iteration count stays flat as eps shrinks, for a stack of epsilons;
 each point is frozen when it stops, bit-identical to a doubling at its
-epsilon alone.  `_polish` sweeps a point to the Frobenius residual DARE_TOL
-and returns its `DareSolution` (P, K, gamma: solve once, pass it on).
-`_low_gain_dare` is the one-point case, run by `solve_low_gain_dare` after
-it checks the shapes, epsilon, the closed disc and the PBH test; the
-designer, which validates its model once, solves unchecked, its sweep in
-stacked chunks.
+epsilon alone.  `_polish` takes that stack on to the Frobenius residual
+DARE_TOL in one pass (residuals, gains K and gamma for every point, the
+fixed-point iteration only for the points above the tolerance) and returns
+each point's `DareSolution` (P, K, gamma: solve once, pass it on) or its
+`ConvergenceError`.  `_low_gain_dare` is the one-point case, run by
+`solve_low_gain_dare` after it checks the shapes, epsilon, the closed disc
+and the PBH test; the designer, which validates its model once, solves
+unchecked, its sweep in stacked chunks.
 
 `gain_disc` and `check_lambda_stabilized` expose the complex gain region
 of a solution at weight delta: for gamma = lambda_max(B'P_delta B), every
@@ -152,8 +154,10 @@ def solve_low_gain_dare(A, B, epsilon):
 def _low_gain_dare(A, B, epsilon):
     """`solve_low_gain_dare` unchecked: float A, B of a stabilizable pair,
     A in the closed unit disc, and epsilon in (0, 1]."""
-    H, iterations = _doubling(A, B, [epsilon])
-    return _polish(A, B, epsilon, H[0], iterations[0])
+    (sol,) = _polish(A, B, [epsilon], *_doubling(A, B, [epsilon]))
+    if isinstance(sol, ConvergenceError):
+        raise sol
+    return sol
 
 
 def _doubling(A, B, epsilons):
@@ -187,32 +191,58 @@ def _frobenius(X):
     return np.sqrt(np.vecdot(flat, flat))
 
 
-def _polish(A, B, epsilon, H, iterations):
-    """Fixed-point polish of one point's doubled H to DARE_TOL: its solution."""
-    Q, I_m = epsilon * np.eye(A.shape[0]), np.eye(B.shape[1])
-    P, iterations, stalls = H, int(iterations), 0
-    residual = dare_residual(A, B, P, epsilon)
-    while residual > DARE_TOL:
-        if iterations >= DARE_MAX_ITER:
-            raise ConvergenceError(
+def _riccati_step(A, B, P, eps):
+    """For a stack P: the DARE residuals, the gains K and the fixed-point
+    iterates A'PA + eps*I - A'PB K, the first two bit for bit as
+    `dare_residual` and `feedback_gain` give them for one P."""
+    BP, AP = B.T @ P, A.T @ P
+    K = np.linalg.solve(np.eye(B.shape[1]) + BP @ B, BP @ A)
+    APA, APBK = AP @ A, AP @ B @ K
+    Q = eps[:, None, None] * np.eye(A.shape[0])
+    P_next = APA + Q - APBK
+    return _frobenius(APA - P - APBK + Q), K, 0.5 * (P_next + P_next.mT)
+
+
+def _polish(A, B, epsilons, H, iterations):
+    """Fixed-point polish of a doubled stack to DARE_TOL: per point its
+    `DareSolution`, or the `ConvergenceError` that ends it.
+
+    Points at the tolerance leave the stack, as `_doubling` freezes them;
+    each point's steps, stall count and budget are its own."""
+    eps = np.asarray(epsilons, dtype=float)
+    P, iterations = H.copy(), np.array(iterations, dtype=int)
+    residual, K, P_next = _riccati_step(A, B, P, eps)
+    stalls = np.zeros(eps.size, dtype=int)
+    failed = {}
+    live = np.flatnonzero(residual > DARE_TOL)
+    while live.size:
+        for i in live[iterations[live] >= DARE_MAX_ITER]:
+            failed[i] = ConvergenceError(
                 f"DARE solver exhausted {DARE_MAX_ITER} iterations "
-                f"(residual {residual:.3e} > tol {DARE_TOL:.3e})",
-                residual=residual, iterations=iterations)
-        M = I_m + B.T @ P @ B
-        P_next = A.T @ P @ A + Q - A.T @ P @ B @ np.linalg.solve(M, B.T @ P @ A)
-        P_next = 0.5 * (P_next + P_next.T)
-        iterations += 1
-        res_next = dare_residual(A, B, P_next, epsilon)
-        stalls = stalls + 1 if res_next >= residual else 0
-        if stalls >= 5:
-            raise ConvergenceError(
-                f"DARE polish stalled at residual {residual:.3e} > tol "
-                f"{DARE_TOL:.3e}", residual=residual, iterations=iterations)
-        P, residual = P_next, res_next
-    K = feedback_gain(A, B, P)
-    gamma = float(np.linalg.eigvalsh(B.T @ P @ B).max())
-    return DareSolution(P=P, epsilon=float(epsilon), K=K, gamma=gamma,
-                        residual=residual, iterations=iterations)
+                f"(residual {residual[i]:.3e} > tol {DARE_TOL:.3e})",
+                residual=float(residual[i]), iterations=int(iterations[i]))
+        live = live[iterations[live] < DARE_MAX_ITER]
+        if not live.size:
+            break
+        iterations[live] += 1
+        res, K_live, next_live = _riccati_step(A, B, P_next[live], eps[live])
+        stalls[live] = np.where(res >= residual[live], stalls[live] + 1, 0)
+        for i in live[stalls[live] >= 5]:
+            failed[i] = ConvergenceError(
+                f"DARE polish stalled at residual {residual[i]:.3e} > tol "
+                f"{DARE_TOL:.3e}", residual=float(residual[i]),
+                iterations=int(iterations[i]))
+        kept = stalls[live] < 5
+        live = live[kept]
+        P[live], residual[live], K[live] = P_next[live], res[kept], K_live[kept]
+        P_next[live] = next_live[kept]
+        live = live[residual[live] > DARE_TOL]
+    solved = [i for i in range(eps.size) if i not in failed]
+    gamma = dict(zip(solved, np.linalg.eigvalsh(B.T @ P[solved] @ B).max(-1)))
+    return [failed[i] if i in failed else DareSolution(
+        P=P[i], epsilon=float(eps[i]), K=K[i], gamma=float(gamma[i]),
+        residual=float(residual[i]), iterations=int(iterations[i]))
+        for i in range(eps.size)]
 
 
 def gain_disc(sol):

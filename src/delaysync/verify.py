@@ -12,9 +12,13 @@ driven by that error; and in partial-state mode the observer error evolves
 under A - F C.  A design therefore works on every rooted graph and every
 profile up to kappa_bar iff these loops, for every kappa in 0..kappa_bar,
 are Schur stable, which `closed_loop_certificate` decides exactly from the
-spectral radius of each loop's companion lift, of order n (kappa + 1).
-`delay_loop_radii` computes those radii, for one gain or a stack of them;
-the designer's epsilon sweep accepts a point by the same test.
+spectral radius of each loop's lift.  The delay sits on the input, so the
+lift runs over [x(k); v(k-1); ...; v(k-kappa)] with v = -rho K x and has
+order n + m kappa, not the n (kappa + 1) of a lift over delayed states
+(the standard input-delay augmentation: K. J. Astrom and B. Wittenmark,
+Computer-Controlled Systems, the chapter on sampled systems with time
+delay).  `delay_loop_radii` computes those radii, for one gain or a stack
+of them; the designer's epsilon sweep accepts a point by the same test.
 
 `frequency_sweep_certificate` only rules out characteristic roots on the
 unit circle, not outside it, so it is no stability test; the tests keep it
@@ -130,20 +134,33 @@ def frequency_sweep_certificate(A0, A1, kappas, omega_points=4096):
                              threshold=CERTIFICATE_THRESHOLD)
 
 
-def _delay_lift(A0, A1, kappa):
-    """Companion matrix of x(k+1) = A0 x(k) + A1 x(k - kappa) over the
-    state [x(k); x(k-1); ...; x(k-kappa)], one per matrix of a stack A1."""
-    n = A0.shape[0]
-    lift = np.tile(np.eye(n * (kappa + 1), k=-n), A1.shape[:-2] + (1, 1))
-    lift[..., :n, :n] = A0
-    lift[..., :n, kappa * n:] += A1
+def _input_delay_lift(A, B, G, kappa):
+    """Transition matrix of x(k+1) = A x(k) + B v(k - kappa), v = G x, over
+    the state [x(k); v(k-1); ...; v(k-kappa)], one per gain of a stack G."""
+    if kappa == 0:
+        return A + B @ G
+    n, m = B.shape
+    order = n + m * kappa
+    lift = np.zeros(G.shape[:-2] + (order, order))
+    lift[..., :n, :n] = A
+    lift[..., :n, order - m:] = B
+    lift[..., n:n + m, :n] = G
+    lift[..., n + m:, n:order - m] = np.eye(m * (kappa - 1))
     return lift
 
 
-def delay_loop_radii(A0, A1, kappa_bar):
-    """Spectral radii of x(k+1) = A0 x(k) + A1 x(k - kappa) for every delay
-    kappa in 0..kappa_bar from its companion lift (arrays for a stack A1)."""
-    return tuple(spectral_radius(_delay_lift(A0, A1, kappa))
+def delay_loop_radii(A, B, G, kappa_bar):
+    """Spectral radii of x(k+1) = A x(k) + B G x(k - kappa) for every delay
+    kappa in 0..kappa_bar, one array per delay for a stack of gains G.
+
+    Each is taken from the loop's input-delay lift, of order n + m kappa:
+    the delay sits on the m inputs, so the state [x(k); v(k-1); ...;
+    v(k-kappa)] with v = G x is exact (Astrom and Wittenmark, Computer-
+    Controlled Systems, sampled systems with time delay).  It has the
+    nonzero spectrum of the n (kappa + 1) companion lift over [x(k); ...;
+    x(k-kappa)], which differs only by zero eigenvalues.
+    """
+    return tuple(spectral_radius(_input_delay_lift(A, B, G, kappa))
                  for kappa in range(kappa_bar + 1))
 
 
@@ -151,7 +168,7 @@ def closed_loop_certificate(design):
     """Exact stability certificate of a design on every rooted graph and
     every delay profile up to the design's kappa_bar."""
     A, C, F = design.model.A, design.model.C, design.F
-    radii = delay_loop_radii(A, -design.rho * (design.model.B @ design.K),
+    radii = delay_loop_radii(A, design.model.B, -design.rho * design.K,
                              design.kappa_bar)
     worst = int(np.argmax(radii))
     observer = None if F is None else spectral_radius(A - F @ C)

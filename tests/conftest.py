@@ -9,7 +9,7 @@ from delaysync.errors import ConvergenceError
 from delaysync.riccati import (DARE_MAX_ITER, DARE_TOL, DareSolution,
                                dare_residual, feedback_gain, is_detectable,
                                is_stabilizable)
-from delaysync.verify import CERTIFICATE_THRESHOLD, delay_loop_radii
+from delaysync.verify import CERTIFICATE_THRESHOLD
 
 # benchmark agent used across the suite: spectrum {e^{+j pi/6}, e^{-j pi/6}, 1/2}
 BENCH_A = np.array([[0.5, 1.0, 1.0],
@@ -108,10 +108,8 @@ def _serial_low_gain_dare(A, B, epsilon):
     before its doubling was stacked over epsilons: the oracle the stacked
     body must reproduce bit for bit, iteration counts and failures
     included."""
-    n, m = B.shape
-    eye = np.eye(n)
-    Q = epsilon * eye
-    Ak, G, H = A.copy(), B @ B.T, Q
+    eye = np.eye(A.shape[0])
+    Ak, G, H = A.copy(), B @ B.T, epsilon * eye
     iterations = 0
     for _ in range(DARE_MAX_ITER):
         IGH = eye + G @ H
@@ -126,7 +124,14 @@ def _serial_low_gain_dare(A, B, epsilon):
         if np.linalg.norm(H - H_prev, "fro") \
                 <= 1e-15 * max(1.0, np.linalg.norm(H, "fro")):
             break
-    P = H
+    return _serial_polish(A, B, epsilon, H, iterations)
+
+
+def _serial_polish(A, B, epsilon, P, iterations):
+    """The serial fixed-point polish of `_serial_low_gain_dare` from the
+    doubled P after `iterations` steps: the oracle of `riccati._polish`."""
+    m = B.shape[1]
+    Q = epsilon * np.eye(A.shape[0])
     residual = dare_residual(A, B, P, epsilon)
     stalls = 0
     while residual > DARE_TOL:
@@ -155,17 +160,36 @@ def _serial_low_gain_dare(A, B, epsilon):
                         residual=residual, iterations=iterations)
 
 
+def _companion_lift(A0, A1, kappa):
+    """Companion matrix of x(k+1) = A0 x(k) + A1 x(k - kappa) over the
+    delayed states [x(k); x(k-1); ...; x(k-kappa)], of order n (kappa + 1),
+    one per matrix of a stack A1: the lift the certificate decomposed before
+    it lifted over the delayed inputs, kept as the oracle of that one."""
+    n = A0.shape[0]
+    lift = np.tile(np.eye(n * (kappa + 1), k=-n), A1.shape[:-2] + (1, 1))
+    lift[..., :n, :n] = A0
+    lift[..., :n, kappa * n:] += A1
+    return lift
+
+
+def companion_radii(A0, A1, kappa_bar):
+    """Spectral radii of the companion lifts for kappa in 0..kappa_bar (one
+    array per delay for a stack A1), straight from numpy's eigvals."""
+    return tuple(np.abs(np.linalg.eigvals(_companion_lift(A0, A1, kappa)))
+                 .max(axis=-1) for kappa in range(kappa_bar + 1))
+
+
 def _serial_sweep(A, B, rho, mu, kappa_bar):
     """eps* as the sweep found it before it was chunked: one point at a
     time, in grid order, each solved by the serial oracle and judged on
-    its own lifts.  None when no point passes."""
+    its own companion lifts.  None when no point passes."""
     for eps in EPSILON_SWEEP:
         try:
             sol = _serial_low_gain_dare(A, B, eps)
         except ConvergenceError:
             continue
         BK = B @ sol.K
-        radius = max(delay_loop_radii(A, -rho * BK, kappa_bar))
+        radius = max(companion_radii(A, -rho * BK, kappa_bar))
         if (rho * np.linalg.norm(BK, 2) <= mu / 2.0
                 and 1.0 - radius > CERTIFICATE_THRESHOLD):
             return sol

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import delaysync.design
 import delaysync.riccati
@@ -16,7 +17,8 @@ from delaysync import (AgentModel, choose_rho, choose_theta,
                        omega_max, validate_assumptions)
 from delaysync.demos import demo_model
 from delaysync.design import (EPSILON_SWEEP, MU_GRID_POINTS,
-                              choose_epsilon_star, design_observer)
+                              _spectral_norms, choose_epsilon_star,
+                              design_observer)
 from delaysync.errors import (AssumptionError, ConvergenceError,
                               DesignError, DimensionError, ScenarioError)
 from delaysync.riccati import solve_low_gain_dare
@@ -289,7 +291,7 @@ class TestChooseEpsilonStar:
             sol = solve_low_gain_dare(BENCH_A, BENCH_B, eps)
             BK = BENCH_B @ sol.K
             assert rho * np.linalg.norm(BK, 2) <= mu / 2
-            radii = delay_loop_radii(BENCH_A, -rho * BK, 2)
+            radii = delay_loop_radii(BENCH_A, BENCH_B, -rho * sol.K, 2)
             assert 1.0 - max(radii) > CERTIFICATE_THRESHOLD
 
     def test_exhausted_sweep_reports_diagnostics(self):
@@ -306,11 +308,13 @@ class TestChooseEpsilonStar:
         polish = delaysync.design._polish
         stalled = []
 
-        def stall_first(A, B, epsilon, H, iterations):
-            if epsilon == EPSILON_SWEEP[0]:
-                stalled.append(epsilon)
-                raise ConvergenceError("DARE polish stalled")
-            return polish(A, B, epsilon, H, iterations)
+        def stall_first(A, B, epsilons, H, iterations):
+            sols = polish(A, B, epsilons, H, iterations)
+            for i, eps in enumerate(epsilons):
+                if eps == EPSILON_SWEEP[0]:
+                    stalled.append(eps)
+                    sols[i] = ConvergenceError("DARE polish stalled")
+            return sols
 
         monkeypatch.setattr(delaysync.design, "_polish", stall_first)
         for A, B, kappa_bar, eps_star in models:
@@ -322,8 +326,8 @@ class TestChooseEpsilonStar:
         assert len(stalled) == len(models)
 
     def test_exhausted_sweep_names_stalled_solves(self, monkeypatch):
-        def stall(A, B, epsilon, H, iterations):
-            raise ConvergenceError("DARE polish stalled")
+        def stall(A, B, epsilons, H, iterations):
+            return [ConvergenceError("DARE polish stalled") for _ in epsilons]
 
         monkeypatch.setattr(delaysync.design, "_polish", stall)
         with pytest.raises(DesignError, match=(
@@ -332,16 +336,26 @@ class TestChooseEpsilonStar:
             choose_epsilon_star(BENCH_A, BENCH_B, 1.05, 1.0, 2)
         assert info.value.stage == "epsilon"
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda k: st.integers(1, 7).flatmap(
+        lambda n: arrays(np.float64, (k, n, n), elements=st.floats(
+            -1e3, 1e3, allow_nan=False, allow_subnormal=False)))))
+    def test_gain_norm_is_numpys_two_norm(self, stack):
+        # condition (a) judges a chunk's gains from one batched SVD; it must
+        # see the very norm the one-by-one scan took
+        assert _spectral_norms(stack).tolist() \
+            == [np.linalg.norm(M, 2) for M in stack]
+
     def test_delayed_loops_stable_when_gain_floor_never_binds(self):
         # with mu = 1e9 only the delayed-loop condition decides; the
         # largest sweep points have r_2 > 1 on the bench agent
         sol = choose_epsilon_star(BENCH_A, BENCH_B, 1.05, 1e9, 2)
-        radii = delay_loop_radii(BENCH_A, -1.05 * (BENCH_B @ sol.K), 2)
+        radii = delay_loop_radii(BENCH_A, BENCH_B, -1.05 * sol.K, 2)
         assert max(radii) < 1.0 - CERTIFICATE_THRESHOLD
         assert sol.epsilon == EPSILON_SWEEP[5]
         assert sol.epsilon == pytest.approx(10.0 ** -2.25)
         above = solve_low_gain_dare(BENCH_A, BENCH_B, EPSILON_SWEEP[4])
-        assert delay_loop_radii(BENCH_A, -1.05 * (BENCH_B @ above.K), 2)[2] > 1
+        assert delay_loop_radii(BENCH_A, BENCH_B, -1.05 * above.K, 2)[2] > 1
 
 
 def assert_linear_scan(design):
@@ -484,9 +498,11 @@ class TestDesignProtocol:
         # pinned epsilon is solved exactly once, by the checked solver.  The
         # stages are counted through their module attributes, where the
         # benchmark's tracer wraps them, so a stage the designer stops
-        # calling by that name shows here.  The sweep doubles the top point
-        # alone and then chunks of eight, and polishes every point it
-        # doubled: the bench agent accepts at index 23, in the chunk 17..24
+        # calling by that name shows here.  The sweep doubles and polishes
+        # the top point alone and then chunks of eight, polishing every
+        # point it doubled, and decomposes each stack's lifts once per
+        # delay, of order n + m kappa: the bench agent accepts at index 23,
+        # in the chunk 17..24
         calls = {name: [] for name in ("_doubling", "_polish",
                                        "_low_gain_dare", "solve_low_gain_dare",
                                        "choose_epsilon_star",
@@ -505,11 +521,24 @@ class TestDesignProtocol:
 
         for name in calls:
             counting(name)
+        eigvals, lifts = np.linalg.eigvals, []
+
+        def stacked_eigvals(M):
+            if np.ndim(M) == 3:
+                lifts.append(M.shape)
+            return eigvals(M)
+
+        monkeypatch.setattr(np.linalg, "eigvals", stacked_eigvals)
         model = demo_model("full")
         d = design_protocol(model, 2)
-        assert solved("_doubling") == [EPSILON_SWEEP[lo:lo + size] for lo, size
-                                       in ((0, 1), (1, 8), (9, 8), (17, 8))]
-        assert solved("_polish") == list(EPSILON_SWEEP[:25])
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        chunks = [EPSILON_SWEEP[lo:lo + size]
+                  for lo, size in ((0, 1), (1, 8), (9, 8), (17, 8))]
+        assert solved("_doubling") == solved("_polish") == chunks
+        assert [eps for chunk in solved("_polish") for eps in chunk] \
+            == list(EPSILON_SWEEP[:25])
+        assert lifts == [(len(chunk), order, order) for chunk in chunks
+                         for order in (3, 4, 5)]
         assert len(calls["choose_epsilon_star"]) == 1
         assert calls["_low_gain_dare"] == calls["solve_low_gain_dare"] \
             == calls["design_observer"] == []

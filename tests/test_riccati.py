@@ -14,10 +14,11 @@ from delaysync import (check_lambda_stabilized, dare_residual, feedback_gain,
 from delaysync.design import _SWEEP_CHUNK, EPSILON_SWEEP
 from delaysync.errors import (AssumptionError, ConvergenceError,
                               DegenerateInputError)
-from delaysync.riccati import (_doubling, _frobenius, _low_gain_dare,
-                               _polish, is_detectable, is_stabilizable)
+from delaysync.riccati import (DARE_MAX_ITER, _doubling, _frobenius,
+                               _low_gain_dare, _polish, is_detectable,
+                               is_stabilizable)
 
-from conftest import (BENCH_A, BENCH_B, _serial_low_gain_dare,
+from conftest import (BENCH_A, BENCH_B, _serial_low_gain_dare, _serial_polish,
                       random_admissible_model, rotation)
 
 GOLDEN = (1 + math.sqrt(5)) / 2  # scalar solution of P^2 = eps (1 + P) at eps=1
@@ -196,6 +197,15 @@ def _outcome(solve, *args):
         return str(exc)
 
 
+def _stacked(A, B, epsilons, H=None, iterations=None):
+    """Outcome per point of the stacked polish, by default of the stacked
+    doubling's H: its DareSolution or its ConvergenceError's message."""
+    if H is None:
+        H, iterations = _doubling(A, B, epsilons)
+    return [str(sol) if isinstance(sol, ConvergenceError) else sol
+            for sol in _polish(A, B, epsilons, H, iterations)]
+
+
 def _assert_bit_identical(got, want):
     if isinstance(got, str) or isinstance(want, str):
         assert got == want
@@ -215,8 +225,9 @@ def _sweep_stacks():
 
 
 class TestStackedDoubling:
-    """The doubling runs on a stack of epsilons; every point must come out
-    as the serial doubling-plus-polish at that epsilon alone gives it."""
+    """The doubling and the polish run on a stack of epsilons; every point
+    must come out as the serial doubling-plus-polish at that epsilon alone
+    gives it."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
@@ -226,11 +237,9 @@ class TestStackedDoubling:
         want = [_outcome(_serial_low_gain_dare, A, B, eps)
                 for eps in EPSILON_SWEEP]
         for lo, hi in _sweep_stacks():
-            H, iterations = _doubling(A, B, EPSILON_SWEEP[lo:hi])
-            for i, eps in enumerate(EPSILON_SWEEP[lo:hi]):
-                _assert_bit_identical(
-                    _outcome(_polish, A, B, eps, H[i], iterations[i]),
-                    want[lo + i])
+            for got, serial in zip(_stacked(A, B, EPSILON_SWEEP[lo:hi]),
+                                   want[lo:hi]):
+                _assert_bit_identical(got, serial)
         for eps, serial in zip(EPSILON_SWEEP[:2], want):
             _assert_bit_identical(_outcome(_low_gain_dare, A, B, eps), serial)
 
@@ -250,11 +259,11 @@ class TestStackedDoubling:
         _, iterations = _doubling(BENCH_A, BENCH_B, EPSILON_SWEEP)
         assert np.unique(iterations).size > 3
         for lo, hi in _sweep_stacks():
-            H, iterations = _doubling(BENCH_A, BENCH_B, EPSILON_SWEEP[lo:hi])
-            for i, eps in enumerate(EPSILON_SWEEP[lo:hi]):
+            for got, eps in zip(_stacked(BENCH_A, BENCH_B,
+                                         EPSILON_SWEEP[lo:hi]),
+                                EPSILON_SWEEP[lo:hi]):
                 _assert_bit_identical(
-                    _polish(BENCH_A, BENCH_B, eps, H[i], iterations[i]),
-                    _serial_low_gain_dare(BENCH_A, BENCH_B, eps))
+                    got, _serial_low_gain_dare(BENCH_A, BENCH_B, eps))
 
     @pytest.mark.parametrize("budget", [5, 12])
     def test_iteration_budget_as_in_serial_oracle(self, monkeypatch, budget):
@@ -264,10 +273,9 @@ class TestStackedDoubling:
             monkeypatch.setattr(module, "DARE_MAX_ITER", budget)
         outcomes = []
         for lo, hi in _sweep_stacks():
-            H, iterations = _doubling(BENCH_A, BENCH_B, EPSILON_SWEEP[lo:hi])
-            for i, eps in enumerate(EPSILON_SWEEP[lo:hi]):
-                got = _outcome(_polish, BENCH_A, BENCH_B, eps, H[i],
-                               iterations[i])
+            for got, eps in zip(_stacked(BENCH_A, BENCH_B,
+                                         EPSILON_SWEEP[lo:hi]),
+                                EPSILON_SWEEP[lo:hi]):
                 _assert_bit_identical(got, _outcome(
                     _serial_low_gain_dare, BENCH_A, BENCH_B, eps))
                 outcomes.append(isinstance(got, str))
@@ -275,3 +283,57 @@ class TestStackedDoubling:
             assert all(outcomes)
         else:
             assert 0 < sum(outcomes) < len(outcomes)
+
+
+#: weakly actuated models whose doubled H misses DARE_TOL at the larger
+#: epsilons, so the fixed-point polish runs: it converges, stalls at the
+#: rounding floor of a large P, or runs out of budget
+WEAK = [(np.eye(1), 1e-4 * np.eye(1)), (np.eye(1), 1e-5 * np.eye(1)),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[0.0], [1e-3]]))]
+
+
+class TestStackedPolish:
+    """Only the points above DARE_TOL run the fixed-point polish, each with
+    its own steps, stall count and budget, as the serial polish ran them."""
+
+    @pytest.mark.parametrize("budget", [None, 100])
+    def test_fixed_point_polish_as_in_serial_oracle(self, monkeypatch,
+                                                    budget):
+        if budget is not None:
+            for module in (delaysync.riccati, conftest):
+                monkeypatch.setattr(module, "DARE_MAX_ITER", budget)
+        epsilons = (1.0, 1e-2, 1e-3, 1e-4)
+        kinds = set()
+        for A, B in WEAK:
+            doubled = _doubling(A, B, epsilons)[1]
+            for got, eps, steps in zip(_stacked(A, B, epsilons), epsilons,
+                                       doubled):
+                _assert_bit_identical(
+                    got, _outcome(_serial_low_gain_dare, A, B, eps))
+                kinds.add(got.split(" at residual")[0].split(" (")[0]
+                          if isinstance(got, str)
+                          else "polished" if got.iterations > steps
+                          else "doubled")
+        want = {"doubled", "polished", "DARE polish stalled"}
+        if budget is not None:
+            want.add(f"DARE solver exhausted {budget} iterations")
+        assert kinds == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]))
+    def test_perturbed_stack_as_in_serial_oracle(self, seed, m):
+        # starting points off the doubling's, near the end of the budget:
+        # the stack mixes points that converge, run out and stall
+        rng = np.random.default_rng(seed)
+        A, B = random_admissible_model(rng, n_max=5, m=m)
+        B = B * 10.0 ** rng.uniform(-3.0, 0.0)
+        epsilons = rng.choice(EPSILON_SWEEP, size=6, replace=False)
+        H, _ = _doubling(A, B, epsilons)
+        E = rng.normal(size=H.shape)
+        H = H + 10.0 ** rng.uniform(-14.0, -6.0, size=(6, 1, 1)) \
+            * np.abs(H).max() * (E + E.mT)
+        iterations = DARE_MAX_ITER - rng.integers(0, 60, size=6)
+        for got, eps, P, count in zip(_stacked(A, B, epsilons, H, iterations),
+                                      epsilons, H, iterations):
+            _assert_bit_identical(got, _outcome(_serial_polish, A, B, eps, P,
+                                                int(count)))

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaysync import (DelayProfile, closed_loop_certificate,
                        convergence_report, design_protocol,
@@ -13,7 +15,8 @@ from delaysync.riccati import solve_low_gain_dare
 from delaysync.spectral import spectral_radius
 from delaysync.verify import CERTIFICATE_THRESHOLD, delay_loop_radii
 
-from conftest import cycle3_graph, rotation
+from conftest import (companion_radii, cycle3_graph, random_admissible_model,
+                      rotation)
 from test_acceptance import _battery
 
 XR0 = np.array([0.0, 1.0, 0.0])
@@ -142,13 +145,57 @@ class TestStackedLifts:
         # radius must be the one the certificate computes from its gain
         rng = np.random.default_rng(22)
         for _ in range(40):
-            n, kappa_bar = int(rng.integers(1, 5)), int(rng.integers(0, 5))
-            A0 = rng.normal(size=(n, n))
-            gains = rng.normal(size=(int(rng.integers(1, 9)), n, n))
-            stacked = delay_loop_radii(A0, gains, kappa_bar)
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+            kappa_bar = int(rng.integers(0, 5))
+            A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+            gains = rng.normal(size=(int(rng.integers(1, 9)), m, n))
+            stacked = delay_loop_radii(A, B, gains, kappa_bar)
             for i, gain in enumerate(gains):
                 assert [r[i] for r in stacked] \
-                    == list(delay_loop_radii(A0, gain, kappa_bar))
+                    == list(delay_loop_radii(A, B, gain, kappa_bar))
+
+
+class TestInputDelayLift:
+    """The certificate lifts x(k+1) = A x(k) + B G x(k - kappa) over the
+    delayed inputs, order n + m kappa; the companion lift over the delayed
+    states, order n (kappa + 1), has the same nonzero spectrum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([1, 2]),
+           kappa_bar=st.integers(0, 7), stack=st.integers(1, 9))
+    def test_radii_match_companion_lift(self, seed, m, kappa_bar, stack):
+        rng = np.random.default_rng(seed)
+        A, B = random_admissible_model(rng, n_max=5, m=m)
+        scale = 10.0 ** rng.uniform(-4.0, 0.5, size=(stack, 1, 1))
+        G = scale * rng.normal(size=(stack, m, A.shape[0]))
+        want = companion_radii(A, B @ G, kappa_bar)
+        stacked = delay_loop_radii(A, B, G, kappa_bar)
+        single = delay_loop_radii(A, B, G[0], kappa_bar)
+        for kappa in range(kappa_bar + 1):
+            np.testing.assert_allclose(stacked[kappa], want[kappa],
+                                       rtol=1e-13, atol=0)
+            np.testing.assert_allclose(single[kappa], want[kappa][0],
+                                       rtol=1e-13, atol=0)
+
+    def test_lift_orders(self, monkeypatch):
+        # one decomposition per delay, of order n + m kappa
+        eigvals, orders = np.linalg.eigvals, []
+
+        def recorded(M):
+            orders.append(np.shape(M))
+            return eigvals(M)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        B = np.ones((4, 2))
+        delay_loop_radii(0.5 * np.eye(4), B, np.zeros((3, 2, 4)), 3)
+        assert orders == [(3, 4, 4), (3, 6, 6), (3, 8, 8), (3, 10, 10)]
+
+    def test_certificate_radii_match_companion_lift(self):
+        design = design_protocol(demo_model("full"), 2, mode="full")
+        rep = closed_loop_certificate(design)
+        want = companion_radii(design.model.A,
+                               -design.rho * (design.model.B @ design.K), 2)
+        np.testing.assert_allclose(rep.radii, want, rtol=1e-13, atol=0)
 
 
 class TestPinnedEpsilonTradeoff:
@@ -196,7 +243,7 @@ class TestDelayBoundTightness:
         model = demo_model("full")
         gains = [solve_low_gain_dare(model.A, model.B, 10.0 ** -p).K
                  for p in range(1, 10)]
-        return min(max(delay_loop_radii(model.A, -rho * model.B @ K,
+        return min(max(delay_loop_radii(model.A, model.B, -rho * K,
                                         kappa_bar))
                    for K in gains for rho in np.geomspace(0.05, 20.0, 20))
 
