@@ -32,7 +32,7 @@ def _design_text(design):
     lines = [
         f"mode: {design.mode}",
         f"epsilon_star: {design.epsilon_star!r}",
-        f"epsilon: {design.epsilon!r}",
+        f"epsilon: {design.epsilon_star!r}",
         f"rho: {design.rho!r}",
         f"omega_max: {design.omega_max!r}",
         f"kappa_bar: {design.kappa_bar}",
@@ -48,8 +48,11 @@ def _design_text(design):
 
 
 def write_design_txt(design, path):
+    """Write design.txt; returns its text."""
+    text = _design_text(design)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_design_text(design))
+        fh.write(text)
+    return text
 
 
 def _write_rows(path, header, labels, width, tables):
@@ -132,34 +135,30 @@ def _designed(cfg):
                            epsilon=cfg.epsilon, rho=cfg.rho)
 
 
-def _ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
+def _path(directory, name):
+    """`directory`/`name`, creating the directory."""
+    os.makedirs(directory, exist_ok=True)
+    return os.path.join(directory, name)
 
 
 def cmd_design(args):
     cfg = load_config(args.config)
     design = _designed(cfg)
-    text = _design_text(design)
-    sys.stdout.write(text)
-    out_dir = _ensure_dir(cfg.out_dir)
-    with open(os.path.join(out_dir, "design.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    sys.stdout.write(write_design_txt(design, _path(cfg.out_dir,
+                                                    "design.txt")))
     return 0
 
 
 def cmd_simulate(args):
     cfg = load_config(args.config)
     design = _designed(cfg)
-    k_max = args.kmax if args.kmax is not None else cfg.k_max
     traj = simulate(cfg.model, design, cfg.graph, cfg.delays,
-                    cfg.x0, cfg.xr0, k_max)
-    out_dir = _ensure_dir(args.out)
-    write_design_txt(design, os.path.join(out_dir, "design.txt"))
-    write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
+                    cfg.x0, cfg.xr0, cfg.k_max)
+    write_design_txt(design, _path(args.out, "design.txt"))
+    write_trajectory_csv(traj, _path(args.out, "trajectory.csv"))
     if cfg.emit_plot_data:
-        write_plotdata_csv(traj, os.path.join(out_dir, "plotdata.csv"))
-    print(f"simulated {k_max} steps over {cfg.graph.n_agents} agents; "
+        write_plotdata_csv(traj, _path(args.out, "plotdata.csv"))
+    print(f"simulated {cfg.k_max} steps over {cfg.graph.n_agents} agents; "
           f"final sync error {traj.error[-1]:.6e}")
     return 0
 
@@ -168,25 +167,23 @@ def cmd_verify(args):
     cfg = load_config(args.config)
     design = _designed(cfg)
     report = closed_loop_certificate(design)
-    out_dir = _ensure_dir(cfg.out_dir)
-    sys.stdout.write(write_report(report, os.path.join(out_dir, "report.txt"),
-                                  os.path.join(out_dir, "report.json")))
+    sys.stdout.write(write_report(report, _path(cfg.out_dir, "report.txt"),
+                                  _path(cfg.out_dir, "report.json")))
     return 0 if report.passed else 2
 
 
 def cmd_demo(args):
     cfg = demo_scenario(args.case, args.mode, out_dir=args.out)
-    out_dir = _ensure_dir(args.out)
-    write_config(cfg, os.path.join(out_dir, "config.json"))
+    write_config(cfg, _path(args.out, "config.json"))
     design = _designed(cfg)
-    write_design_txt(design, os.path.join(out_dir, "design.txt"))
+    write_design_txt(design, _path(args.out, "design.txt"))
     traj = simulate(cfg.model, design, cfg.graph, cfg.delays,
                     cfg.x0, cfg.xr0, cfg.k_max)
-    write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
+    write_trajectory_csv(traj, _path(args.out, "trajectory.csv"))
     report = closed_loop_certificate(design)
     conv = convergence_report(traj, tol=1e-3 * (1.0 + traj.error[0]))
-    write_report(report, os.path.join(out_dir, "report.txt"),
-                 os.path.join(out_dir, "report.json"), convergence=conv)
+    write_report(report, _path(args.out, "report.txt"),
+                 _path(args.out, "report.json"), convergence=conv)
     ok = report.passed and conv.converged
     print(f"demo case {args.case} ({args.mode}): certificate "
           f"{'PASS' if report.passed else 'FAIL'}, "
@@ -209,7 +206,6 @@ def build_parser():
     p = sub.add_parser("simulate", help="run the closed loop and export CSVs")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--kmax", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="exact closed-loop stability certificate")

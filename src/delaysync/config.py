@@ -19,9 +19,10 @@ Validation is not fail-fast: every violation is collected and reported in
 one ScenarioError, each message naming the offending field.  A value's
 rules live in the type that owns it: `AgentModel`, `CommGraph` (weights
 and root flags) and `DelayProfile` (whole, non-negative delays), whose
-errors are reported under `model:`, `graph:` and `delays:`.  This module
-checks only what a file adds: the sections, finite numeric matrices, the
-typed scalar fields (`protocol`, `sim.k_max`, `output`), and agreement
+errors are reported under `model:`, `graph:` and `delays:`; a real number
+is what `errors.real_array` accepts.  This module checks only what a file
+adds: the sections, finite matrices, the typed scalar fields (`protocol`,
+`sim.k_max`, the one simulation horizon, and `output`), and agreement
 across sections (the adjacency order against `delays.kappa` and
 `sim.x0`, `C = I` in full mode, at least one root).
 """
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import FULL_STATE, PARTIAL_STATE, AgentModel, _real_array
+from .design import FULL_STATE, PARTIAL_STATE, AgentModel
 from .dynamics import DelayProfile
-from .errors import DelaySyncError, ScenarioError
+from .errors import DelaySyncError, ScenarioError, is_real_type, real_array
 from .network import CommGraph
 
 
@@ -57,7 +58,7 @@ class ScenarioConfig:
 def _matrix(raw, name, problems, ndim=2):
     rows = " of row arrays" if ndim == 2 else ""
     try:
-        arr = _real_array(raw, name)
+        arr = real_array(raw, name)
     except DelaySyncError:  # ragged rows, or an entry that is no number
         problems.append(f"{name}: not a numeric array{rows}")
         return None
@@ -65,10 +66,6 @@ def _matrix(raw, name, problems, ndim=2):
         problems.append(f"{name}: must be a finite {ndim}-d array{rows}")
         return None
     return arr
-
-
-def _number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _field(sec, name, problems, must, valid, default=None):
@@ -113,12 +110,10 @@ def parse_config(data):
         raise ScenarioError(["config root must be an object"])
 
     model_sec = _section(data, "model", problems)
-    A = _matrix(model_sec.get("A"), "model.A", problems)
-    B = _matrix(model_sec.get("B"), "model.B", problems)
-    C = _matrix(model_sec.get("C"), "model.C", problems)
-    model = None
-    if A is not None and B is not None and C is not None:
-        model = _build("model", problems, AgentModel, A=A, B=B, C=C)
+    A, B, C = (_matrix(model_sec.get(key), f"model.{key}", problems)
+               for key in "ABC")
+    model = None if any(M is None for M in (A, B, C)) else _build(
+        "model", problems, AgentModel, A=A, B=B, C=C)
 
     mode = data.get("mode")
     if mode not in (FULL_STATE, PARTIAL_STATE):
@@ -151,21 +146,23 @@ def parse_config(data):
 
     proto_sec = _section(data, "protocol", problems, required=False)
     epsilon = _field(proto_sec, "protocol.epsilon", problems, "in (0, 1]",
-                     lambda v: v is None or _number(v) and 0 < v <= 1)
+                     lambda v: v is None
+                     or is_real_type(type(v)) and 0 < v <= 1)
     rho = _field(proto_sec, "protocol.rho", problems, "positive and finite",
-                 lambda v: v is None or _number(v)
+                 lambda v: v is None or is_real_type(type(v))
                  and 0 < v <= sys.float_info.max)
     epsilon, rho = (v if v is None else float(v) for v in (epsilon, rho))
 
     sim_sec = _section(data, "sim", problems)
     k_max = _field(sim_sec, "sim.k_max", problems, "an integer of at least 10",
-                   lambda v: _number(v) and isinstance(v, int) and v >= 10)
+                   lambda v: isinstance(v, int) and is_real_type(type(v))
+                   and v >= 10)
     x0 = _matrix(sim_sec.get("x0"), "sim.x0", problems)
     xr0 = _matrix(sim_sec.get("xr0"), "sim.xr0", problems, ndim=1)
-    if x0 is not None and model is not None and n_agents is not None:
-        if x0.shape != (n_agents, model.n):
-            problems.append(f"sim.x0: expected shape "
-                            f"({n_agents}, {model.n}), got {x0.shape}")
+    if (x0 is not None and model is not None and n_agents is not None
+            and x0.shape != (n_agents, model.n)):
+        problems.append(f"sim.x0: expected shape ({n_agents}, {model.n}), "
+                        f"got {x0.shape}")
     if xr0 is not None and model is not None and xr0.shape != (model.n,):
         problems.append(f"sim.xr0: expected length {model.n}, got {xr0.shape[0]}")
 
@@ -209,11 +206,9 @@ def config_to_dict(cfg):
         "output": {"directory": cfg.out_dir,
                    "emit_plot_data": cfg.emit_plot_data},
     }
-    protocol = {}
-    if cfg.epsilon is not None:
-        protocol["epsilon"] = cfg.epsilon
-    if cfg.rho is not None:
-        protocol["rho"] = cfg.rho
+    protocol = {key: value for key, value in (("epsilon", cfg.epsilon),
+                                              ("rho", cfg.rho))
+                if value is not None}
     if protocol:
         out["protocol"] = protocol
     return out

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AssumptionError, ConvergenceError, DesignError,
-                     DimensionError, ScenarioError)
+                     DimensionError, real_array)
 from .riccati import (_doubling, _low_gain_dare, _polish, is_detectable,
                       is_stabilizable, solve_low_gain_dare)
 from .spectral import is_schur_stable, omega_max, spectral_radius
@@ -61,29 +61,6 @@ FULL_STATE = "full"
 PARTIAL_STATE = "partial"
 
 
-def _real_array(values, name):
-    """`values` as a float array.  Every entry must be a real number: a
-    boolean or a quoted number is none (ScenarioError), and nested rows
-    must have one length (DimensionError)."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        return np.asarray(values, dtype=float)
-    try:
-        items = np.asarray(values, dtype=object)
-        kinds = set(map(type, items.flat))  # one pass: adjacencies are large
-    except ValueError:  # a nesting numpy cannot hold even as objects
-        kinds = {list}
-    if any(issubclass(k, (list, tuple, np.ndarray)) for k in kinds):
-        raise DimensionError(f"{name} has rows of unequal length: {values!r}")
-    if not all(issubclass(k, (int, float, np.integer, np.floating))
-               and not issubclass(k, bool) for k in kinds):
-        raise ScenarioError(f"non-numeric or boolean {name}: {values!r}")
-    try:
-        return items.astype(float)
-    except OverflowError:  # an integer too large for a float
-        raise ScenarioError(f"{name} has an entry beyond the float range: "
-                            f"{values!r}") from None
-
-
 @dataclass(frozen=True)
 class AgentModel:
     """Agent dynamics triple: x+ = A x + B u (delayed), y = C x."""
@@ -92,16 +69,15 @@ class AgentModel:
     C: np.ndarray
 
     def __post_init__(self):
-        A, B, C = (_real_array(getattr(self, name), name) for name in "ABC")
+        A, B, C = (real_array(getattr(self, name), name) for name in "ABC")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionError(f"A must be square, got {A.shape}")
         if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise DimensionError(f"B must be {A.shape[0]}xm, got {B.shape}")
         if C.ndim != 2 or C.shape[1] != A.shape[0]:
             raise DimensionError(f"C must be qx{A.shape[0]}, got {C.shape}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
+        for name, value in zip("ABC", (A, B, C)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -111,22 +87,17 @@ class AgentModel:
     def m(self):
         return self.B.shape[1]
 
-    @property
-    def q(self):
-        return self.C.shape[0]
-
 
 @dataclass(frozen=True)
 class ProtocolDesign:
     """Complete designed protocol: gains plus the scalars that certified them.
 
-    F is None in full-state mode.  epsilon_star equals epsilon in every
-    design: the sweep's accepted value, or the validated pinned value.
+    F is None in full-state mode.  epsilon_star is the sweep's accepted
+    value, or the validated pinned value.
     """
     mode: str
     model: AgentModel
     epsilon_star: float
-    epsilon: float
     rho: float
     K: np.ndarray
     P: np.ndarray
@@ -375,6 +346,5 @@ def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None, rho=None):
 
     F = design_observer(model.A, model.C) if mode == PARTIAL_STATE else None
     return ProtocolDesign(mode=mode, model=model, epsilon_star=sol.epsilon,
-                          epsilon=sol.epsilon, rho=rho_val, K=sol.K, P=sol.P,
-                          F=F, omega_max=w, kappa_bar=kappa_bar, theta=theta,
-                          mu=mu)
+                          rho=rho_val, K=sol.K, P=sol.P, F=F, omega_max=w,
+                          kappa_bar=kappa_bar, theta=theta, mu=mu)

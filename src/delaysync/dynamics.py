@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import PARTIAL_STATE
-from .errors import DimensionError, NumericError, ScenarioError
+from .errors import (DimensionError, NumericError, ScenarioError,
+                     describe_entry, real_array)
 from .network import is_rooted
 
 
@@ -62,7 +63,7 @@ class DelayProfile:
             raise DimensionError(
                 f"kappa_bar must be a scalar, got shape {kappa_bar.shape}")
         kappa_bar = int(kappa_bar)
-        if kappa_bar < (kappa.max() if kappa.size else 0):
+        if kappa_bar < kappa.max(initial=0):
             raise ScenarioError(
                 f"kappa_bar = {kappa_bar} is below the largest delay "
                 f"{kappa.max()}")
@@ -71,29 +72,20 @@ class DelayProfile:
 
     @classmethod
     def from_list(cls, kappa, kappa_bar=None):
-        if kappa_bar is None:
-            kappa = _whole(kappa, "kappa")
-            kappa_bar = kappa.max() if kappa.size else 0
-        return cls(kappa=kappa, kappa_bar=kappa_bar)
+        kappa = _whole(kappa, "kappa")
+        return cls(kappa=kappa, kappa_bar=kappa.max(initial=0)
+                   if kappa_bar is None else kappa_bar)
 
 
 def _whole(values, name):
-    """`values` as ints.  Each entry must be a real number (a boolean or a
-    string is not a delay), and a whole one within the int64 range: a delay
+    """`values` as ints.  Each entry must be a real number
+    (`errors.real_array`), and a whole one within the int64 range: a delay
     is never truncated, but whole floats such as 2.0 are accepted."""
-    try:
-        items = np.asarray(values, dtype=object)
-        numeric = all(isinstance(v, (int, float, np.integer, np.floating))
-                      and not isinstance(v, bool) for v in items.flat)
-    except ValueError:  # a nesting numpy cannot hold even as objects
-        numeric = False
-    if not numeric:
-        raise ScenarioError(f"non-numeric or boolean {name}: {values!r}")
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
-        arr = np.asarray(arr, dtype=float)
-        if not np.all(np.isfinite(arr) & (arr == np.round(arr))):
-            raise ScenarioError(f"non-integer {name}: {arr.tolist()}")
+    arr = real_array(values, name, dtype=None)
+    if arr.dtype.kind not in "iu" and not np.all(
+            np.isfinite(arr) & (arr == np.round(arr))):
+        raise ScenarioError(f"non-integer {name}: " + describe_entry(
+            arr, lambda v: not (np.isfinite(v) and v == np.round(v))))
     with np.errstate(invalid="ignore"):  # a float beyond int64 casts wrong
         whole = arr.astype(int)
     beyond = whole != arr

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and its real-number rule."""
+
+import reprlib
+import sys
+
+import numpy as np
 
 
 class DelaySyncError(Exception):
@@ -54,3 +59,47 @@ class ScenarioError(DelaySyncError, ValueError):
 
 class GridSizeError(DelaySyncError, ValueError):
     """A sweep would exceed the evaluation budget."""
+
+
+def is_real_type(kind):
+    """True iff `kind` is a Python or numpy int or float type, not bool."""
+    return (issubclass(kind, (int, float, np.integer, np.floating))
+            and not issubclass(kind, bool))
+
+
+def real_array(values, name, dtype=float):
+    """`values` as an array of `dtype` (None keeps integer input integer).
+    Each entry must be of `is_real_type` (else ScenarioError names the first
+    that is not) and rows of one length (else DimensionError); int and float
+    ndarrays pass as they are, other input is scanned once as objects."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return np.asarray(values, dtype=dtype)
+    try:
+        items = np.asarray(values, dtype=object)
+        kinds = set(map(type, items.flat))  # one pass: adjacencies are large
+    except ValueError:  # a nesting numpy cannot hold even as objects
+        kinds = {list}
+    if any(issubclass(k, (list, tuple, np.ndarray)) for k in kinds):
+        raise DimensionError(f"{name} has rows of unequal length")
+    if not all(map(is_real_type, kinds)):
+        first = describe_entry(items, lambda v: not is_real_type(type(v)))
+        raise ScenarioError(f"non-numeric or boolean {name}: {first}")
+    if dtype is None and (whole := np.asarray(values)).dtype.kind in "iu":
+        return whole
+    try:
+        return items.astype(float)
+    except OverflowError:  # an integer too large for a float
+        first = describe_entry(items, lambda v: abs(v) > sys.float_info.max)
+        raise ScenarioError(f"{name} has an entry beyond the float range: "
+                            f"{first}") from None
+
+
+def describe_entry(items, bad):
+    """'entry (i, j) is v' for the first entry v of the array `items` with
+    bad(v): the index is a number in a vector and absent in a scalar, and
+    a long value is shortened."""
+    at = next(i for i, v in enumerate(items.flat) if bad(v))
+    index = tuple(map(int, np.unravel_index(at, items.shape)))
+    value = reprlib.repr(items.ravel()[at:at + 1].tolist()[0])
+    where = index[0] if len(index) == 1 else index
+    return f"entry {where} is {value}" if index else value

@@ -12,7 +12,7 @@ whose spectral radius is below one exactly when every node is reachable
 from the root set.
 
 Input is validated once, when a `CommGraph` is built (shape, finite and
-non-negative weights, zero diagonal); the matrices derived from a valid
+non-negative real weights, zero diagonal); the matrices derived from a valid
 graph have their sign and row-sum properties by construction.  The graph
 also derives, once, its in-degrees and its edge list (destination, source
 and weight of every a_ij > 0, sorted by destination), so that code which
@@ -25,13 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ScenarioError
+from .errors import DimensionError, ScenarioError, real_array
 
 
 @dataclass(frozen=True)
 class CommGraph:
     """Weighted digraph with root flags; adjacency has zero diagonal and
-    finite non-negative weights, and each root flag is a bool or 0/1."""
+    finite non-negative real weights, and each root flag is a bool or 0/1."""
     adjacency: np.ndarray
     roots: np.ndarray
     #: adjacency.sum(axis=1), the weighted in-degree of every agent
@@ -43,12 +43,11 @@ class CommGraph:
     edge_weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        adj = real_array(self.adjacency, "adjacency")
         try:
-            adj = np.asarray(self.adjacency, dtype=float)
             roots = np.asarray(self.roots)
-        except (TypeError, ValueError):  # ragged, or not numbers
-            raise ScenarioError("adjacency must be a numeric matrix and roots "
-                                "a vector of 0/1 flags") from None
+        except (TypeError, ValueError):  # ragged, or no array at all
+            raise ScenarioError("roots must be one row of 0/1 flags") from None
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise DimensionError(f"adjacency must be square, got {adj.shape}")
         if adj.shape[0] == 0:
@@ -66,12 +65,11 @@ class CommGraph:
         if np.any(np.diag(adj) != 0):
             raise ScenarioError("adjacency must have a zero diagonal (no self-loops)")
         dst, src = np.nonzero(adj)  # row-major: sorted by destination
-        object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "roots", roots.astype(bool, copy=False))
-        object.__setattr__(self, "in_degrees", adj.sum(axis=1))
-        object.__setattr__(self, "edge_dst", dst)
-        object.__setattr__(self, "edge_src", src)
-        object.__setattr__(self, "edge_weight", adj[dst, src])
+        for name, value in dict(
+                adjacency=adj, roots=roots.astype(bool, copy=False),
+                in_degrees=adj.sum(axis=1), edge_dst=dst, edge_src=src,
+                edge_weight=adj[dst, src]).items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_agents(self):

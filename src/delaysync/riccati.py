@@ -192,15 +192,17 @@ def _frobenius(X):
 
 
 def _riccati_step(A, B, P, eps):
-    """For a stack P: the DARE residuals, the gains K and the fixed-point
-    iterates A'PA + eps*I - A'PB K, the first two bit for bit as
-    `dare_residual` and `feedback_gain` give them for one P."""
+    """For a stack P: the DARE residuals and gains K (as `dare_residual` and
+    `feedback_gain` give them for one P, bit for bit), and the mask of the
+    points above DARE_TOL with their iterates A'PA + eps*I - A'PBK."""
     BP, AP = B.T @ P, A.T @ P
     K = np.linalg.solve(np.eye(B.shape[1]) + BP @ B, BP @ A)
     APA, APBK = AP @ A, AP @ B @ K
     Q = eps[:, None, None] * np.eye(A.shape[0])
-    P_next = APA + Q - APBK
-    return _frobenius(APA - P - APBK + Q), K, 0.5 * (P_next + P_next.mT)
+    residual = _frobenius(APA - P - APBK + Q)
+    going = residual > DARE_TOL
+    P_next = APA[going] + Q[going] - APBK[going]
+    return residual, K, going, 0.5 * (P_next + P_next.mT)
 
 
 def _polish(A, B, epsilons, H, iterations):
@@ -211,21 +213,22 @@ def _polish(A, B, epsilons, H, iterations):
     each point's steps, stall count and budget are its own."""
     eps = np.asarray(epsilons, dtype=float)
     P, iterations = H.copy(), np.array(iterations, dtype=int)
-    residual, K, P_next = _riccati_step(A, B, P, eps)
+    residual, K, going, P_next = _riccati_step(A, B, P, eps)
     stalls = np.zeros(eps.size, dtype=int)
     failed = {}
-    live = np.flatnonzero(residual > DARE_TOL)
+    live = np.flatnonzero(going)  # P_next holds the iterates of `live`
     while live.size:
-        for i in live[iterations[live] >= DARE_MAX_ITER]:
+        spent = iterations[live] >= DARE_MAX_ITER
+        for i in live[spent]:
             failed[i] = ConvergenceError(
                 f"DARE solver exhausted {DARE_MAX_ITER} iterations "
                 f"(residual {residual[i]:.3e} > tol {DARE_TOL:.3e})",
                 residual=float(residual[i]), iterations=int(iterations[i]))
-        live = live[iterations[live] < DARE_MAX_ITER]
+        live, P_next = live[~spent], P_next[~spent]
         if not live.size:
             break
         iterations[live] += 1
-        res, K_live, next_live = _riccati_step(A, B, P_next[live], eps[live])
+        res, K_live, going, next_live = _riccati_step(A, B, P_next, eps[live])
         stalls[live] = np.where(res >= residual[live], stalls[live] + 1, 0)
         for i in live[stalls[live] >= 5]:
             failed[i] = ConvergenceError(
@@ -233,10 +236,9 @@ def _polish(A, B, epsilons, H, iterations):
                 f"{DARE_TOL:.3e}", residual=float(residual[i]),
                 iterations=int(iterations[i]))
         kept = stalls[live] < 5
-        live = live[kept]
-        P[live], residual[live], K[live] = P_next[live], res[kept], K_live[kept]
-        P_next[live] = next_live[kept]
-        live = live[residual[live] > DARE_TOL]
+        P[live[kept]], residual[live[kept]] = P_next[kept], res[kept]
+        K[live[kept]] = K_live[kept]
+        live, P_next = live[kept & going], next_live[kept[going]]
     solved = [i for i in range(eps.size) if i not in failed]
     gamma = dict(zip(solved, np.linalg.eigvalsh(B.T @ P[solved] @ B).max(-1)))
     return [failed[i] if i in failed else DareSolution(

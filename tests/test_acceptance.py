@@ -11,10 +11,10 @@ import numpy as np
 from delaysync import (AgentModel, CommGraph, DelayProfile, check_lambda_stabilized,
                        closed_loop_certificate, convergence_report,
                        delay_admissible, design_protocol, gain_disc,
-                       is_rooted, network_matrices, omega_max, simulate,
-                       solve_low_gain_dare)
+                       is_rooted, omega_max, simulate, solve_low_gain_dare)
 from delaysync.cli import _design_text
 from delaysync.demos import _initial_states, demo_model, demo_scenario
+from delaysync.network import network_matrices
 from delaysync.spectral import spectral_radius
 
 from conftest import (BENCH_A, BENCH_B, cycle3_graph, random_admissible_model,

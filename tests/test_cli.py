@@ -274,11 +274,22 @@ class TestCommands:
         flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
         assert flags == {"--help", "--config"}
 
-    def test_simulate_writes_schema_csv(self, tmp_path):
+    def test_simulate_takes_its_horizon_from_the_config(self, tmp_path,
+                                                       capsys):
+        # sim.k_max is the one horizon: no flag overrides it or its rule
+        assert main(["simulate", "--help"]) == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {"--help", "--config", "--out"}
         path = demo_config_file(tmp_path)
+        assert main(["simulate", "--config", str(path), "--out",
+                     str(tmp_path / "run"), "--kmax", "50"]) == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_simulate_writes_schema_csv(self, tmp_path):
+        path = demo_config_file(tmp_path, **{"sim.k_max": 50})
         out = tmp_path / "run"
-        assert main(["simulate", "--config", str(path), "--out", str(out),
-                     "--kmax", "50"]) == 0
+        assert main(["simulate", "--config", str(path), "--out",
+                     str(out)]) == 0
         with open(out / "trajectory.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k", "agent", "component", "x", "xr", "u", "error"]
@@ -293,11 +304,11 @@ class TestCommands:
         assert not (out / "plotdata.csv").exists()
 
     def test_simulate_emits_plotdata_when_configured(self, tmp_path):
-        path = demo_config_file(tmp_path,
-                                **{"output.emit_plot_data": True})
+        path = demo_config_file(tmp_path, **{"output.emit_plot_data": True,
+                                             "sim.k_max": 30})
         out = tmp_path / "run"
-        assert main(["simulate", "--config", str(path), "--out", str(out),
-                     "--kmax", "30"]) == 0
+        assert main(["simulate", "--config", str(path), "--out",
+                     str(out)]) == 0
         with open(out / "plotdata.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k", "series", "value"]
@@ -369,9 +380,10 @@ class TestCommands:
         assert "delays.kappa" in capsys.readouterr().err
 
     def test_diverging_run_names_step_and_agent(self, tmp_path, capsys):
-        path = demo_config_file(tmp_path, **{"protocol.epsilon": 0.1})
+        path = demo_config_file(tmp_path, **{"protocol.epsilon": 0.1,
+                                             "sim.k_max": 3000})
         assert main(["simulate", "--config", str(path), "--out",
-                     str(tmp_path / "x"), "--kmax", "3000"]) == 1
+                     str(tmp_path / "x")]) == 1
         assert re.search(r"non-finite from step \d+ \(agent \d\)",
                          capsys.readouterr().err)
 

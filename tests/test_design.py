@@ -62,6 +62,19 @@ class TestAgentModel:
         with pytest.raises(ScenarioError, match="beyond the float range"):
             AgentModel(A=[[10 ** 400]], B=[[1.0]], C=[[1.0]])
 
+    def test_bad_entry_named_briefly(self):
+        # a 301 x 300 A with a row of flags: the first is named, by index
+        # and value, and the message does not repeat the matrix
+        A = np.zeros((301, 300)).tolist()
+        A[300] = [True] * 300
+        with pytest.raises(ScenarioError) as err:
+            AgentModel(A=A, B=[[1.0]], C=[[1.0]])
+        assert str(err.value) == ("non-numeric or boolean A: "
+                                  "entry (300, 0) is True")
+        with pytest.raises(ScenarioError) as err:
+            AgentModel(A=[[0.5, 10 ** 400]], B=[[1.0]], C=[[1.0]])
+        assert len(str(err.value)) < 100
+
     def test_numbers_accepted(self):
         m = AgentModel(A=[[1, 0.5], [np.float32(0.25), np.int8(2)]],
                        B=np.array([[1], [0]]), C=[np.array([1.0, 0.0])])
@@ -428,7 +441,7 @@ class TestDesignProtocol:
     def test_bench_full_state_pinned(self, bench_full):
         d = design_protocol(bench_full, 2, mode="full", epsilon=1e-3)
         assert d.mode == "full"
-        assert d.epsilon == pytest.approx(1e-3)
+        assert d.epsilon_star == pytest.approx(1e-3)
         assert d.rho == pytest.approx(1.05)
         assert d.F is None
         assert is_schur_stable(BENCH_A - d.rho * BENCH_B @ d.K)
@@ -542,8 +555,8 @@ class TestDesignProtocol:
         assert len(calls["choose_epsilon_star"]) == 1
         assert calls["_low_gain_dare"] == calls["solve_low_gain_dare"] \
             == calls["design_observer"] == []
-        assert d.epsilon == d.epsilon_star == EPSILON_SWEEP[23]
-        assert d.epsilon == pytest.approx(10.0 ** -6.75)
+        assert d.epsilon_star == EPSILON_SWEEP[23]
+        assert d.epsilon_star == pytest.approx(10.0 ** -6.75)
         w = omega_max(model.A)
         theta = choose_theta(d.rho, 2, w)
         accepted = choose_epsilon_star(model.A, model.B, d.rho,

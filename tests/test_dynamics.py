@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from delaysync import (AgentModel, CommGraph, DelayProfile, InputHistory,
-                       ProtocolDesign, closed_loop_certificate,
-                       design_protocol, simulate)
+from delaysync import (AgentModel, CommGraph, DelayProfile, ProtocolDesign,
+                       closed_loop_certificate, design_protocol, simulate)
 from delaysync import dynamics
 from delaysync.demos import demo_model, demo_scenario, _initial_states
-from delaysync.dynamics import (control_input, extra_exchange_full,
-                                extra_exchange_partial, network_measurement)
+from delaysync.dynamics import (InputHistory, control_input,
+                                extra_exchange_full, extra_exchange_partial,
+                                network_measurement)
 from delaysync.errors import DimensionError, NumericError, ScenarioError
 from delaysync.network import network_matrices
 from delaysync.spectral import spectral_radius
@@ -39,10 +39,10 @@ def partial_design():
 def scalar_design(mode):
     """Hand-sized synthetic design for single-agent step arithmetic."""
     model = AgentModel(A=[[0.8]], B=[[2.0]], C=[[0.5]])
-    return ProtocolDesign(mode=mode, model=model, epsilon_star=0.1,
-                          epsilon=0.1, rho=0.5, K=np.array([[0.3]]),
-                          P=np.eye(1), F=np.array([[0.6]]), omega_max=0.0,
-                          kappa_bar=1, theta=1.0, mu=1.0)
+    return ProtocolDesign(mode=mode, model=model, epsilon_star=0.1, rho=0.5,
+                          K=np.array([[0.3]]), P=np.eye(1),
+                          F=np.array([[0.6]]), omega_max=0.0, kappa_bar=1,
+                          theta=1.0, mu=1.0)
 
 
 class TestDelayProfile:
@@ -66,14 +66,31 @@ class TestDelayProfile:
             DelayProfile.from_list(kappa, kappa_bar)
 
     @pytest.mark.parametrize("kappa, kappa_bar", [
-        (['1', 0], '2'), ([1, 0], '2'), ([[1], [2, 3]], None),
+        (['1', 0], '2'), ([1, 0], '2'), ([b'1', 0], None),
         ({'a': 1}, None), ([1j, 0], None), ([None, 1], 1)])
     def test_non_numeric_delays_rejected(self, kappa, kappa_bar):
-        # strings, ragged lists and other objects are not delays either
+        # strings and other objects are not delays either
         with pytest.raises(ScenarioError, match="non-numeric"):
             DelayProfile(kappa=kappa, kappa_bar=kappa_bar)
         with pytest.raises(ScenarioError, match="non-numeric"):
             DelayProfile.from_list(kappa, kappa_bar)
+
+    @pytest.mark.parametrize("kappa", [[[1], [2, 3]], [[1], [0, 1], 1]])
+    def test_ragged_delays_rejected(self, kappa):
+        # the error a ragged AgentModel or CommGraph input raises
+        with pytest.raises(DimensionError, match="kappa has rows of unequal"):
+            DelayProfile(kappa=kappa, kappa_bar=3)
+        with pytest.raises(DimensionError, match="kappa has rows of unequal"):
+            DelayProfile.from_list(kappa)
+
+    @pytest.mark.parametrize("kappa, named", [
+        ([1] * 500 + ['1'], "non-numeric or boolean kappa: entry 500 is '1'"),
+        ([0.5] * 500, "non-integer kappa: entry 0 is 0.5")])
+    def test_bad_delay_named_briefly(self, kappa, named):
+        # the first bad entry is named; the message does not repeat the list
+        with pytest.raises(ScenarioError) as err:
+            DelayProfile.from_list(kappa)
+        assert str(err.value) == named
 
     @pytest.mark.parametrize("kappa, kappa_bar", [
         (np.array([True, False]), 1), ([1, 0], True), ([1, 0], np.True_),

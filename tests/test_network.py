@@ -4,8 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from delaysync import CommGraph, is_rooted, network_matrices
+from delaysync import CommGraph, is_rooted
 from delaysync.errors import DimensionError, ScenarioError
+from delaysync.network import network_matrices
 from delaysync.spectral import spectral_radius
 
 from conftest import BENCH_A, cycle3_graph
@@ -59,10 +60,34 @@ class TestCommGraph:
         with pytest.raises(ScenarioError, match="0/1 flags"):
             CommGraph(adjacency=np.zeros((2, 2)), roots=roots)
 
-    @pytest.mark.parametrize("adjacency", [[[0, 1], [0]], [[0, {}], [0, 0]]])
+    @pytest.mark.parametrize("adjacency", [
+        [["0", "1"], ["1", "0"]], [[0, {}], [0, 0]],
+        [[False, True], [True, False]], [[0, True], [1.0, 0]],
+        np.array([[False, True], [True, False]]), [[0, None], [1, 0]],
+        [[0, 1j], [1, 0]], np.array([[0, 1j], [1, 0]])])
     def test_rejects_adjacency_that_is_not_numeric(self, adjacency):
-        with pytest.raises(ScenarioError, match="numeric matrix"):
+        # quoted numbers and flags are no weights, as for AgentModel and
+        # DelayProfile, however numpy would convert them
+        with pytest.raises(ScenarioError,
+                           match=r"non-numeric or boolean adjacency: "
+                                 r"entry \(\d, \d\) is "):
             CommGraph(adjacency=adjacency, roots=[1, 0])
+
+    @pytest.mark.parametrize("adjacency", [[[0, 1], [0]], [[0, [1]], [0, 0]]])
+    def test_rejects_ragged_adjacency(self, adjacency):
+        with pytest.raises(DimensionError, match="adjacency has rows of "
+                                                 "unequal length"):
+            CommGraph(adjacency=adjacency, roots=[1, 0])
+
+    def test_bad_weight_named_briefly(self):
+        # one flag in a 400-agent adjacency is named by its index and value;
+        # the message does not repeat the matrix
+        adjacency = np.zeros((400, 400)).tolist()
+        adjacency[300][0] = True
+        with pytest.raises(ScenarioError) as err:
+            CommGraph(adjacency=adjacency, roots=[1] + [0] * 399)
+        assert str(err.value) == ("non-numeric or boolean adjacency: "
+                                  "entry (300, 0) is True")
 
     @pytest.mark.parametrize("roots", [[True, False], [1, 0], [1.0, 0.0],
                                        np.array([1, 0], dtype=np.uint8)])

@@ -15,10 +15,14 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def shown_command_lines():
-    """Every line of a fenced block in README that runs `delaysync`."""
+    """Every line of a fenced block in README that runs `delaysync`, and
+    every inline-code span in its prose that does (a span may wrap)."""
     blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README, re.M | re.S)
-    return [line.strip() for block in blocks for line in block.splitlines()
-            if line.strip().startswith("delaysync ")]
+    lines = [line.strip() for block in blocks for line in block.splitlines()]
+    prose = re.sub(r"^```[^\n]*\n.*?^```", "", README, flags=re.M | re.S)
+    lines += [" ".join(span.split()) for span in re.findall(r"`([^`]+)`",
+                                                            prose)]
+    return [line for line in lines if line.startswith("delaysync ")]
 
 
 def subcommand_options():

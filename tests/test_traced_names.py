@@ -30,3 +30,16 @@ def test_traced_name_resolves(module_name, attr):
     module = importlib.import_module(module_name)
     target = functools.reduce(getattr, attr.split("."), module)
     assert callable(target)
+
+
+@pytest.mark.parametrize("module_name, name", [
+    ("delaysync.dynamics", "InputHistory"),
+    ("delaysync.network", "NetworkMatrices"),
+    ("delaysync.network", "network_matrices"),
+    ("delaysync.verify", "frequency_sweep_certificate"),
+    ("delaysync.verify", "CertificateReport")])
+def test_benchmark_only_helpers_stay_out_of_the_api(module_name, name):
+    # kept in their modules for the tracer and the tests, not exported
+    import delaysync
+    assert name not in delaysync.__all__ and not hasattr(delaysync, name)
+    assert hasattr(importlib.import_module(module_name), name)
