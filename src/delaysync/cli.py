@@ -55,36 +55,50 @@ def write_design_txt(design, path):
     return text
 
 
-def _write_rows(path, header, labels, width, tables):
-    """Write `header`, then per step k one line `k,label,values` per label.
+#: steps gathered per numpy call; a block's values bound the writers' memory
+_BLOCK = 32
 
-    `tables` yields each step's values, `width` per label.  Lines go out one
-    at a time: formatting a whole step as one string raised the peak RSS.  A
-    float's `str` is its `repr`; lines end in CRLF."""
-    rows = [f"{{k}},{label}" + ",{}" * width + "\r\n" for label in labels]
+
+def _write_blocks(path, header, lines, steps, block_values):
+    """Write `header`, then per step k the `lines`, templates that read k as
+    `{k}` and the step's values by position.  `block_values(a, b)` gives
+    steps a..b-1 as one row of values each, so that numpy gathers a block of
+    steps at a time.  Each value is formatted once, as its `repr`; lines
+    end in CRLF."""
+    step = "".join(line + "\r\n" for line in lines).format
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\r\n")
-        for k, table in enumerate(tables):
-            for row, values in zip(rows, table.reshape(-1, width).tolist()):
-                fh.write(row.format(*values, k=k))
+        for a in range(0, steps, _BLOCK):
+            rows = block_values(a, min(a + _BLOCK, steps)).tolist()
+            fh.writelines(step(*map(repr, row), k=k)
+                          for k, row in enumerate(rows, a))
 
 
 def write_trajectory_csv(traj, path):
     """One row per (step, agent, state component); agent 0 is the reference,
-    with zero u and error.  `u` is zero-padded past m and cut to n."""
-    steps, n_agents, n = traj.x.shape
-    table = np.zeros((n_agents + 1, n, 4))  # x, xr, u and error of each node
+    with zero u and error.  `u` is zero-padded past m and cut to n.
 
-    def fill(k):
-        table[:, :, 0] = np.vstack([traj.x_ref[k], traj.x[k]])
-        table[:, :, 1] = traj.x_ref[k]
-        table[1:, :traj.u.shape[2], 2] = traj.u[k, :, :n]
-        sq = ((traj.x[k] - traj.x_ref[k]) ** 2).sum(axis=1).tolist()
-        table[1:, :, 3] = [[s ** 0.5] for s in sq]
-        return table
-    _write_rows(path, "k,agent,component,x,xr,u,error",
-                [f"{i},{c}" for i in range(n_agents + 1) for c in range(n)],
-                4, map(fill, range(steps)))
+    A step's distinct values are the states of every node, the first
+    min(m, n) inputs and each agent's error norm, Python's `s ** 0.5` of
+    its squared deviation summed over the components; each is formatted
+    once and its rows repeat it."""
+    steps, n_agents, n = traj.x.shape
+    p = min(traj.u.shape[2], n)
+    u_at, err_at = (n_agents + 1) * n, (n_agents + 1) * n + n_agents * p
+    lines = [f"{{k}},0,{c},{{{c}}},{{{c}}},0.0,0.0" for c in range(n)] + [
+        f"{{k}},{i},{c},{{{i * n + c}}},{{{c}}},"
+        + (f"{{{u_at + (i - 1) * p + c}}}" if c < p else "0.0")
+        + f",{{{err_at + i - 1}}}"
+        for i in range(1, n_agents + 1) for c in range(n)]
+
+    def block_values(a, b):
+        x, xr = traj.x[a:b], traj.x_ref[a:b]
+        sq = ((x - xr[:, None, :]) ** 2).sum(axis=2).ravel().tolist()
+        return np.hstack([xr, x.reshape(b - a, -1),
+                          traj.u[a:b, :, :p].reshape(b - a, -1),
+                          np.reshape([s ** 0.5 for s in sq], (b - a, -1))])
+    _write_blocks(path, "k,agent,component,x,xr,u,error", lines, steps,
+                  block_values)
 
 
 def write_plotdata_csv(traj, path):
@@ -94,9 +108,12 @@ def write_plotdata_csv(traj, path):
     names = ["error"] + [f"exo.x{c}" for c in range(n)] + [
         f"agent{i}.{var}{c}" for i in range(1, n_agents + 1)
         for var, dim in (("x", n), ("u", traj.u.shape[2])) for c in range(dim)]
-    _write_rows(path, "k,series,value", names, 1, (np.concatenate(
-        [traj.error[k:k + 1], traj.x_ref[k],
-         np.hstack([traj.x[k], traj.u[k]]).ravel()]) for k in range(steps)))
+    _write_blocks(path, "k,series,value",
+                  [f"{{k}},{name},{{{j}}}" for j, name in enumerate(names)],
+                  steps, lambda a, b: np.hstack([
+                      traj.error[a:b, None], traj.x_ref[a:b],
+                      np.concatenate([traj.x[a:b], traj.u[a:b]],
+                                     axis=2).reshape(b - a, -1)]))
 
 
 def _report_text(report):

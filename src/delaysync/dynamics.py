@@ -312,8 +312,8 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
     """
     n, m = model.n, model.m
     N = graph.n_agents
-    x0 = np.asarray(x0, dtype=float)
-    xr0 = np.asarray(xr0, dtype=float)
+    x0 = real_array(x0, "x0")
+    xr0 = real_array(xr0, "xr0")
     if x0.shape != (N, n):
         raise ScenarioError(f"x0 must have shape {(N, n)}, got {x0.shape}")
     if xr0.shape != (n,):

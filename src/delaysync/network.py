@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ScenarioError, real_array
+from .errors import (DimensionError, ScenarioError, describe_entry,
+                     is_real_type, real_array)
+
+
+def _not_flag(value):
+    """True unless `value` is a bool or a real number equal to 0 or 1."""
+    return not (isinstance(value, (bool, np.bool_))
+                or is_real_type(type(value)) and value in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,8 @@ class CommGraph:
                 f"roots must have length {adj.shape[0]}, got shape {roots.shape}")
         if roots.dtype.kind != "b" and not (
                 roots.dtype.kind in "iuf" and np.all((roots == 0) | (roots == 1))):
-            raise ScenarioError(f"roots must be 0/1 flags, got {roots.tolist()}")
+            raise ScenarioError("roots must be 0/1 flags: "
+                                + describe_entry(roots, _not_flag))
         if not np.all(np.isfinite(adj)):
             raise ScenarioError("adjacency weights must be finite")
         if np.any(adj < 0):

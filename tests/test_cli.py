@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,45 @@ class TestWritersMatchReference:
                           x_ref=rng.standard_normal((steps, n)), u=u,
                           error=rng.random(steps))
         assert_writers_match_reference(traj, tmp_path)
+
+    # the writers format a block of cli._BLOCK steps at a time
+    @pytest.mark.parametrize("steps", [
+        1, cli_mod._BLOCK, cli_mod._BLOCK + 1, 2 * cli_mod._BLOCK + 3])
+    @pytest.mark.parametrize("n_agents,n,m", [(1, 2, 2), (2, 2, 3),
+                                              (3, 3, 1)])
+    def test_block_boundaries(self, tmp_path, steps, n_agents, n, m):
+        rng = np.random.default_rng(steps * 100 + n_agents * 10 + n)
+        x = rng.standard_normal((steps, n_agents, n)) * 10.0 ** rng.integers(
+            -20, 20, (steps, n_agents, n))
+        u = rng.standard_normal((steps, n_agents, m))
+        for k in {0, steps - 1, min(cli_mod._BLOCK, steps - 1)}:
+            x[k, -1, -1] = u[k, 0, 0] = -0.0
+        traj = Trajectory(x=x, protocol=np.zeros_like(x), observer=None,
+                          x_ref=rng.standard_normal((steps, n)), u=u,
+                          error=rng.random(steps))
+        assert_writers_match_reference(traj, tmp_path)
+
+
+@pytest.mark.parametrize("writer", [cli_mod.write_trajectory_csv,
+                                    cli_mod.write_plotdata_csv])
+def test_writer_memory_does_not_grow_with_horizon(tmp_path, writer):
+    # the writers stream: demo 3's whole horizon peaks as two blocks do
+    cfg = demo_scenario(3, "full")
+    traj = simulate(cfg.model, cli_mod._designed(cfg), cfg.graph,
+                    cfg.delays, cfg.x0, cfg.xr0, cfg.k_max)
+    two_blocks = dataclasses.replace(traj, **{
+        name: getattr(traj, name)[:2 * cli_mod._BLOCK]
+        for name in ("x", "protocol", "x_ref", "u", "error")})
+    assert traj.x.shape[0] > 20 * cli_mod._BLOCK
+
+    def peak(trajectory):
+        tracemalloc.start()
+        try:
+            writer(trajectory, tmp_path / "out.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(traj) <= 1.5 * peak(two_blocks)
 
 
 class TestConfigRoundTrip:

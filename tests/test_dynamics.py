@@ -352,6 +352,19 @@ class TestSimulate:
         with pytest.raises(ScenarioError, match="k_max"):
             run_case1(full_design, [1, 1, 2], -1)
 
+    @pytest.mark.parametrize("x0_entry,xr0,named", [
+        (0.0, ['0', True, 0.0], r"xr0: entry 0 is '0'"),
+        (0.0, [0.0, True, 0.0], r"xr0: entry 1 is True"),
+        ('2', [0.0, 0.0, 0.0], r"x0: entry \(1, 1\) is '2'")])
+    def test_quoted_or_boolean_initial_states_named(self, full_design,
+                                                    x0_entry, xr0, named):
+        # np.asarray(..., dtype=float) would start the run from them
+        x0 = _initial_states(3).tolist()
+        x0[1][1] = x0_entry
+        with pytest.raises(ScenarioError, match="non-numeric or boolean "
+                                                + named):
+            run_case1(full_design, [1, 1, 2], 20, x0=x0, xr0=xr0)
+
 
 @st.composite
 def rooted_graphs(draw, max_agents=5):

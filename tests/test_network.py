@@ -60,6 +60,14 @@ class TestCommGraph:
         with pytest.raises(ScenarioError, match="0/1 flags"):
             CommGraph(adjacency=np.zeros((2, 2)), roots=roots)
 
+    def test_bad_root_message_names_one_entry(self):
+        # the message names the first bad flag, not all 400 of them
+        roots = [1] + [0] * 399
+        roots[250] = 2
+        with pytest.raises(ScenarioError) as exc:
+            CommGraph(adjacency=np.zeros((400, 400)), roots=roots)
+        assert str(exc.value) == "roots must be 0/1 flags: entry 250 is 2"
+
     @pytest.mark.parametrize("adjacency", [
         [["0", "1"], ["1", "0"]], [[0, {}], [0, 0]],
         [[False, True], [True, False]], [[0, True], [1.0, 0]],
