@@ -135,7 +135,7 @@ def parse_config(data):
         problems.append("graph.roots: at least one agent must be a root")
 
     delays_sec = _section(data, "delays", problems)
-    delays = _build("delays", problems, DelayProfile.from_list,
+    delays = _build("delays", problems, DelayProfile,
                     kappa=delays_sec.get("kappa"),
                     kappa_bar=delays_sec.get("kappa_bar"))
     if (delays is not None and n_agents is not None

@@ -85,7 +85,7 @@ def demo_scenario(case, mode=FULL_STATE, out_dir="."):
     model = demo_model(mode)
     return ScenarioConfig(
         model=model, mode=mode, graph=graph,
-        delays=DelayProfile.from_list(kappa, kappa_bar=2),
+        delays=DelayProfile(kappa, kappa_bar=2),
         k_max=_DEMO_K_MAX,
         x0=_initial_states(graph.n_agents),
         xr0=np.array([0.0, 1.0, 0.0]),

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import (AssumptionError, ConvergenceError, DesignError,
                      DimensionError, real_array)
-from .riccati import (_doubling, _low_gain_dare, _polish, is_detectable,
-                      is_stabilizable, solve_low_gain_dare)
+from .riccati import (_check_ab, _doubling, _low_gain_dare, _polish,
+                      is_detectable, is_stabilizable, solve_low_gain_dare)
 from .spectral import is_schur_stable, omega_max, spectral_radius
 from .verify import CERTIFICATE_THRESHOLD, delay_loop_radii
 
@@ -69,11 +69,8 @@ class AgentModel:
     C: np.ndarray
 
     def __post_init__(self):
-        A, B, C = (real_array(getattr(self, name), name) for name in "ABC")
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionError(f"A must be square, got {A.shape}")
-        if B.ndim != 2 or B.shape[0] != A.shape[0]:
-            raise DimensionError(f"B must be {A.shape[0]}xm, got {B.shape}")
+        A, B = _check_ab(self.A, self.B)
+        C = real_array(self.C, "C")
         if C.ndim != 2 or C.shape[1] != A.shape[0]:
             raise DimensionError(f"C must be qx{A.shape[0]}, got {C.shape}")
         for name, value in zip("ABC", (A, B, C)):
@@ -189,7 +186,7 @@ def estimate_mu(A, omega, theta):
     numpy decomposes each matrix of a batch on its own, so mu is
     bit-identical to the minimum over the whole grid.
     """
-    A = np.asarray(A, dtype=float)
+    A = real_array(A, "A")
     if omega + theta > math.pi + 1e-12:
         raise ValueError("omega + theta must not exceed pi")
     grid = np.linspace(omega + theta, math.pi, MU_GRID_POINTS)

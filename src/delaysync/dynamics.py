@@ -36,6 +36,7 @@ finite floats stops at the first non-finite step and raises NumericError
 naming the first step and agent.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,10 @@ from .network import is_rooted
 
 @dataclass(frozen=True)
 class DelayProfile:
-    """Per-agent integer input delays with their common bound."""
+    """Per-agent integer input delays with their common bound, by default
+    the largest delay."""
     kappa: np.ndarray
-    kappa_bar: int
+    kappa_bar: int | None = None
 
     def __post_init__(self):
         kappa = _whole(self.kappa, "kappa")
@@ -58,7 +60,8 @@ class DelayProfile:
             raise DimensionError(f"kappa must be a vector, got {kappa.shape}")
         if np.any(kappa < 0):
             raise ScenarioError("delays must be non-negative integers")
-        kappa_bar = _whole(self.kappa_bar, "kappa_bar")
+        kappa_bar = _whole(kappa.max(initial=0) if self.kappa_bar is None
+                           else self.kappa_bar, "kappa_bar")
         if kappa_bar.ndim != 0:
             raise DimensionError(
                 f"kappa_bar must be a scalar, got shape {kappa_bar.shape}")
@@ -69,12 +72,6 @@ class DelayProfile:
                 f"{kappa.max()}")
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "kappa_bar", kappa_bar)
-
-    @classmethod
-    def from_list(cls, kappa, kappa_bar=None):
-        kappa = _whole(kappa, "kappa")
-        return cls(kappa=kappa, kappa_bar=kappa.max(initial=0)
-                   if kappa_bar is None else kappa_bar)
 
 
 def _whole(values, name):
@@ -308,7 +305,9 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
 
     Requires a rooted graph and a delay profile within the design's bound.
     Protocol and observer states and all inputs before step 0 are zero.
-    Raises NumericError when the run leaves the finite floats.
+    Raises ScenarioError, before allocating, when the record of
+    8 (kappa_bar + k_max + 1)(N + 1)(w + m) bytes would exceed physical
+    memory, and NumericError when the run leaves the finite floats.
     """
     n, m = model.n, model.m
     N = graph.n_agents
@@ -336,6 +335,12 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
 
     T, Kz = _block_transition(model, design, partial)
     w = T.shape[1] - m
+    size = 8 * (delays.kappa_bar + int(k_max) + 1) * (N + 1) * (w + m)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > memory:  # refused before the record is allocated
+        raise ScenarioError(f"sim.k_max = {k_max} needs a run record of "
+                            f"{size / 2 ** 30:,.1f} GiB, beyond the "
+                            f"{memory / 2 ** 30:,.1f} GiB of physical memory")
     # the reference is node N of the extended graph: rows 0..N-1 read
     # L_exp y - roots y_ref, and its own row is zero
     lap_ext_times = _laplacian_product(graph, w + m)

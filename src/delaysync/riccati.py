@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AssumptionError, ConvergenceError, DegenerateInputError,
-                     DimensionError)
-from .spectral import UNIT_CIRCLE_TOL, eigenvalues, is_schur_stable
+                     DimensionError, real_array)
+from .spectral import UNIT_CIRCLE_TOL, eigenvalues, is_schur_stable, omega_max
 
 #: PBH rank test: the trailing singular value of [A - lambda I, B] must
 #: exceed this fraction of the leading one
@@ -73,8 +73,8 @@ class GainDisc:
 
 
 def _check_ab(A, B):
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    """Real-number (`errors.real_array`) A, square, and B with A's rows."""
+    A, B = real_array(A, "A"), real_array(B, "B")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"A must be square, got shape {A.shape}")
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
@@ -100,8 +100,7 @@ def is_stabilizable(A, B):
 
 def is_detectable(A, C):
     """PBH test on the dual pair: (C, A) detectable iff (A', C') stabilizable."""
-    A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
+    A, C = real_array(A, "A"), real_array(C, "C")
     if C.ndim != 2 or C.shape[1] != A.shape[0]:
         raise DimensionError(f"C must be qx{A.shape[0]}, got shape {C.shape}")
     return is_stabilizable(A.T, C.T)
@@ -110,6 +109,7 @@ def is_detectable(A, C):
 def dare_residual(A, B, P, epsilon):
     """Frobenius norm of A'PA - P - A'PB (I + B'PB)^{-1} B'PA + eps*I."""
     A, B = _check_ab(A, B)
+    P = real_array(P, "P")
     M = np.eye(B.shape[1]) + B.T @ P @ B
     defect = A.T @ P @ A - P - A.T @ P @ B @ np.linalg.solve(M, B.T @ P @ A) \
         + epsilon * np.eye(A.shape[0])
@@ -122,7 +122,7 @@ def feedback_gain(A, B, P):
     I + B'PB is positive definite whenever P >= 0, so the solve succeeds.
     """
     A, B = _check_ab(A, B)
-    P = np.asarray(P, dtype=float)
+    P = real_array(P, "P")
     if P.shape != A.shape:
         raise DimensionError(f"P must match A's shape {A.shape}, got {P.shape}")
     return np.linalg.solve(np.eye(B.shape[1]) + B.T @ P @ B, B.T @ P @ A)
@@ -140,11 +140,7 @@ def solve_low_gain_dare(A, B, epsilon):
     A, B = _check_ab(A, B)
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    mods = np.abs(eigenvalues(A))
-    if np.any(mods > 1.0 + UNIT_CIRCLE_TOL):
-        raise AssumptionError(
-            "A has an eigenvalue outside the closed unit disc "
-            f"(max modulus {mods.max():.12g})")
+    omega_max(A)  # raises AssumptionError outside the closed unit disc
     if not is_stabilizable(A, B):
         raise AssumptionError("(A, B) is not stabilizable (PBH rank test "
                               "failed at a closed-loop-relevant eigenvalue)")

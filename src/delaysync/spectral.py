@@ -57,7 +57,7 @@ def is_schur_stable(M):
     max |lambda| < 1 - SCHUR_TOL.  Boundary eigenvalues never count as
     stable.
     """
-    return bool(np.abs(eigenvalues(M)).max() < 1.0 - SCHUR_TOL)
+    return bool(np.abs(_eigvals(M)).max() < 1.0 - SCHUR_TOL)
 
 
 def omega_max(A):

@@ -6,6 +6,7 @@ import pytest
 from delaysync import AgentModel, CommGraph
 from delaysync.design import EPSILON_SWEEP
 from delaysync.errors import ConvergenceError
+from delaysync.network import network_matrices
 from delaysync.riccati import (DARE_MAX_ITER, DARE_TOL, DareSolution,
                                dare_residual, feedback_gain, is_detectable,
                                is_stabilizable)
@@ -194,3 +195,74 @@ def _serial_sweep(A, B, rho, mu, kappa_bar):
                 and 1.0 - radius > CERTIFICATE_THRESHOLD):
             return sol
     return None
+
+
+def _delayed_input_map(design, kappa):
+    """-rho (E_d kron BK) side by side for d = 0..max(kappa), where E_d
+    selects the agents with delay d: maps the protocol-state history
+    [chi(k); chi(k-1); ...] to B u_i(k - kappa_i) stacked over agents."""
+    BK = design.model.B @ design.K
+    kappa = np.asarray(kappa)
+    return np.hstack([-design.rho * np.kron(np.diag(kappa == d), BK)
+                      for d in range(kappa.max() + 1)])
+
+
+def _history_shift(Nn, depth):
+    """Rows of the lifted history below its head: chi(k-d) moves down."""
+    return np.eye(depth * Nn, k=-Nn)[Nn:]
+
+
+def monolithic_full(design, graph, kappa):
+    """Independent closed-loop matrix over [x; chi(k); ...; chi(k - max
+    kappa); x_ref] for the delay profile kappa, assembled directly from
+    Kronecker products."""
+    A = design.model.A
+    n = A.shape[0]
+    N = graph.n_agents
+    net = network_matrices(graph)
+    W = net.scale[:, None] * net.expanded_laplacian
+    w = net.scale * graph.roots
+    eyeN = np.eye(N)
+    delayed = _delayed_input_map(design, kappa)
+    depth = delayed.shape[1] // (N * n)
+    head = delayed.copy()
+    head[:, :N * n] += np.kron(eyeN, A) - np.kron(W, A)
+    rows = [
+        np.hstack([np.kron(eyeN, A), delayed, np.zeros((N * n, n))]),
+        np.hstack([np.kron(W, A), head, -np.kron(w[:, None], A)]),
+        np.hstack([np.zeros(((depth - 1) * N * n, N * n)),
+                   _history_shift(N * n, depth),
+                   np.zeros(((depth - 1) * N * n, n))]),
+        np.hstack([np.zeros((n, (depth + 1) * N * n)), A]),
+    ]
+    return np.vstack(rows)
+
+
+def monolithic_partial(design, graph, kappa):
+    """Closed-loop matrix over [x; xhat; chi(k); ...; chi(k - max kappa);
+    x_ref] for the delay profile kappa."""
+    A, C, F = design.model.A, design.model.C, design.F
+    n = A.shape[0]
+    N = graph.n_agents
+    net = network_matrices(graph)
+    W = net.scale[:, None] * net.expanded_laplacian
+    w = net.scale * graph.roots
+    eyeN = np.eye(N)
+    FC = F @ C
+    Z = np.zeros((N * n, N * n))
+    delayed = _delayed_input_map(design, kappa)
+    depth = delayed.shape[1] // (N * n)
+    head = delayed.copy()
+    head[:, :N * n] += np.kron(eyeN, A) - np.kron(W, A)
+    rows = [
+        np.hstack([np.kron(eyeN, A), Z, delayed, np.zeros((N * n, n))]),
+        np.hstack([np.kron(W, FC), np.kron(eyeN, A - FC),
+                   np.kron(W, np.eye(n)) @ delayed,
+                   -np.kron(w[:, None], FC)]),
+        np.hstack([Z, np.kron(eyeN, A), head, np.zeros((N * n, n))]),
+        np.hstack([np.zeros(((depth - 1) * N * n, 2 * N * n)),
+                   _history_shift(N * n, depth),
+                   np.zeros(((depth - 1) * N * n, n))]),
+        np.hstack([np.zeros((n, (depth + 2) * N * n)), A]),
+    ]
+    return np.vstack(rows)

@@ -205,7 +205,7 @@ def test_criterion_7_error_system_oracle():
     design = design_protocol(demo_model("full"), 2, mode="full", epsilon=1e-3)
     graph = cycle3_graph()
     traj = simulate(design.model, design, graph,
-                    DelayProfile.from_list([0, 0, 0], 0),
+                    DelayProfile([0, 0, 0], 0),
                     _initial_states(3), XR0, 200)
     D_kron = np.kron(network_matrices(graph).substochastic, design.model.A)
     e = (traj.x - traj.x_ref[:, None, :] - traj.protocol).reshape(201, -1)
@@ -236,7 +236,7 @@ def test_criterion_8_scale_free_design():
     for graph in graphs:
         N = graph.n_agents
         sizes.append(N)
-        delays = DelayProfile.from_list([i % 3 for i in range(N)], 2)
+        delays = DelayProfile([i % 3 for i in range(N)], 2)
         traj = simulate(model, design, graph, delays, _initial_states(N),
                         XR0, 2500)
         if not convergence_report(traj).converged:

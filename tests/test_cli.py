@@ -427,6 +427,15 @@ class TestCommands:
         assert re.search(r"non-finite from step \d+ \(agent \d\)",
                          capsys.readouterr().err)
 
+    def test_impossible_horizon_is_a_config_error(self, tmp_path, capsys):
+        # refused from the record's size before anything is allocated
+        path = demo_config_file(tmp_path, **{"sim.k_max": 10 ** 12})
+        assert main(["simulate", "--config", str(path), "--out",
+                     str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sim.k_max = 1000000000000 needs")
+        assert "Traceback" not in err
+
     def test_bad_usage_maps_to_one(self, capsys):
         assert main(["design"]) == 1          # missing required --config
         assert main(["frobnicate"]) == 1      # unknown command

@@ -20,7 +20,8 @@ from delaysync.errors import DimensionError, NumericError, ScenarioError
 from delaysync.network import network_matrices
 from delaysync.spectral import spectral_radius
 
-from conftest import chain_with_shortcuts, cycle3_graph
+from conftest import (chain_with_shortcuts, cycle3_graph, monolithic_full,
+                      monolithic_partial)
 
 XR0 = np.array([0.0, 1.0, 0.0])
 
@@ -47,12 +48,12 @@ def scalar_design(mode):
 
 class TestDelayProfile:
     def test_bound_defaults_to_max(self):
-        prof = DelayProfile.from_list([1, 0, 2])
+        prof = DelayProfile([1, 0, 2])
         assert prof.kappa_bar == 2
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ScenarioError):
-            DelayProfile.from_list([1, -1])
+            DelayProfile([1, -1])
 
     def test_bound_below_max_rejected(self):
         with pytest.raises(ScenarioError):
@@ -63,7 +64,7 @@ class TestDelayProfile:
     def test_non_integer_delays_rejected(self, kappa, kappa_bar):
         # never truncated: the delayed reads index the record by these values
         with pytest.raises(ScenarioError, match="non-integer"):
-            DelayProfile.from_list(kappa, kappa_bar)
+            DelayProfile(kappa, kappa_bar)
 
     @pytest.mark.parametrize("kappa, kappa_bar", [
         (['1', 0], '2'), ([1, 0], '2'), ([b'1', 0], None),
@@ -71,9 +72,7 @@ class TestDelayProfile:
     def test_non_numeric_delays_rejected(self, kappa, kappa_bar):
         # strings and other objects are not delays either
         with pytest.raises(ScenarioError, match="non-numeric"):
-            DelayProfile(kappa=kappa, kappa_bar=kappa_bar)
-        with pytest.raises(ScenarioError, match="non-numeric"):
-            DelayProfile.from_list(kappa, kappa_bar)
+            DelayProfile(kappa, kappa_bar)
 
     @pytest.mark.parametrize("kappa", [[[1], [2, 3]], [[1], [0, 1], 1]])
     def test_ragged_delays_rejected(self, kappa):
@@ -81,7 +80,7 @@ class TestDelayProfile:
         with pytest.raises(DimensionError, match="kappa has rows of unequal"):
             DelayProfile(kappa=kappa, kappa_bar=3)
         with pytest.raises(DimensionError, match="kappa has rows of unequal"):
-            DelayProfile.from_list(kappa)
+            DelayProfile(kappa)
 
     @pytest.mark.parametrize("kappa, named", [
         ([1] * 500 + ['1'], "non-numeric or boolean kappa: entry 500 is '1'"),
@@ -89,7 +88,7 @@ class TestDelayProfile:
     def test_bad_delay_named_briefly(self, kappa, named):
         # the first bad entry is named; the message does not repeat the list
         with pytest.raises(ScenarioError) as err:
-            DelayProfile.from_list(kappa)
+            DelayProfile(kappa)
         assert str(err.value) == named
 
     @pytest.mark.parametrize("kappa, kappa_bar", [
@@ -99,9 +98,7 @@ class TestDelayProfile:
         # a flag is not a delay, as in the scenario schema, even as one
         # entry of a list of integers
         with pytest.raises(ScenarioError, match="boolean"):
-            DelayProfile(kappa=kappa, kappa_bar=kappa_bar)
-        with pytest.raises(ScenarioError, match="boolean"):
-            DelayProfile.from_list(kappa, kappa_bar)
+            DelayProfile(kappa, kappa_bar)
 
     def test_non_scalar_bound_rejected(self):
         with pytest.raises(DimensionError, match="kappa_bar"):
@@ -117,17 +114,17 @@ class TestDelayProfile:
     def test_delays_beyond_int64_rejected(self, kappa, kappa_bar, beyond):
         # a whole float beyond int64 casts to garbage: it is named instead
         with pytest.raises(ScenarioError, match="beyond the integer range"):
-            DelayProfile.from_list(kappa, kappa_bar)
+            DelayProfile(kappa, kappa_bar)
         with pytest.raises(ScenarioError, match=beyond):
-            DelayProfile.from_list(kappa, kappa_bar)
+            DelayProfile(kappa, kappa_bar)
 
     def test_largest_int64_delay_accepted(self):
-        prof = DelayProfile.from_list(
+        prof = DelayProfile(
             np.array([2 ** 63 - 1, 0], dtype=np.uint64))
         assert prof.kappa_bar == 2 ** 63 - 1
 
     def test_whole_floats_accepted(self):
-        prof = DelayProfile.from_list([1.0, 0.0, 2.0], 3.0)
+        prof = DelayProfile([1.0, 0.0, 2.0], 3.0)
         np.testing.assert_array_equal(prof.kappa, [1, 0, 2])
         assert prof.kappa.dtype.kind == "i"
         assert prof.kappa_bar == 3 and isinstance(prof.kappa_bar, int)
@@ -236,7 +233,7 @@ def run_scalar(mode, k_max, kappa=0, x0=0.9, xr0=0.5):
     """The scalar design on one rooted agent: scale 1/2, expanded Laplacian 1."""
     d = scalar_design(mode)
     g = CommGraph(adjacency=np.zeros((1, 1)), roots=np.array([True]))
-    return simulate(d.model, d, g, DelayProfile.from_list([kappa], 1),
+    return simulate(d.model, d, g, DelayProfile([kappa], 1),
                     np.array([[x0]]), np.array([xr0]), k_max)
 
 
@@ -287,7 +284,7 @@ class TestProtocolSteps:
 def run_case1(design, kappa, k_max, x0=None, xr0=XR0):
     g = cycle3_graph()
     x0 = _initial_states(3) if x0 is None else x0
-    return simulate(design.model, design, g, DelayProfile.from_list(kappa),
+    return simulate(design.model, design, g, DelayProfile(kappa),
                     x0, xr0, k_max)
 
 
@@ -337,7 +334,7 @@ class TestSimulate:
                       roots=np.array([True, False]))
         with pytest.raises(ScenarioError, match="rooted"):
             simulate(full_design.model, full_design, g,
-                     DelayProfile.from_list([0, 0]),
+                     DelayProfile([0, 0]),
                      np.zeros((2, 3)), XR0, 20)
 
     def test_delays_beyond_design_rejected(self, full_design):
@@ -347,10 +344,36 @@ class TestSimulate:
     def test_wrong_initial_shape_rejected(self, full_design):
         with pytest.raises(ScenarioError, match="x0"):
             simulate(full_design.model, full_design, cycle3_graph(),
-                     DelayProfile.from_list([1, 1, 2]),
+                     DelayProfile([1, 1, 2]),
                      np.zeros((2, 3)), XR0, 20)
         with pytest.raises(ScenarioError, match="k_max"):
             run_case1(full_design, [1, 1, 2], -1)
+
+    def test_record_beyond_memory_refused_before_allocating(
+            self, full_design):
+        # 10**12 steps of four nodes at width 7 would be a 204 TiB record;
+        # the refusal is decided on its computed size
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError, match=r"^sim\.k_max = "
+                               r"1000000000000 needs a run record of "
+                               r"208,616\.\d GiB, beyond the "):
+                run_case1(full_design, [1, 1, 2], 10 ** 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_record_size_is_checked_exactly(self, full_design, monkeypatch):
+        # 8 (kappa_bar + k_max + 1)(N + 1)(w + m) bytes: 8 * 13 * 4 * 7 for
+        # ten steps of case 1; a memory of that many bytes holds it
+        record = 8 * (2 + 10 + 1) * (3 + 1) * (6 + 1)
+        for memory in (record, record - 1):
+            monkeypatch.setattr(dynamics.os, "sysconf", lambda name: {
+                "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}[name])
+            with (pytest.raises(ScenarioError, match="sim.k_max = 10 ")
+                  if memory < record else contextlib.nullcontext()):
+                run_case1(full_design, [1, 1, 2], 10)
 
     @pytest.mark.parametrize("x0_entry,xr0,named", [
         (0.0, ['0', True, 0.0], r"xr0: entry 0 is '0'"),
@@ -403,7 +426,7 @@ def check_plant_and_input_laws(design, graph, data):
     # the bound sets the record's zero padding: from none to spare rows
     kappa_bar = data.draw(st.integers(max(kappa), 2))
     traj = simulate(design.model, design, graph,
-                    DelayProfile.from_list(kappa, kappa_bar), x0, XR0,
+                    DelayProfile(kappa, kappa_bar), x0, XR0,
                     k_max)
     # u(k) = -rho chi(k) K'
     np.testing.assert_allclose(traj.u,
@@ -466,77 +489,6 @@ class TestDivergence:
             run_case1(full_design, [1, 1, 2], 10, x0=x0)
 
 
-def _delayed_input_map(design, kappa):
-    """-rho (E_d kron BK) side by side for d = 0..max(kappa), where E_d
-    selects the agents with delay d: maps the protocol-state history
-    [chi(k); chi(k-1); ...] to B u_i(k - kappa_i) stacked over agents."""
-    BK = design.model.B @ design.K
-    kappa = np.asarray(kappa)
-    return np.hstack([-design.rho * np.kron(np.diag(kappa == d), BK)
-                      for d in range(kappa.max() + 1)])
-
-
-def _history_shift(Nn, depth):
-    """Rows of the lifted history below its head: chi(k-d) moves down."""
-    return np.eye(depth * Nn, k=-Nn)[Nn:]
-
-
-def monolithic_full(design, graph, kappa):
-    """Independent closed-loop matrix over [x; chi(k); ...; chi(k - max
-    kappa); x_ref] for the delay profile kappa, assembled directly from
-    Kronecker products."""
-    A = design.model.A
-    n = A.shape[0]
-    N = graph.n_agents
-    net = network_matrices(graph)
-    W = net.scale[:, None] * net.expanded_laplacian
-    w = net.scale * graph.roots
-    eyeN = np.eye(N)
-    delayed = _delayed_input_map(design, kappa)
-    depth = delayed.shape[1] // (N * n)
-    head = delayed.copy()
-    head[:, :N * n] += np.kron(eyeN, A) - np.kron(W, A)
-    rows = [
-        np.hstack([np.kron(eyeN, A), delayed, np.zeros((N * n, n))]),
-        np.hstack([np.kron(W, A), head, -np.kron(w[:, None], A)]),
-        np.hstack([np.zeros(((depth - 1) * N * n, N * n)),
-                   _history_shift(N * n, depth),
-                   np.zeros(((depth - 1) * N * n, n))]),
-        np.hstack([np.zeros((n, (depth + 1) * N * n)), A]),
-    ]
-    return np.vstack(rows)
-
-
-def monolithic_partial(design, graph, kappa):
-    """Closed-loop matrix over [x; xhat; chi(k); ...; chi(k - max kappa);
-    x_ref] for the delay profile kappa."""
-    A, C, F = design.model.A, design.model.C, design.F
-    n = A.shape[0]
-    N = graph.n_agents
-    net = network_matrices(graph)
-    W = net.scale[:, None] * net.expanded_laplacian
-    w = net.scale * graph.roots
-    eyeN = np.eye(N)
-    FC = F @ C
-    Z = np.zeros((N * n, N * n))
-    delayed = _delayed_input_map(design, kappa)
-    depth = delayed.shape[1] // (N * n)
-    head = delayed.copy()
-    head[:, :N * n] += np.kron(eyeN, A) - np.kron(W, A)
-    rows = [
-        np.hstack([np.kron(eyeN, A), Z, delayed, np.zeros((N * n, n))]),
-        np.hstack([np.kron(W, FC), np.kron(eyeN, A - FC),
-                   np.kron(W, np.eye(n)) @ delayed,
-                   -np.kron(w[:, None], FC)]),
-        np.hstack([Z, np.kron(eyeN, A), head, np.zeros((N * n, n))]),
-        np.hstack([np.zeros(((depth - 1) * N * n, 2 * N * n)),
-                   _history_shift(N * n, depth),
-                   np.zeros(((depth - 1) * N * n, n))]),
-        np.hstack([np.zeros((n, (depth + 2) * N * n)), A]),
-    ]
-    return np.vstack(rows)
-
-
 class TestZeroDelayOracles:
     def test_full_state_matches_monolithic(self, full_design):
         g = cycle3_graph()
@@ -581,7 +533,7 @@ def assert_matches_lift(design, graph, kappa, x0, xr0, k_max):
     partial = design.mode == "partial"
     N, n = x0.shape
     traj = simulate(design.model, design, graph,
-                    DelayProfile.from_list(kappa, design.kappa_bar), x0, xr0,
+                    DelayProfile(kappa, design.kappa_bar), x0, xr0,
                     k_max)
     M = (monolithic_partial if partial else monolithic_full)(design, graph,
                                                              kappa)
@@ -746,7 +698,7 @@ class TestLargeGraph:
         graph = chain_with_shortcuts(np.random.default_rng(5), N)
         assert dynamics._use_edge_product(N, graph.edge_dst.size)
         x0 = np.random.default_rng(6).uniform(-2.0, 2.0, size=(N, 3))
-        delays = DelayProfile.from_list(np.zeros(N, dtype=int))
+        delays = DelayProfile(np.zeros(N, dtype=int))
         tracemalloc.start()
         try:
             traj = simulate(full_design.model, full_design, graph, delays,

@@ -9,11 +9,12 @@ from hypothesis.extra.numpy import arrays
 
 import conftest
 import delaysync.riccati
-from delaysync import (check_lambda_stabilized, dare_residual, feedback_gain,
-                       gain_disc, is_schur_stable, solve_low_gain_dare)
-from delaysync.design import _SWEEP_CHUNK, EPSILON_SWEEP
+from delaysync import (AgentModel, check_lambda_stabilized, dare_residual,
+                       feedback_gain, gain_disc, is_schur_stable, omega_max,
+                       solve_low_gain_dare)
+from delaysync.design import _SWEEP_CHUNK, EPSILON_SWEEP, estimate_mu
 from delaysync.errors import (AssumptionError, ConvergenceError,
-                              DegenerateInputError)
+                              DegenerateInputError, ScenarioError)
 from delaysync.riccati import (DARE_MAX_ITER, _doubling, _frobenius,
                                _low_gain_dare, _polish, is_detectable,
                                is_stabilizable)
@@ -86,8 +87,43 @@ class TestSolveLowGainDare:
             solve_low_gain_dare(np.eye(1), np.zeros((1, 1)), 0.5)
 
     def test_spectrum_outside_disc_rejected(self):
-        with pytest.raises(AssumptionError):
+        # the closed-disc rule and its message are omega_max's
+        with pytest.raises(AssumptionError) as err:
             solve_low_gain_dare(1.5 * np.eye(1), np.eye(1), 0.5)
+        with pytest.raises(AssumptionError) as owner:
+            omega_max(1.5 * np.eye(1))
+        assert str(err.value) == str(owner.value)
+
+
+#: every public reader of model matrices, called on (A, B, C, P), and the
+#: matrices it reads
+READERS = {
+    "AgentModel": (lambda A, B, C, P: AgentModel(A=A, B=B, C=C), "ABC"),
+    "solve_low_gain_dare": (
+        lambda A, B, C, P: solve_low_gain_dare(A, B, 0.5), "AB"),
+    "is_stabilizable": (lambda A, B, C, P: is_stabilizable(A, B), "AB"),
+    "is_detectable": (lambda A, B, C, P: is_detectable(A, C), "AC"),
+    "feedback_gain": (lambda A, B, C, P: feedback_gain(A, B, P), "ABP"),
+    "dare_residual": (lambda A, B, C, P: dare_residual(A, B, P, 0.5), "ABP"),
+    "estimate_mu": (lambda A, B, C, P: estimate_mu(A, 0.0, 1.0), "A"),
+}
+
+
+@pytest.mark.parametrize("entry", [True, "0.5"])
+@pytest.mark.parametrize("reader, name", [
+    (reader, name) for reader, (_, names) in READERS.items()
+    for name in names])
+def test_matrices_read_by_the_real_number_rule(reader, name, entry):
+    # the rule AgentModel applies holds for the public Riccati API too:
+    # a flag or a quoted number is named, never read as a number
+    matrices = {"A": [[0.5, 0.0], [0.0, 0.8]], "B": [[1.0], [1.0]],
+                "C": [[1.0, 0.0]], "P": [[1.0, 0.0], [0.0, 1.0]]}
+    matrices[name][-1][-1] = entry
+    at = "(0, 1)" if name == "C" else "(1, 0)" if name == "B" else "(1, 1)"
+    with pytest.raises(ScenarioError) as err:
+        READERS[reader][0](**matrices)
+    assert str(err.value) == (f"non-numeric or boolean {name}: entry {at} "
+                              f"is {entry!r}")
 
 
 class TestGeneralDare:

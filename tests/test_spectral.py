@@ -108,6 +108,10 @@ class TestSchurStable:
         for n in (1, 2, 4):
             assert is_schur_stable(np.zeros((n, n)))
 
+    def test_takes_no_stack(self):
+        with pytest.raises(DimensionError):
+            is_schur_stable(np.zeros((1, 2, 2)))
+
     def test_boundary_rotation_excluded(self):
         assert not is_schur_stable(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 

@@ -106,7 +106,7 @@ class TestClosedLoopCertificate:
                                  epsilon=1e-2)
         rep = closed_loop_certificate(design)
         traj = simulate(design.model, design, cycle3_graph(),
-                        DelayProfile.from_list([1, 1, 2], 2),
+                        DelayProfile([1, 1, 2], 2),
                         _initial_states(3), XR0, 3000)
         rate = (traj.error[3000] / traj.error[2000]) ** (1 / 1000)
         assert rate == pytest.approx(rep.radii[2], rel=1e-4)
@@ -271,7 +271,7 @@ class TestSweptDesign:
                                    [0.9994057, 0.9994855, 0.9997041],
                                    rtol=0, atol=1e-6)
         traj = simulate(design.model, design, cycle3_graph(),
-                        DelayProfile.from_list([2, 2, 2], 2),
+                        DelayProfile([2, 2, 2], 2),
                         _initial_states(3), XR0, 36000)
         conv = convergence_report(traj)
         assert conv.converged, f"final error {conv.final_error:.3e}"
@@ -281,7 +281,7 @@ class TestConvergenceReport:
     def test_synchronized_run(self, bench_design):
         g = cycle3_graph()
         traj = simulate(bench_design.model, bench_design, g,
-                        DelayProfile.from_list([1, 1, 2], 2),
+                        DelayProfile([1, 1, 2], 2),
                         np.tile(XR0, (3, 1)), XR0, 60)
         rep = convergence_report(traj)
         assert rep.converged
@@ -289,7 +289,7 @@ class TestConvergenceReport:
 
     def test_bench_run_converges_at_default_tolerance(self, bench_design):
         traj = simulate(bench_design.model, bench_design, cycle3_graph(),
-                        DelayProfile.from_list([1, 1, 2], 2),
+                        DelayProfile([1, 1, 2], 2),
                         _initial_states(3), XR0, 3000)
         rep = convergence_report(traj, tol=1e-3)
         assert rep.converged
@@ -305,7 +305,7 @@ class TestConvergenceReport:
         good = design_protocol(model, 1, mode="full", epsilon=1e-3)
         weak = dataclasses.replace(good, rho=0.1)
         traj = simulate(model, weak, cycle3_graph(),
-                        DelayProfile.from_list([1, 1, 1], 1),
+                        DelayProfile([1, 1, 1], 1),
                         np.array([[2.0, -1.0], [-2.0, 1.5], [1.0, 2.0]]),
                         np.array([0.0, 1.0]), 2000)
         rep = convergence_report(traj)
@@ -314,7 +314,7 @@ class TestConvergenceReport:
 
     def test_short_series_rejected(self, bench_design):
         traj = simulate(bench_design.model, bench_design, cycle3_graph(),
-                        DelayProfile.from_list([1, 1, 2], 2),
+                        DelayProfile([1, 1, 2], 2),
                         _initial_states(3), XR0, 5)
         with pytest.raises(ValueError):
             convergence_report(traj)
