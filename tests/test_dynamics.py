@@ -368,12 +368,12 @@ class TestSimulate:
         # 8 (kappa_bar + k_max + 1)(N + 1)(w + m) bytes: 8 * 13 * 4 * 7 for
         # ten steps of case 1; a memory of that many bytes holds it
         record = 8 * (2 + 10 + 1) * (3 + 1) * (6 + 1)
-        for memory in (record, record - 1):
-            monkeypatch.setattr(dynamics.os, "sysconf", lambda name: {
-                "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}[name])
-            with (pytest.raises(ScenarioError, match="sim.k_max = 10 ")
-                  if memory < record else contextlib.nullcontext()):
-                run_case1(full_design, [1, 1, 2], 10)
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": record}
+        monkeypatch.setattr(dynamics.os, "sysconf", pages.__getitem__)
+        run_case1(full_design, [1, 1, 2], 10)
+        pages["SC_PHYS_PAGES"] = record - 1
+        with pytest.raises(ScenarioError, match="sim.k_max = 10 "):
+            run_case1(full_design, [1, 1, 2], 10)
 
     @pytest.mark.parametrize("x0_entry,xr0,named", [
         (0.0, ['0', True, 0.0], r"xr0: entry 0 is '0'"),
