@@ -149,7 +149,7 @@ def write_report(report, txt_path, json_path, convergence=None):
 
 def _designed(cfg):
     return design_protocol(cfg.model, cfg.delays.kappa_bar, mode=cfg.mode,
-                           epsilon=cfg.epsilon, rho=cfg.rho)
+                           epsilon=cfg.epsilon)
 
 
 def _path(directory, name):

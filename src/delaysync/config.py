@@ -10,25 +10,24 @@ notation):
       "graph":    {"adjacency": [[...]], "roots": [0/1 flags, length N]},
       "delays":   {"kappa": [whole numbers, length N],
                    "kappa_bar": whole number (optional)},
-      "protocol": {"epsilon": float, "rho": float}          (optional keys),
+      "protocol": {"epsilon": float}                        (optional),
       "sim":      {"k_max": int, "x0": [[...] per agent], "xr0": [...]},
       "output":   {"directory": str, "emit_plot_data": bool} (optional)
     }
 
 Validation is not fail-fast: every violation is collected and reported in
-one ScenarioError, each message naming the offending field.  A value's
-rules live in the type that owns it: `AgentModel`, `CommGraph` (weights
-and root flags) and `DelayProfile` (whole, non-negative delays), whose
-errors are reported under `model:`, `graph:` and `delays:`; a real number
-is what `errors.real_array` accepts.  This module checks only what a file
-adds: the sections, finite matrices, the typed scalar fields (`protocol`,
-`sim.k_max`, the one simulation horizon, and `output`), and agreement
-across sections (the adjacency order against `delays.kappa` and
-`sim.x0`, `C = I` in full mode, at least one root).
+one ScenarioError, each message naming the offending field or key.  A
+value's rules live in the type that owns it: `AgentModel`, `CommGraph`
+(weights and root flags) and `DelayProfile` (whole, non-negative delays),
+whose errors are reported under `model:`, `graph:` and `delays:`; a real
+number is what `errors.real_array` accepts.  This module checks only what
+a file adds: the sections and their keys, finite matrices, the typed
+scalar fields (`protocol`, `sim.k_max`, the one simulation horizon, and
+`output`), and agreement across sections (the adjacency order against
+`delays.kappa` and `sim.x0`, `C = I` in full mode, at least one root).
 """
 
 import json
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +49,15 @@ class ScenarioConfig:
     x0: np.ndarray
     xr0: np.ndarray
     epsilon: float | None = None
-    rho: float | None = None
     out_dir: str = "."
     emit_plot_data: bool = False
+
+
+#: the keys the loader reads, by section (mode is a value); others are refused
+_KEYS = {"model": {"A", "B", "C"}, "mode": None,
+         "graph": {"adjacency", "roots"}, "delays": {"kappa", "kappa_bar"},
+         "protocol": {"epsilon"}, "sim": {"k_max", "x0", "xr0"},
+         "output": {"directory", "emit_plot_data"}}
 
 
 def _matrix(raw, name, problems, ndim=2):
@@ -97,6 +102,8 @@ def _section(data, name, problems, required=True):
     if not isinstance(sec, dict):
         problems.append(f"{name}: must be an object")
         return {}
+    problems.extend(f"{name}.{key}: unknown key" for key in sec
+                    if key not in _KEYS[name])
     return sec
 
 
@@ -108,6 +115,7 @@ def parse_config(data):
     problems = []
     if not isinstance(data, dict):
         raise ScenarioError(["config root must be an object"])
+    problems.extend(f"{k}: unknown section" for k in data if k not in _KEYS)
 
     model_sec = _section(data, "model", problems)
     A, B, C = (_matrix(model_sec.get(key), f"model.{key}", problems)
@@ -148,10 +156,7 @@ def parse_config(data):
     epsilon = _field(proto_sec, "protocol.epsilon", problems, "in (0, 1]",
                      lambda v: v is None
                      or is_real_type(type(v)) and 0 < v <= 1)
-    rho = _field(proto_sec, "protocol.rho", problems, "positive and finite",
-                 lambda v: v is None or is_real_type(type(v))
-                 and 0 < v <= sys.float_info.max)
-    epsilon, rho = (v if v is None else float(v) for v in (epsilon, rho))
+    epsilon = epsilon if epsilon is None else float(epsilon)
 
     sim_sec = _section(data, "sim", problems)
     k_max = _field(sim_sec, "sim.k_max", problems, "an integer of at least 10",
@@ -176,7 +181,7 @@ def parse_config(data):
         raise ScenarioError(problems)
     return ScenarioConfig(model=model, mode=mode, graph=graph, delays=delays,
                           k_max=k_max, x0=x0, xr0=xr0, epsilon=epsilon,
-                          rho=rho, out_dir=out_dir, emit_plot_data=emit_plot)
+                          out_dir=out_dir, emit_plot_data=emit_plot)
 
 
 def load_config(path):
@@ -206,11 +211,8 @@ def config_to_dict(cfg):
         "output": {"directory": cfg.out_dir,
                    "emit_plot_data": cfg.emit_plot_data},
     }
-    protocol = {key: value for key, value in (("epsilon", cfg.epsilon),
-                                              ("rho", cfg.rho))
-                if value is not None}
-    if protocol:
-        out["protocol"] = protocol
+    if cfg.epsilon is not None:
+        out["protocol"] = {"epsilon": cfg.epsilon}
     return out
 
 

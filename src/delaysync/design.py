@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AssumptionError, ConvergenceError, DesignError,
-                     DimensionError, real_array)
-from .riccati import (_check_ab, _doubling, _low_gain_dare, _polish,
-                      is_detectable, is_stabilizable, solve_low_gain_dare)
+                     real_array)
+from .riccati import (_check_ab, _check_c, _doubling, _low_gain_dare,
+                      _polish, is_detectable, is_stabilizable,
+                      solve_low_gain_dare)
 from .spectral import is_schur_stable, omega_max, spectral_radius
 from .verify import CERTIFICATE_THRESHOLD, delay_loop_radii
 
@@ -70,10 +71,7 @@ class AgentModel:
 
     def __post_init__(self):
         A, B = _check_ab(self.A, self.B)
-        C = real_array(self.C, "C")
-        if C.ndim != 2 or C.shape[1] != A.shape[0]:
-            raise DimensionError(f"C must be qx{A.shape[0]}, got {C.shape}")
-        for name, value in zip("ABC", (A, B, C)):
+        for name, value in zip("ABC", (A, B, _check_c(A, self.C))):
             object.__setattr__(self, name, value)
 
     @property
@@ -137,11 +135,12 @@ def _admissible(kappa_bar, omega):
 
 
 def choose_rho(kappa_bar, omega):
-    """Loop gain RHO_MARGIN times above both 1/2 and
-    1 / (2 cos(kappa_bar * omega))."""
+    """Loop gain RHO_MARGIN times above both 1/2 and 1 / (2 cos(kappa_bar *
+    omega)); DesignError("delay_admissibility") unless `_admissible`."""
     if not _admissible(kappa_bar, omega):
-        raise DesignError("rho", f"kappa_bar*omega_max = {kappa_bar * omega:.6g} "
-                          "is not below pi/2; no admissible gain exists")
+        raise DesignError("delay_admissibility", f"kappa_bar = {kappa_bar} "
+                          "violates kappa_bar*omega_max < pi/2 (omega_max = "
+                          f"{omega:.6g}, bound {math.pi / 2 / omega:.6g})")
     return max(RHO_MARGIN / (2.0 * math.cos(kappa_bar * omega)),
                0.5 * RHO_MARGIN)
 
@@ -298,50 +297,36 @@ def design_observer(A, C):
                       "target at both solver weights")
 
 
-def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None, rho=None):
+def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None):
     """Design a synchronization protocol from the agent model and delay bound.
 
     The only inputs are the model, the delay bound, the coupling mode, and
-    optional pinned values for epsilon and rho (validated against the same
-    invariants the automatic choices satisfy).  The result is a pure
-    function of these arguments: identical inputs give identical designs.
+    an optional pinned epsilon in (0, 1], checked only to make the
+    undelayed loop A - rho B K Schur stable: `verify` certifies the delayed
+    loops.  The result is a pure function of these arguments.
     """
     if mode not in (FULL_STATE, PARTIAL_STATE):
         raise ValueError(f"mode must be '{FULL_STATE}' or '{PARTIAL_STATE}', "
                          f"got {mode!r}")
     kappa_bar = int(kappa_bar)
     w = validate_assumptions(model)
-    if not _admissible(kappa_bar, w):
-        raise DesignError(
-            "delay_admissibility",
-            f"kappa_bar = {kappa_bar} violates kappa_bar*omega_max < pi/2 "
-            f"(omega_max = {w:.6g}, bound {math.pi / 2 / w if w > 0 else math.inf:.6g})")
-
-    if rho is None:
-        rho_val = choose_rho(kappa_bar, w)
-    else:
-        rho_val = float(rho)
-        if not math.isfinite(rho_val):
-            raise DesignError("rho", f"pinned rho = {rho_val} is not finite")
-        if rho_val * math.cos(kappa_bar * w) <= 0.5:
-            raise DesignError("rho", f"pinned rho = {rho_val:.6g} violates "
-                              "rho*cos(kappa_bar*omega_max) > 1/2")
-    theta = choose_theta(rho_val, kappa_bar, w)
+    rho = choose_rho(kappa_bar, w)
+    theta = choose_theta(rho, kappa_bar, w)
     mu = estimate_mu(model.A, w, theta)
 
     if epsilon is None:
-        sol = choose_epsilon_star(model.A, model.B, rho_val, mu, kappa_bar)
+        sol = choose_epsilon_star(model.A, model.B, rho, mu, kappa_bar)
     else:
         pinned = float(epsilon)
         if not (0.0 < pinned <= 1.0):
             raise DesignError("epsilon", f"pinned epsilon = {pinned:.6g} is "
                               "outside (0, 1]")
         sol = solve_low_gain_dare(model.A, model.B, pinned)
-        if not is_schur_stable(model.A - rho_val * model.B @ sol.K):
+        if not is_schur_stable(model.A - rho * model.B @ sol.K):
             raise DesignError("epsilon", f"A - rho*B*K is not Schur stable at "
-                              f"epsilon = {pinned:.6g}, rho = {rho_val:.6g}")
+                              f"epsilon = {pinned:.6g}, rho = {rho:.6g}")
 
     F = design_observer(model.A, model.C) if mode == PARTIAL_STATE else None
     return ProtocolDesign(mode=mode, model=model, epsilon_star=sol.epsilon,
-                          rho=rho_val, K=sol.K, P=sol.P, F=F, omega_max=w,
+                          rho=rho, K=sol.K, P=sol.P, F=F, omega_max=w,
                           kappa_bar=kappa_bar, theta=theta, mu=mu)

@@ -72,11 +72,25 @@ class GainDisc:
         return bool(abs(complex(lam) - self.center) < self.radius)
 
 
-def _check_ab(A, B):
-    """Real-number (`errors.real_array`) A, square, and B with A's rows."""
-    A, B = real_array(A, "A"), real_array(B, "B")
+def _check_a(A):
+    """Real-number (`errors.real_array`) A, square."""
+    A = real_array(A, "A")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"A must be square, got shape {A.shape}")
+    return A
+
+
+def _check_c(A, C):
+    """Real-number C with the columns of `_check_a`'s A."""
+    C = real_array(C, "C")
+    if C.ndim != 2 or C.shape[1] != A.shape[0]:
+        raise DimensionError(f"C must be qx{A.shape[0]}, got shape {C.shape}")
+    return C
+
+
+def _check_ab(A, B):
+    """`_check_a`'s A, and real-number B with A's rows."""
+    A, B = _check_a(A), real_array(B, "B")
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
         raise DimensionError(f"B must be {A.shape[0]}xm, got shape {B.shape}")
     return A, B
@@ -100,10 +114,8 @@ def is_stabilizable(A, B):
 
 def is_detectable(A, C):
     """PBH test on the dual pair: (C, A) detectable iff (A', C') stabilizable."""
-    A, C = real_array(A, "A"), real_array(C, "C")
-    if C.ndim != 2 or C.shape[1] != A.shape[0]:
-        raise DimensionError(f"C must be qx{A.shape[0]}, got shape {C.shape}")
-    return is_stabilizable(A.T, C.T)
+    A = _check_a(A)
+    return is_stabilizable(A.T, _check_c(A, C).T)
 
 
 def dare_residual(A, B, P, epsilon):

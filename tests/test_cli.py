@@ -157,12 +157,12 @@ class TestConfigRoundTrip:
     def test_round_trip_preserves_overrides(self, tmp_path):
         cfg = demo_scenario(1, "full")
         data = config_to_dict(cfg)
-        data["protocol"]["rho"] = 1.25
+        data["protocol"]["epsilon"] = 0.25
         data["output"]["emit_plot_data"] = True
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         loaded = load_config(path)
-        assert loaded.rho == 1.25
+        assert loaded.epsilon == 0.25
         assert loaded.emit_plot_data
         write_config(loaded, path)
         assert config_to_dict(load_config(path)) == config_to_dict(loaded)
@@ -255,29 +255,11 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="identity"):
             parse_config(data)
 
-    @pytest.mark.parametrize("key", ["epsilon", "rho"])
+    @pytest.mark.parametrize("key", ["epsilon"])
     def test_protocol_rejects_booleans(self, key):
         data = config_to_dict(demo_scenario(1, "full"))
         data["protocol"][key] = True
         with pytest.raises(ScenarioError, match=f"protocol.{key}: .*True"):
-            parse_config(data)
-
-    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
-    def test_protocol_rho_must_be_finite(self, tmp_path, value):
-        # json reads these literals as floats, so validation must catch them
-        path = demo_config_file(tmp_path, **{"protocol.rho": float(value)})
-        assert value in path.read_text()
-        with pytest.raises(ScenarioError,
-                           match=r"protocol.rho: must be positive and finite"
-                                 rf", got {float(value)!r}"):
-            load_config(path)
-
-    def test_protocol_rho_beyond_float_range_rejected(self):
-        # json reads a long integer literal exactly; float() of it overflows
-        data = config_to_dict(demo_scenario(1, "full"))
-        data["protocol"]["rho"] = 10 ** 400
-        with pytest.raises(ScenarioError,
-                           match="protocol.rho: must be positive and finite"):
             parse_config(data)
 
     def test_parse_error_carries_position(self, tmp_path):
@@ -300,13 +282,28 @@ class TestCommands:
         assert main(["design", "--config", str(path)]) == 0
         assert "epsilon: 0.01" in capsys.readouterr().out.splitlines()
 
-    @pytest.mark.parametrize("rho", ["nan", "inf"])
-    def test_design_rejects_non_finite_rho_flag(self, tmp_path, capsys, rho):
-        # A pinned rho comes only from the scenario's protocol section now.
-        path = demo_config_file(tmp_path, **{"protocol.rho": float(rho)})
+    def test_design_refuses_a_stale_protocol_rho(self, tmp_path, capsys):
+        # rho comes only from (kappa_bar, omega_max): a pinned one is refused
+        path = demo_config_file(tmp_path, **{"protocol.rho": 1.25})
         assert main(["design", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "protocol.rho" in err and "Traceback" not in err
+        assert err == "config error: protocol.rho: unknown key\n"
+        assert not (tmp_path / "out" / "design.txt").exists()
+
+    def test_design_names_every_misspelled_key(self, tmp_path, capsys):
+        # a key the loader does not read would silently run the defaults
+        data = config_to_dict(demo_scenario(1, "full",
+                                            out_dir=str(tmp_path / "out")))
+        data["output"]["emit_plotdata"] = True
+        data["sim"]["kmax"] = 400
+        data["extra"] = {}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert main(["design", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: extra: unknown section",
+            "config error: sim.kmax: unknown key",
+            "config error: output.emit_plotdata: unknown key"]
         assert not (tmp_path / "out" / "design.txt").exists()
 
     def test_design_takes_only_a_config(self, capsys):

@@ -30,8 +30,7 @@ from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_F, _serial_sweep,
 from test_acceptance import _battery
 
 #: the stage tags design_protocol's DesignError can carry
-DESIGN_STAGES = {"delay_admissibility", "rho", "theta", "mu", "epsilon",
-                 "observer"}
+DESIGN_STAGES = {"delay_admissibility", "theta", "mu", "epsilon", "observer"}
 
 #: the random model family the benchmark designs, with each recorded eps*
 FAMILY = json.loads((pathlib.Path(__file__).parents[1] / "perfbench" / "data"
@@ -124,8 +123,11 @@ class TestChooseRho:
             assert rho * math.cos(kappa_bar * w) > 0.5
 
     def test_inadmissible_product_rejected(self):
-        with pytest.raises(DesignError):
+        # choose_rho owns the rule design_protocol reports
+        with pytest.raises(DesignError) as err:
             choose_rho(1, math.pi / 2)
+        assert err.value.stage == "delay_admissibility"
+        assert str(err.value).endswith("(omega_max = 1.5708, bound 1)")
 
 
 class TestChooseTheta:
@@ -458,12 +460,6 @@ class TestDesignProtocol:
             design_protocol(bench_full, 3)
         assert err.value.stage == "delay_admissibility"
 
-    def test_pinned_rho_validated(self, bench_full):
-        for rho in (0.8, math.nan, math.inf):
-            with pytest.raises(DesignError) as err:
-                design_protocol(bench_full, 2, epsilon=1e-3, rho=rho)
-            assert err.value.stage == "rho", rho
-
     def test_pinned_epsilon_validated(self, bench_full):
         with pytest.raises(DesignError):
             design_protocol(bench_full, 2, epsilon=2.0)
@@ -488,7 +484,7 @@ class TestDesignProtocol:
     def test_scale_free_signature(self):
         # the designer cannot read the network: no graph/N/delay-profile args
         params = set(inspect.signature(design_protocol).parameters)
-        assert params == {"model", "kappa_bar", "mode", "epsilon", "rho"}
+        assert params == {"model", "kappa_bar", "mode", "epsilon"}
 
     def test_epsilon_star_ignores_output_map_in_full_mode(self):
         A = 0.5 * np.eye(3)

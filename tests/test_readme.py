@@ -1,6 +1,7 @@
 """README stays in step with the code: every command line it shows parses
 against the real CLI, every repo path it names exists, its scenario file
-example loads, and its library example runs."""
+example loads and shows every key the loader reads, and its library
+example runs."""
 
 import argparse
 import json
@@ -9,6 +10,7 @@ import re
 
 from delaysync import parse_config
 from delaysync.cli import build_parser
+from delaysync.config import _KEYS
 
 ROOT = pathlib.Path(__file__).parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -66,6 +68,10 @@ def test_scenario_file_example_parses():
     block = re.search(r"^```json\n(.*?)^```", section, re.M | re.S).group(1)
     cfg = parse_config(json.loads(block))
     assert cfg.graph.n_agents == len(cfg.delays.kappa) == 2
+    # the example shows every key the loader reads, section by section
+    shown = {name: set(value) if isinstance(value, dict) else None
+             for name, value in json.loads(block).items()}
+    assert shown == _KEYS
 
 
 def test_quick_library_example_runs(capsys):

@@ -14,7 +14,8 @@ from delaysync import (AgentModel, check_lambda_stabilized, dare_residual,
                        solve_low_gain_dare)
 from delaysync.design import _SWEEP_CHUNK, EPSILON_SWEEP, estimate_mu
 from delaysync.errors import (AssumptionError, ConvergenceError,
-                              DegenerateInputError, ScenarioError)
+                              DegenerateInputError, DimensionError,
+                              ScenarioError)
 from delaysync.riccati import (DARE_MAX_ITER, _doubling, _frobenius,
                                _low_gain_dare, _polish, is_detectable,
                                is_stabilizable)
@@ -107,6 +108,20 @@ READERS = {
     "dare_residual": (lambda A, B, C, P: dare_residual(A, B, P, 0.5), "ABP"),
     "estimate_mu": (lambda A, B, C, P: estimate_mu(A, 0.0, 1.0), "A"),
 }
+
+
+def test_c_rule_has_one_text_and_checks_a_first():
+    # AgentModel and is_detectable share one C check, behind the A check
+    with pytest.raises(DimensionError,
+                       match=r"^A must be square, got shape \(1, 3\)$"):
+        is_detectable(np.ones((1, 3)), np.ones((1, 3)))
+    messages = set()
+    for read in (lambda C: AgentModel(A=np.eye(2), B=np.ones((2, 1)), C=C),
+                 lambda C: is_detectable(np.eye(2), C)):
+        with pytest.raises(DimensionError) as err:
+            read(np.ones((1, 3)))
+        messages.add(str(err.value))
+    assert messages == {"C must be qx2, got shape (1, 3)"}
 
 
 @pytest.mark.parametrize("entry", [True, "0.5"])
