@@ -282,9 +282,11 @@ class TestCommands:
         assert main(["design", "--config", str(path)]) == 0
         assert "epsilon: 0.01" in capsys.readouterr().out.splitlines()
 
-    def test_design_refuses_a_stale_protocol_rho(self, tmp_path, capsys):
-        # rho comes only from (kappa_bar, omega_max): a pinned one is refused
-        path = demo_config_file(tmp_path, **{"protocol.rho": 1.25})
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_design_rejects_non_finite_rho_flag(self, tmp_path, capsys, rho):
+        # rho comes only from (kappa_bar, omega_max): a pinned one, finite or
+        # not, is refused as an unknown key before any value rule runs
+        path = demo_config_file(tmp_path, **{"protocol.rho": float(rho)})
         assert main(["design", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "config error: protocol.rho: unknown key\n"
