@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .config import ScenarioConfig
-from .design import FULL_STATE, PARTIAL_STATE, AgentModel
+from .design import FULL_STATE, PARTIAL_STATE, AgentModel, _check_mode
 from .dynamics import DelayProfile
 from .network import CommGraph
 
@@ -41,7 +41,7 @@ def demo_model(mode=FULL_STATE):
          [0.0, math.sqrt(3) / 2, -0.5],
          [0.0, 0.5, math.sqrt(3) / 2]]
     B = [[1.0], [1.0], [0.0]]
-    C = np.eye(3) if mode == FULL_STATE else [[1.0, 0.0, 0.0]]
+    C = np.eye(3) if _check_mode(mode) == FULL_STATE else [[1.0, 0.0, 0.0]]
     return AgentModel(A=np.asarray(A), B=np.asarray(B), C=np.asarray(C))
 
 
@@ -78,11 +78,8 @@ def _demo_graph(case):
 
 def demo_scenario(case, mode=FULL_STATE, out_dir="."):
     """A ready-to-run ScenarioConfig for one of the bundled cases."""
-    if mode not in (FULL_STATE, PARTIAL_STATE):
-        raise ValueError(f"mode must be '{FULL_STATE}' or '{PARTIAL_STATE}', "
-                         f"got {mode!r}")
-    graph, kappa = _demo_graph(case)
     model = demo_model(mode)
+    graph, kappa = _demo_graph(case)
     return ScenarioConfig(
         model=model, mode=mode, graph=graph,
         delays=DelayProfile(kappa, kappa_bar=2),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AssumptionError, ConvergenceError, DesignError,
-                     real_array)
+                     real_array, scalar, whole_array)
 from .riccati import (_check_ab, _check_c, _doubling, _low_gain_dare,
                       _polish, is_detectable, is_stabilizable,
                       solve_low_gain_dare)
@@ -87,10 +87,9 @@ class AgentModel:
 class ProtocolDesign:
     """Complete designed protocol: gains plus the scalars that certified them.
 
-    F is None in full-state mode.  epsilon_star is the sweep's accepted
-    value, or the validated pinned value.
+    F is None in full-state mode, and `mode` is derived from F.  epsilon_star
+    is the sweep's accepted value, or the validated pinned value.
     """
-    mode: str
     model: AgentModel
     epsilon_star: float
     rho: float
@@ -101,6 +100,18 @@ class ProtocolDesign:
     kappa_bar: int
     theta: float
     mu: float
+
+    @property
+    def mode(self):
+        return FULL_STATE if self.F is None else PARTIAL_STATE
+
+
+def _check_mode(mode):
+    """`mode`, which must be FULL_STATE or PARTIAL_STATE (else ValueError)."""
+    if mode not in (FULL_STATE, PARTIAL_STATE):
+        raise ValueError(f"mode must be '{FULL_STATE}' or '{PARTIAL_STATE}', "
+                         f"got {mode!r}")
+    return mode
 
 
 def validate_assumptions(model):
@@ -124,19 +135,19 @@ def validate_assumptions(model):
 def delay_admissible(A, kappa_bar):
     """True iff kappa_bar * omega_max(A) < pi/2, less an absolute guard of
     1e-9 that rejects models on the boundary up to eigenvalue rounding."""
-    return _admissible(kappa_bar, omega_max(A))
+    return _admissible(scalar(kappa_bar, "kappa_bar", whole_array),
+                       omega_max(A))
 
 
 def _admissible(kappa_bar, omega):
-    """`delay_admissible` given omega = omega_max(A)."""
-    if kappa_bar < 0:
-        raise ValueError(f"kappa_bar must be >= 0, got {kappa_bar}")
+    """`delay_admissible` given a read kappa_bar and omega = omega_max(A)."""
     return kappa_bar * omega < math.pi / 2.0 - DELAY_BOUNDARY_GUARD
 
 
 def choose_rho(kappa_bar, omega):
     """Loop gain RHO_MARGIN times above both 1/2 and 1 / (2 cos(kappa_bar *
     omega)); DesignError("delay_admissibility") unless `_admissible`."""
+    kappa_bar = scalar(kappa_bar, "kappa_bar", whole_array)
     if not _admissible(kappa_bar, omega):
         raise DesignError("delay_admissibility", f"kappa_bar = {kappa_bar} "
                           "violates kappa_bar*omega_max < pi/2 (omega_max = "
@@ -154,6 +165,7 @@ def choose_theta(rho, kappa_bar, omega):
     close to its critical value, so theta stays positive whenever
     rho * cos(kappa_bar * omega) > 1/2.
     """
+    kappa_bar = scalar(kappa_bar, "kappa_bar", whole_array)
     headroom = rho * math.cos(kappa_bar * omega) - 0.5
     if headroom <= 0.0:
         raise DesignError("theta", f"rho = {rho:.6g} does not satisfy "
@@ -305,19 +317,17 @@ def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None):
     undelayed loop A - rho B K Schur stable: `verify` certifies the delayed
     loops.  The result is a pure function of these arguments.
     """
-    if mode not in (FULL_STATE, PARTIAL_STATE):
-        raise ValueError(f"mode must be '{FULL_STATE}' or '{PARTIAL_STATE}', "
-                         f"got {mode!r}")
-    kappa_bar = int(kappa_bar)
+    _check_mode(mode)
+    kappa_bar = scalar(kappa_bar, "kappa_bar", whole_array)
+    pinned = None if epsilon is None else scalar(epsilon, "epsilon")
     w = validate_assumptions(model)
     rho = choose_rho(kappa_bar, w)
     theta = choose_theta(rho, kappa_bar, w)
     mu = estimate_mu(model.A, w, theta)
 
-    if epsilon is None:
+    if pinned is None:
         sol = choose_epsilon_star(model.A, model.B, rho, mu, kappa_bar)
     else:
-        pinned = float(epsilon)
         if not (0.0 < pinned <= 1.0):
             raise DesignError("epsilon", f"pinned epsilon = {pinned:.6g} is "
                               "outside (0, 1]")
@@ -327,6 +337,6 @@ def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None):
                               f"epsilon = {pinned:.6g}, rho = {rho:.6g}")
 
     F = design_observer(model.A, model.C) if mode == PARTIAL_STATE else None
-    return ProtocolDesign(mode=mode, model=model, epsilon_star=sol.epsilon,
+    return ProtocolDesign(model=model, epsilon_star=sol.epsilon,
                           rho=rho, K=sol.K, P=sol.P, F=F, omega_max=w,
                           kappa_bar=kappa_bar, theta=theta, mu=mu)

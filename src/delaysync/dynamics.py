@@ -2,11 +2,11 @@
 
 A run keeps one record: a block Z(k) per step with a row per node of the
 extended graph.  Row i < N holds agent i's [x_i | chi_i | xhat_i | u_i]
-(the observer state only in partial-state mode) and u_i(k) is the input
-agent i computed at step k.  The reference is node N: its row holds
-x_ref, and its protocol, observer and input columns are zero.  The
-extended Laplacian L_ext appends the column -roots and a zero row to the
-expanded Laplacian, so L_ext [y; y_ref] = L_exp y - roots y_ref.  One
+(the observer state only for a design with an observer gain F) and u_i(k)
+is the input agent i computed at step k.  The reference is node N: its
+row holds x_ref, and its protocol, observer and input columns are zero.
+The extended Laplacian L_ext appends the column -roots and a zero row to
+the expanded Laplacian, so L_ext [y; y_ref] = L_exp y - roots y_ref.  One
 graph product per step therefore gives every relative measurement and
 both extra exchanges:
 
@@ -28,12 +28,13 @@ builds no N x N array.  Graphs of fewer than 100 agents always take the
 dense product; sparse graphs of a few hundred agents and more take the
 edges.
 
-The record starts with kappa_bar zero rows, the inputs before step 0, so
-each agent's delayed input u_i(k - kappa_i) is read back from the record
-itself at a fixed per-agent offset.  Protocol and observer states start
-at zero.  A run whose states, inputs or synchronization error leave the
-finite floats stops at the first non-finite step and raises NumericError
-naming the first step and agent.
+The delays, their bound and k_max are read by the whole-number rule
+(`errors.whole_array`).  The record starts with kappa_bar zero rows, the
+inputs before step 0, so each agent's delayed input u_i(k - kappa_i) is
+read back from the record itself at a fixed per-agent offset.  Protocol
+and observer states start at zero.  A run whose states, inputs or
+synchronization error leave the finite floats stops at the first
+non-finite step and raises NumericError naming the first step and agent.
 """
 
 import os
@@ -43,7 +44,7 @@ import numpy as np
 
 from .design import PARTIAL_STATE
 from .errors import (DimensionError, NumericError, ScenarioError,
-                     describe_entry, real_array)
+                     real_array, scalar, whole_array)
 from .network import is_rooted
 
 
@@ -55,41 +56,17 @@ class DelayProfile:
     kappa_bar: int | None = None
 
     def __post_init__(self):
-        kappa = _whole(self.kappa, "kappa")
+        kappa = whole_array(self.kappa, "kappa")
         if kappa.ndim != 1:
             raise DimensionError(f"kappa must be a vector, got {kappa.shape}")
-        if np.any(kappa < 0):
-            raise ScenarioError("delays must be non-negative integers")
-        kappa_bar = _whole(kappa.max(initial=0) if self.kappa_bar is None
-                           else self.kappa_bar, "kappa_bar")
-        if kappa_bar.ndim != 0:
-            raise DimensionError(
-                f"kappa_bar must be a scalar, got shape {kappa_bar.shape}")
-        kappa_bar = int(kappa_bar)
-        if kappa_bar < kappa.max(initial=0):
-            raise ScenarioError(
-                f"kappa_bar = {kappa_bar} is below the largest delay "
-                f"{kappa.max()}")
+        largest = kappa.max(initial=0)
+        kappa_bar = scalar(largest if self.kappa_bar is None
+                           else self.kappa_bar, "kappa_bar", whole_array)
+        if kappa_bar < largest:
+            raise ScenarioError(f"kappa_bar = {kappa_bar} is below the "
+                                f"largest delay {largest}")
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "kappa_bar", kappa_bar)
-
-
-def _whole(values, name):
-    """`values` as ints.  Each entry must be a real number
-    (`errors.real_array`), and a whole one within the int64 range: a delay
-    is never truncated, but whole floats such as 2.0 are accepted."""
-    arr = real_array(values, name, dtype=None)
-    if arr.dtype.kind not in "iu" and not np.all(
-            np.isfinite(arr) & (arr == np.round(arr))):
-        raise ScenarioError(f"non-integer {name}: " + describe_entry(
-            arr, lambda v: not (np.isfinite(v) and v == np.round(v))))
-    with np.errstate(invalid="ignore"):  # a float beyond int64 casts wrong
-        whole = arr.astype(int)
-    beyond = whole != arr
-    if np.any(beyond):
-        raise ScenarioError(f"{name} beyond the integer range: "
-                            f"{arr[beyond].tolist()}")
-    return whole
 
 
 class InputHistory:
@@ -104,7 +81,7 @@ class InputHistory:
     """
 
     def __init__(self, n_agents, m, kappa_bar, k_max):
-        self.kappa_bar = int(kappa_bar)
+        self.kappa_bar = scalar(kappa_bar, "kappa_bar", whole_array)
         self._rows = np.zeros((self.kappa_bar + k_max + 1, n_agents, m))
         self._agents = np.arange(n_agents)
         self._step = -1
@@ -317,8 +294,7 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
         raise ScenarioError(f"x0 must have shape {(N, n)}, got {x0.shape}")
     if xr0.shape != (n,):
         raise ScenarioError(f"xr0 must have shape {(n,)}, got {xr0.shape}")
-    if k_max < 0:
-        raise ScenarioError(f"k_max must be >= 0, got {k_max}")
+    k_max = scalar(k_max, "k_max", whole_array)
     if delays.kappa.shape != (N,):
         raise ScenarioError(f"delay profile has {delays.kappa.shape[0]} entries "
                             f"for {N} agents")
@@ -330,12 +306,10 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
         raise ScenarioError("graph is not rooted: some agent has no path "
                             "from the root set")
     partial = design.mode == PARTIAL_STATE
-    if partial and design.F is None:
-        raise ScenarioError("partial-state design is missing the observer gain")
 
     T, Kz = _block_transition(model, design, partial)
     w = T.shape[1] - m
-    size = 8 * (delays.kappa_bar + int(k_max) + 1) * (N + 1) * (w + m)
+    size = 8 * (delays.kappa_bar + k_max + 1) * (N + 1) * (w + m)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if size > memory:  # refused before the record is allocated
         raise ScenarioError(f"sim.k_max = {k_max} needs a run record of "

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit, and its real-number rule."""
+"""Exception hierarchy shared across the toolkit, and its number rules."""
 
 import reprlib
 import sys
@@ -92,6 +92,38 @@ def real_array(values, name, dtype=float):
         first = describe_entry(items, lambda v: abs(v) > sys.float_info.max)
         raise ScenarioError(f"{name} has an entry beyond the float range: "
                             f"{first}") from None
+
+
+def whole_array(values, name):
+    """`values` as ints.  Each entry must be a real number (`real_array`),
+    and a whole one within the int64 range and non-negative (every whole
+    number in the package is a delay, a delay bound or a step count): a
+    value is never truncated, but whole floats such as 2.0 are accepted."""
+    arr = real_array(values, name, dtype=None)
+    if arr.dtype.kind not in "iu" and not np.all(
+            np.isfinite(arr) & (arr == np.round(arr))):
+        raise ScenarioError(f"non-integer {name}: " + describe_entry(
+            arr, lambda v: not (np.isfinite(v) and v == np.round(v))))
+    with np.errstate(invalid="ignore"):  # a float beyond int64 casts wrong
+        whole = arr.astype(int)
+    beyond = whole != arr
+    if np.any(beyond):
+        raise ScenarioError(f"{name} beyond the integer range: "
+                            f"{arr[beyond].tolist()}")
+    if np.any(whole < 0):
+        raise ScenarioError(f"negative {name}: "
+                            + describe_entry(whole, lambda v: v < 0))
+    return whole
+
+
+def scalar(value, name, rule=real_array):
+    """`value` read by `rule` (`real_array` or `whole_array`) as a Python
+    float or int; DimensionError unless it is a single number."""
+    arr = rule(value, name)
+    if arr.ndim != 0:
+        raise DimensionError(f"{name} must be a single number, got shape "
+                             f"{arr.shape}")
+    return arr.item()
 
 
 def describe_entry(items, bad):

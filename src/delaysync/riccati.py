@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AssumptionError, ConvergenceError, DegenerateInputError,
-                     DimensionError, real_array)
+                     DimensionError, real_array, scalar)
 from .spectral import UNIT_CIRCLE_TOL, eigenvalues, is_schur_stable, omega_max
 
 #: PBH rank test: the trailing singular value of [A - lambda I, B] must
@@ -121,7 +121,7 @@ def is_detectable(A, C):
 def dare_residual(A, B, P, epsilon):
     """Frobenius norm of A'PA - P - A'PB (I + B'PB)^{-1} B'PA + eps*I."""
     A, B = _check_ab(A, B)
-    P = real_array(P, "P")
+    P, epsilon = real_array(P, "P"), scalar(epsilon, "epsilon")
     M = np.eye(B.shape[1]) + B.T @ P @ B
     defect = A.T @ P @ A - P - A.T @ P @ B @ np.linalg.solve(M, B.T @ P @ A) \
         + epsilon * np.eye(A.shape[0])
@@ -150,6 +150,7 @@ def solve_low_gain_dare(A, B, epsilon):
     DARE_MAX_ITER doubling and polish iterations miss the residual.
     """
     A, B = _check_ab(A, B)
+    epsilon = scalar(epsilon, "epsilon")
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     omega_max(A)  # raises AssumptionError outside the closed unit disc

@@ -15,7 +15,7 @@ from delaysync import (AgentModel, choose_rho, choose_theta,
                        closed_loop_certificate, delay_admissible,
                        design_protocol, estimate_mu, is_schur_stable,
                        omega_max, validate_assumptions)
-from delaysync.demos import demo_model
+from delaysync.demos import demo_model, demo_scenario
 from delaysync.design import (EPSILON_SWEEP, MU_GRID_POINTS,
                               _spectral_norms, choose_epsilon_star,
                               design_observer)
@@ -29,8 +29,9 @@ from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_F, _serial_sweep,
                       block_diag, random_admissible_model, rotation)
 from test_acceptance import _battery
 
-#: the stage tags design_protocol's DesignError can carry
-DESIGN_STAGES = {"delay_admissibility", "theta", "mu", "epsilon", "observer"}
+#: the stage tags design_protocol's DesignError can carry: not "theta",
+#: which choose_rho's rho always clears (headroom at least 0.025)
+DESIGN_STAGES = {"delay_admissibility", "mu", "epsilon", "observer"}
 
 #: the random model family the benchmark designs, with each recorded eps*
 FAMILY = json.loads((pathlib.Path(__file__).parents[1] / "perfbench" / "data"
@@ -467,6 +468,16 @@ class TestDesignProtocol:
     def test_bad_mode_rejected(self, bench_full):
         with pytest.raises(ValueError):
             design_protocol(bench_full, 2, mode="both")
+
+    @pytest.mark.parametrize("make", [
+        lambda mode: design_protocol(demo_model("full"), 2, mode=mode),
+        demo_model, lambda mode: demo_scenario(1, mode)],
+        ids=["design_protocol", "demo_model", "demo_scenario"])
+    def test_one_mode_rule(self, make):
+        # a misspelled mode is refused, never read as the other mode
+        with pytest.raises(ValueError) as err:
+            make("Full")
+        assert str(err.value) == "mode must be 'full' or 'partial', got 'Full'"
 
     def test_assumption_gate(self):
         bad = AgentModel(A=1.5 * np.eye(2), B=np.ones((2, 1)), C=np.eye(2))

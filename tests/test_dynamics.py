@@ -38,12 +38,13 @@ def partial_design():
 
 
 def scalar_design(mode):
-    """Hand-sized synthetic design for single-agent step arithmetic."""
+    """Hand-sized synthetic design for single-agent step arithmetic: the
+    observer gain F, and with it partial mode, only when mode asks for it."""
     model = AgentModel(A=[[0.8]], B=[[2.0]], C=[[0.5]])
-    return ProtocolDesign(mode=mode, model=model, epsilon_star=0.1, rho=0.5,
-                          K=np.array([[0.3]]), P=np.eye(1),
-                          F=np.array([[0.6]]), omega_max=0.0, kappa_bar=1,
-                          theta=1.0, mu=1.0)
+    F = np.array([[0.6]]) if mode == "partial" else None
+    return ProtocolDesign(model=model, epsilon_star=0.1, rho=0.5,
+                          K=np.array([[0.3]]), P=np.eye(1), F=F,
+                          omega_max=0.0, kappa_bar=1, theta=1.0, mu=1.0)
 
 
 class TestDelayProfile:

@@ -9,7 +9,7 @@ from delaysync import (DelayProfile, closed_loop_certificate,
                        convergence_report, design_protocol, simulate)
 from delaysync.demos import (DEMO_CASES, demo_model, demo_scenario,
                              _initial_states)
-from delaysync.errors import GridSizeError
+from delaysync.errors import GridSizeError, NumericError
 from delaysync.riccati import solve_low_gain_dare
 from delaysync.spectral import spectral_radius
 from delaysync.verify import (CERTIFICATE_THRESHOLD, delay_loop_radii,
@@ -137,6 +137,38 @@ class TestClosedLoopCertificate:
                 design.model.A, -design.rho * design.model.B @ design.K,
                 range(design.kappa_bar + 1))
             assert closed_loop_certificate(design).passed and sweep.passed
+
+
+class TestModeIsTheObserver:
+    """A design's mode is whether it has an observer gain F, so `simulate`
+    runs the loops `closed_loop_certificate` judges."""
+
+    def test_mode_is_no_field(self, bench_design):
+        assert "mode" not in {f.name for f in dataclasses.fields(bench_design)}
+        with pytest.raises(TypeError):
+            dataclasses.replace(bench_design, mode="partial")
+
+    def test_certified_observer_is_run(self, bench_design):
+        # an observer A - F C of radius 13.5 fails the certificate, and the
+        # run that executes it diverges
+        bad = dataclasses.replace(bench_design, F=5 * np.ones((3, 3)))
+        assert bad.mode == "partial"
+        rep = closed_loop_certificate(bad)
+        assert rep.reason.startswith("observer loop A - F C")
+        with pytest.raises(NumericError):
+            simulate(bad.model, bad, cycle3_graph(), DelayProfile([1, 1, 2]),
+                     _initial_states(3), XR0, 1000)
+
+    @pytest.mark.parametrize("mode", ["full", "partial"])
+    def test_run_and_certificate_see_one_observer(self, mode):
+        design = design_protocol(demo_model(mode), 2, mode=mode,
+                                 epsilon=1e-3)
+        rep = closed_loop_certificate(design)
+        traj = simulate(design.model, design, cycle3_graph(),
+                        DelayProfile([1, 1, 2]), _initial_states(3), XR0, 10)
+        assert design.mode == mode
+        assert (rep.observer_radius is None) == (traj.observer is None) \
+            == (mode == "full")
 
 
 class TestStackedLifts:
