@@ -17,14 +17,15 @@ notation):
 
 Validation is not fail-fast: every violation is collected and reported in
 one ScenarioError, each message naming the offending field or key.  A
-value's rules live in the type that owns it: `AgentModel`, `CommGraph`
-(weights and root flags) and `DelayProfile` (whole, non-negative delays),
-whose errors are reported under `model:`, `graph:` and `delays:`; a real
-number is what `errors.real_array` accepts.  This module checks only what
-a file adds: the sections and their keys, finite matrices, the typed
-scalar fields (`protocol`, `sim.k_max`, the one simulation horizon, and
-`output`), and agreement across sections (the adjacency order against
-`delays.kappa` and `sim.x0`, `C = I` in full mode, at least one root).
+value is read by the library code that owns its rule, and that message is
+reported under the field: `AgentModel`, `CommGraph` (weights, root flags),
+`DelayProfile` (whole, non-negative delays), `mode` by the designer's rule,
+`protocol.epsilon` by the solver's, `sim.k_max` (the one horizon) by the
+whole-number rule `simulate` uses.  This module adds only what a file
+needs: the sections and their keys, finite real-number matrices, the
+`sim.k_max >= 10` floor, the `output` fields, and the checks across
+sections (the adjacency order against `delays.kappa` and `sim.x0`, `C = I`
+in full mode, at least one root).
 """
 
 import json
@@ -32,10 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import FULL_STATE, PARTIAL_STATE, AgentModel
+from .design import FULL_STATE, AgentModel, _check_mode
 from .dynamics import DelayProfile
-from .errors import DelaySyncError, ScenarioError, is_real_type, real_array
+from .errors import (DelaySyncError, ScenarioError, real_array, scalar,
+                     whole_array)
 from .network import CommGraph
+from .riccati import _check_epsilon
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,19 +76,9 @@ def _matrix(raw, name, problems, ndim=2):
     return arr
 
 
-def _field(sec, name, problems, must, valid, default=None):
-    """The value of the field `name` ("section.key") in `sec`, `default`
-    when the key is absent.  A value `valid` rejects is reported, naming
-    the field, and read as `default`."""
-    value = sec.get(name.split(".")[1], default)
-    if valid(value):
-        return value
-    problems.append(f"{name}: must be {must}, got {value!r}")
-    return default
-
-
 def _build(section, problems, make, **fields):
-    """make(**fields), or None with its error reported under `section`."""
+    """make(**fields), or None with its error reported under `section` (a
+    section, or a field "section.key")."""
     try:
         return make(**fields)
     except DelaySyncError as exc:
@@ -123,10 +116,7 @@ def parse_config(data):
     model = None if any(M is None for M in (A, B, C)) else _build(
         "model", problems, AgentModel, A=A, B=B, C=C)
 
-    mode = data.get("mode")
-    if mode not in (FULL_STATE, PARTIAL_STATE):
-        problems.append(f"mode: must be '{FULL_STATE}' or '{PARTIAL_STATE}', "
-                        f"got {mode!r}")
+    mode = _build("mode", problems, _check_mode, mode=data.get("mode"))
     if (mode == FULL_STATE and model is not None
             and not np.array_equal(model.C, np.eye(model.n))):
         problems.append("model.C: full-state coupling requires C to be "
@@ -153,15 +143,16 @@ def parse_config(data):
             f"graph.adjacency order {n_agents}")
 
     proto_sec = _section(data, "protocol", problems, required=False)
-    epsilon = _field(proto_sec, "protocol.epsilon", problems, "in (0, 1]",
-                     lambda v: v is None
-                     or is_real_type(type(v)) and 0 < v <= 1)
-    epsilon = epsilon if epsilon is None else float(epsilon)
+    epsilon = proto_sec.get("epsilon")
+    if epsilon is not None:
+        epsilon = _build("protocol.epsilon", problems, _check_epsilon,
+                         epsilon=epsilon)
 
     sim_sec = _section(data, "sim", problems)
-    k_max = _field(sim_sec, "sim.k_max", problems, "an integer of at least 10",
-                   lambda v: isinstance(v, int) and is_real_type(type(v))
-                   and v >= 10)
+    k_max = _build("sim.k_max", problems, scalar, value=sim_sec.get("k_max"),
+                   name="k_max", rule=whole_array)
+    if k_max is not None and k_max < 10:
+        problems.append(f"sim.k_max: must be at least 10, got {k_max}")
     x0 = _matrix(sim_sec.get("x0"), "sim.x0", problems)
     xr0 = _matrix(sim_sec.get("xr0"), "sim.xr0", problems, ndim=1)
     if (x0 is not None and model is not None and n_agents is not None
@@ -172,10 +163,13 @@ def parse_config(data):
         problems.append(f"sim.xr0: expected length {model.n}, got {xr0.shape[0]}")
 
     out_sec = _section(data, "output", problems, required=False)
-    out_dir = _field(out_sec, "output.directory", problems, "a string",
-                     lambda v: isinstance(v, str), default=".")
-    emit_plot = _field(out_sec, "output.emit_plot_data", problems, "a boolean",
-                       lambda v: isinstance(v, bool), default=False)
+    out_dir = out_sec.get("directory", ".")
+    if not isinstance(out_dir, str):
+        problems.append(f"output.directory: must be a string, got {out_dir!r}")
+    emit_plot = out_sec.get("emit_plot_data", False)
+    if not isinstance(emit_plot, bool):
+        problems.append("output.emit_plot_data: must be a boolean, got "
+                        f"{emit_plot!r}")
 
     if problems:
         raise ScenarioError(problems)

@@ -20,6 +20,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .design import FULL_STATE, PARTIAL_STATE, AgentModel, _check_mode
 from .dynamics import DelayProfile
+from .errors import ScenarioError
 from .network import CommGraph
 
 DEMO_CASES = (1, 2, 3)
@@ -70,7 +71,8 @@ def _demo_graph(case):
         adj[0, 4] = adj[0, 9] = adj[4, 9] = 1.0
         kappa = [1] * 10
     else:
-        raise ValueError(f"demo case must be one of {DEMO_CASES}, got {case}")
+        raise ScenarioError(f"demo case must be one of {DEMO_CASES}, "
+                            f"got {case}")
     roots = np.zeros(adj.shape[0], dtype=bool)
     roots[0] = True
     return CommGraph(adjacency=adj, roots=roots), kappa

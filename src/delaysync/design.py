@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AssumptionError, ConvergenceError, DesignError,
-                     real_array, scalar, whole_array)
-from .riccati import (_check_ab, _check_c, _doubling, _low_gain_dare,
-                      _polish, is_detectable, is_stabilizable,
+                     ScenarioError, real_array, scalar, whole_array)
+from .riccati import (_check_ab, _check_c, _check_epsilon, _doubling,
+                      _low_gain_dare, _polish, is_detectable, is_stabilizable,
                       solve_low_gain_dare)
 from .spectral import is_schur_stable, omega_max, spectral_radius
 from .verify import CERTIFICATE_THRESHOLD, delay_loop_radii
@@ -107,10 +107,10 @@ class ProtocolDesign:
 
 
 def _check_mode(mode):
-    """`mode`, which must be FULL_STATE or PARTIAL_STATE (else ValueError)."""
+    """`mode` if it is FULL_STATE or PARTIAL_STATE, else ScenarioError."""
     if mode not in (FULL_STATE, PARTIAL_STATE):
-        raise ValueError(f"mode must be '{FULL_STATE}' or '{PARTIAL_STATE}', "
-                         f"got {mode!r}")
+        raise ScenarioError(f"mode must be '{FULL_STATE}' or "
+                            f"'{PARTIAL_STATE}', got {mode!r}")
     return mode
 
 
@@ -145,15 +145,15 @@ def _admissible(kappa_bar, omega):
 
 
 def choose_rho(kappa_bar, omega):
-    """Loop gain RHO_MARGIN times above both 1/2 and 1 / (2 cos(kappa_bar *
-    omega)); DesignError("delay_admissibility") unless `_admissible`."""
+    """Loop gain RHO_MARGIN times above 1 / (2 cos(kappa_bar * omega)), which
+    is at least 1/2; DesignError("delay_admissibility") unless
+    `_admissible`."""
     kappa_bar = scalar(kappa_bar, "kappa_bar", whole_array)
     if not _admissible(kappa_bar, omega):
         raise DesignError("delay_admissibility", f"kappa_bar = {kappa_bar} "
                           "violates kappa_bar*omega_max < pi/2 (omega_max = "
                           f"{omega:.6g}, bound {math.pi / 2 / omega:.6g})")
-    return max(RHO_MARGIN / (2.0 * math.cos(kappa_bar * omega)),
-               0.5 * RHO_MARGIN)
+    return RHO_MARGIN / (2.0 * math.cos(kappa_bar * omega))
 
 
 def choose_theta(rho, kappa_bar, omega):
@@ -199,7 +199,7 @@ def estimate_mu(A, omega, theta):
     """
     A = real_array(A, "A")
     if omega + theta > math.pi + 1e-12:
-        raise ValueError("omega + theta must not exceed pi")
+        raise ScenarioError("omega + theta must not exceed pi")
     grid = np.linspace(omega + theta, math.pi, MU_GRID_POINTS)
     scale = 1.0 + np.linalg.norm(A, 2)
     mu = 0.9 * _grid_min_sigma(A, grid, 1e-9 * scale)
@@ -319,7 +319,7 @@ def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None):
     """
     _check_mode(mode)
     kappa_bar = scalar(kappa_bar, "kappa_bar", whole_array)
-    pinned = None if epsilon is None else scalar(epsilon, "epsilon")
+    pinned = None if epsilon is None else _check_epsilon(epsilon)
     w = validate_assumptions(model)
     rho = choose_rho(kappa_bar, w)
     theta = choose_theta(rho, kappa_bar, w)
@@ -328,9 +328,6 @@ def design_protocol(model, kappa_bar, mode=FULL_STATE, epsilon=None):
     if pinned is None:
         sol = choose_epsilon_star(model.A, model.B, rho, mu, kappa_bar)
     else:
-        if not (0.0 < pinned <= 1.0):
-            raise DesignError("epsilon", f"pinned epsilon = {pinned:.6g} is "
-                              "outside (0, 1]")
         sol = solve_low_gain_dare(model.A, model.B, pinned)
         if not is_schur_stable(model.A - rho * model.B @ sol.K):
             raise DesignError("epsilon", f"A - rho*B*K is not Schur stable at "

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AssumptionError, ConvergenceError, DegenerateInputError,
-                     DimensionError, real_array, scalar)
+                     DimensionError, ScenarioError, real_array, scalar)
 from .spectral import UNIT_CIRCLE_TOL, eigenvalues, is_schur_stable, omega_max
 
 #: PBH rank test: the trailing singular value of [A - lambda I, B] must
@@ -118,13 +118,19 @@ def is_detectable(A, C):
     return is_stabilizable(A.T, _check_c(A, C).T)
 
 
+def _check_epsilon(epsilon):
+    """Real-number (`errors.scalar`) epsilon in (0, 1], else ScenarioError."""
+    if not 0.0 < (epsilon := scalar(epsilon, "epsilon")) <= 1.0:
+        raise ScenarioError(f"epsilon must be in (0, 1], got {epsilon}")
+    return epsilon
+
+
 def dare_residual(A, B, P, epsilon):
     """Frobenius norm of A'PA - P - A'PB (I + B'PB)^{-1} B'PA + eps*I."""
     A, B = _check_ab(A, B)
     P, epsilon = real_array(P, "P"), scalar(epsilon, "epsilon")
-    M = np.eye(B.shape[1]) + B.T @ P @ B
-    defect = A.T @ P @ A - P - A.T @ P @ B @ np.linalg.solve(M, B.T @ P @ A) \
-        + epsilon * np.eye(A.shape[0])
+    K = feedback_gain(A, B, P)  # DimensionError naming P unless P is nxn
+    defect = A.T @ P @ A - P - A.T @ P @ B @ K + epsilon * np.eye(A.shape[0])
     return float(np.linalg.norm(defect, "fro"))
 
 
@@ -150,9 +156,7 @@ def solve_low_gain_dare(A, B, epsilon):
     DARE_MAX_ITER doubling and polish iterations miss the residual.
     """
     A, B = _check_ab(A, B)
-    epsilon = scalar(epsilon, "epsilon")
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    epsilon = _check_epsilon(epsilon)
     omega_max(A)  # raises AssumptionError outside the closed unit disc
     if not is_stabilizable(A, B):
         raise AssumptionError("(A, B) is not stabilizable (PBH rank test "

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, GridSizeError
+from .errors import DimensionError, GridSizeError, ScenarioError
 from .spectral import is_schur_stable, spectral_radius
 
 #: refuse sweeps beyond this many (omega, delay) evaluations
@@ -192,7 +192,8 @@ def convergence_report(traj, tol=1e-3):
     """
     err = np.asarray(traj.error, dtype=float)
     if err.size < 10:
-        raise ValueError(f"trajectory too short to judge ({err.size} steps)")
+        raise ScenarioError(f"trajectory too short to judge ({err.size} "
+                            "steps)")
     initial = float(err[0])
     final = float(err[-1])
     peak = float(err.max())

@@ -255,6 +255,15 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="identity"):
             parse_config(data)
 
+    def test_mode_read_by_the_design_rule(self):
+        # the designer's mode rule and message, under the field's name
+        data = config_to_dict(demo_scenario(1, "full"))
+        data["mode"] = "Full"
+        with pytest.raises(ScenarioError) as err:
+            parse_config(data)
+        assert err.value.problems == [
+            "mode: mode must be 'full' or 'partial', got 'Full'"]
+
     @pytest.mark.parametrize("key", ["epsilon"])
     def test_protocol_rejects_booleans(self, key):
         data = config_to_dict(demo_scenario(1, "full"))

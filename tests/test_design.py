@@ -462,8 +462,10 @@ class TestDesignProtocol:
         assert err.value.stage == "delay_admissibility"
 
     def test_pinned_epsilon_validated(self, bench_full):
-        with pytest.raises(DesignError):
+        # the solver's epsilon range, read before any design stage runs
+        with pytest.raises(ScenarioError) as err:
             design_protocol(bench_full, 2, epsilon=2.0)
+        assert str(err.value) == "epsilon must be in (0, 1], got 2.0"
 
     def test_bad_mode_rejected(self, bench_full):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ as something else.
 `test_scalar_readers` is the table: each reader against the same bad
 values, with the exact error type and message.  The guard below it walks
 the public API, so a new entry point that takes one of these parameters
-cannot skip the rule.
+cannot skip the rule.  The scenario loader reads the same values by the
+same rules, reporting the library's message under the field.
 """
 
 import inspect
@@ -17,10 +18,11 @@ import pytest
 
 import delaysync
 from delaysync import (DelayProfile, choose_rho, choose_theta, dare_residual,
-                       delay_admissible, design_protocol, simulate,
-                       solve_low_gain_dare)
-from delaysync.demos import _initial_states, demo_model
-from delaysync.errors import DesignError, DimensionError, ScenarioError
+                       delay_admissible, design_protocol, parse_config,
+                       simulate, solve_low_gain_dare)
+from delaysync.config import config_to_dict
+from delaysync.demos import _initial_states, demo_model, demo_scenario
+from delaysync.errors import DimensionError, ScenarioError
 
 from conftest import BENCH_A, BENCH_B, cycle3_graph
 
@@ -71,7 +73,7 @@ READER_IDS = [f"{reader}.{param}" for reader, param in READERS]
 
 def _shared_rule(param, value):
     """(type, message) of the number rule every reader of `param` shares,
-    or None where the reader's own range decides."""
+    or None where the epsilon range decides."""
     if value is True or value == "2":
         return ScenarioError, f"non-numeric or boolean {param}: {value!r}"
     if value == [2]:
@@ -84,24 +86,27 @@ def _shared_rule(param, value):
     return ScenarioError, f"non-integer {param}: 2.5"
 
 
-#: the pinned-epsilon range of each epsilon reader: (type, message), or
-#: None where any real weight is read (a residual is defined for each)
-EPSILON_RANGE = {
-    "design_protocol": lambda v: (
-        DesignError, f"[epsilon] pinned epsilon = {v:.6g} is outside (0, 1]"),
-    "solve_low_gain_dare": lambda v: (
-        ValueError, f"epsilon must be in (0, 1], got {float(v)}"),
-    "dare_residual": lambda v: None,
-}
+#: the one epsilon range, applied by every epsilon reader but
+#: `dare_residual`, which reads any real weight (a residual is defined for
+#: each): (type, message) for a real number outside (0, 1], read as a float
+EPSILON_RANGE = ScenarioError, "epsilon must be in (0, 1], got {}"
+
+
+def _expected(param, value):
+    """(type, message) of a range-checking reader of `param` for `value`."""
+    if (shared := _shared_rule(param, value)) is not None:
+        return shared
+    kind, message = EPSILON_RANGE
+    return kind, message.format(float(value))
 
 
 @pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
 @pytest.mark.parametrize("reader, param", READERS, ids=READER_IDS)
 def test_scalar_readers(reader, param, value):
-    expected = _shared_rule(param, value) or EPSILON_RANGE[reader](value)
-    if expected is None:
+    if reader == "dare_residual" and _shared_rule(param, value) is None:
         assert np.isfinite(READERS[reader, param](value))
         return
+    expected = _expected(param, value)
     with pytest.raises(Exception) as err:
         READERS[reader, param](value)
     assert (type(err.value), str(err.value)) == expected
@@ -117,8 +122,48 @@ def test_good_values_read_alike(reader, param):
         assert read(2.0) == read(np.int64(2)) == read(2)
 
 
+#: scenario field -> (the library parameter read there, the label the
+#: loader reports it under: delays are read whole by `DelayProfile`)
+LOADED = {"sim.k_max": ("k_max", "sim.k_max"),
+          "delays.kappa_bar": ("kappa_bar", "delays"),
+          "protocol.epsilon": ("epsilon", "protocol.epsilon")}
+
+
+def _load(field, value):
+    """demo 1's scenario, with `value` at `field`, through the loader."""
+    data = config_to_dict(demo_scenario(1, "full"))
+    section, key = field.split(".")
+    data[section][key] = value
+    return parse_config(data)
+
+
+@pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
+@pytest.mark.parametrize("field", LOADED)
+def test_loader_reports_the_library_message(field, value):
+    param, label = LOADED[field]
+    _, message = _expected(param, value)
+    with pytest.raises(ScenarioError) as err:
+        _load(field, value)
+    assert err.value.problems == [f"{label}: {message}"]
+
+
+@pytest.mark.parametrize("field, whole", [("sim.k_max", 12),
+                                          ("delays.kappa_bar", 2)])
+def test_loader_reads_whole_floats_as_ints(field, whole):
+    cfg = _load(field, float(whole))
+    read = cfg.k_max if field == "sim.k_max" else cfg.delays.kappa_bar
+    assert type(read) is int and read == whole
+
+
+def test_loader_keeps_its_horizon_floor():
+    # the one rule a file adds to simulate's: at least 10 steps
+    with pytest.raises(ScenarioError) as err:
+        _load("sim.k_max", 9.0)
+    assert err.value.problems == ["sim.k_max: must be at least 10, got 9"]
+
+
 #: records whose fields carry these names: their values come from a design,
-#: a solve, or (ScenarioConfig) the loader's field rules, not from a caller
+#: a solve, or (ScenarioConfig) the loader, which applies the rules above
 RECORDS = ("DareSolution", "ProtocolDesign", "ScenarioConfig")
 SCALAR_PARAMETERS = {"kappa_bar", "k_max", "epsilon"}
 

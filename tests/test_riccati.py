@@ -141,6 +141,14 @@ def test_matrices_read_by_the_real_number_rule(reader, name, entry):
                               f"is {entry!r}")
 
 
+@pytest.mark.parametrize("reader", ["feedback_gain", "dare_residual"])
+def test_p_shape_is_checked(reader):
+    # a P of another order is named before any product with it
+    with pytest.raises(DimensionError) as err:
+        READERS[reader][0](BENCH_A, BENCH_B, None, np.ones((2, 2)))
+    assert str(err.value) == "P must match A's shape (3, 3), got (2, 2)"
+
+
 class TestGeneralDare:
     def test_matches_scipy_on_general_weights(self):
         # the general case of the one Riccati family: two inputs, so
