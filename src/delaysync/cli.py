@@ -6,7 +6,9 @@ convergence failure.  File outputs:
   design.txt      designed parameters, one key per line
   trajectory.csv  long-format run record with header
                   k,agent,component,x,xr,u,error (agent 0 is the reference)
-  plotdata.csv    optional tidy series (k,series,value) for external plotting
+  plotdata.csv    optional tidy series (k,series,value) for external plotting;
+                  with it on, `simulate` writes both CSVs in one pass and
+                  formats each value once for both files
   report.txt      stability certificate: verdict, margin, per-delay radii
   report.json     the same report, machine-readable
 """
@@ -59,19 +61,112 @@ def write_design_txt(design, path):
 _BLOCK = 32
 
 
-def _write_blocks(path, header, lines, steps, block_values):
-    """Write `header`, then per step k the `lines`, templates that read k as
-    `{k}` and the step's values by position.  `block_values(a, b)` gives
-    steps a..b-1 as one row of values each, so that numpy gathers a block of
-    steps at a time.  Each value is formatted once, as its `repr`; lines
-    end in CRLF."""
-    step = "".join(line + "\r\n" for line in lines).format
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\r\n")
+def _compile(items):
+    """A step's layout, value columns (ints) and literal strings in file
+    order starting with a column, compiled into the function that gives a
+    block's text from its rows of strings: per step, each column's string
+    followed by the literals up to the next column."""
+    cols, lits = [], []
+    for item in items:
+        if isinstance(item, str):
+            lits[-1] += item
+        else:
+            cols.append(item)
+            lits.append("")
+    lits = np.array(lits, dtype=object)
+
+    def text(rows):
+        out = np.empty((rows.shape[0], len(cols), 2), dtype=object)
+        out[:, :, 0] = rows[:, cols]
+        out[:, :, 1] = lits
+        return "".join(out.ravel().tolist())
+    return text
+
+
+def _block_strings(traj, a, b, held_u, norms, error):
+    """Steps a..b-1 as one row of strings each: the `repr` of x_ref, every
+    agent's x and its first `held_u` inputs, then, if asked, the agents'
+    error norms (Python's `s ** 0.5` of the squared deviation summed over
+    the components) and `Trajectory.error`; last, k."""
+    x, xr = traj.x[a:b], traj.x_ref[a:b]
+    values = [xr, x.reshape(b - a, -1),
+              traj.u[a:b, :, :held_u].reshape(b - a, -1)]
+    if norms:
+        sq = ((x - xr[:, None, :]) ** 2).sum(axis=2).ravel()
+        values.append(np.reshape([s ** 0.5 for s in sq.tolist()],
+                                 (b - a, -1)))
+    if error:
+        values.append(traj.error[a:b, None])
+    strings = np.array(list(map(repr, np.hstack(values).ravel().tolist())),
+                       dtype=object).reshape(b - a, -1)
+    rows = np.empty((b - a, strings.shape[1] + 1), dtype=object)
+    rows[:, :-1] = strings
+    rows[:, -1] = list(map(str, range(a, b)))
+    return rows
+
+
+def _write_csvs(traj, trajectory_path=None, plotdata_path=None):
+    """Write trajectory.csv, plotdata.csv or both in one pass.
+
+    Per block of steps, `_block_strings` formats each value the requested
+    files read once, as its `repr`, and both files take their strings
+    from that one row per step.  Each file's step layout is compiled once
+    into value columns, k among them, and the literals between them, so
+    that a block's text is one gather and one join.  Lines end in CRLF."""
+    steps, n_agents, n = traj.x.shape
+    m = traj.u.shape[2]
+    p = min(m, n)
+    norms, error = trajectory_path is not None, plotdata_path is not None
+    held_u = m if error else p
+    # the columns of _block_strings' rows
+    x_at = n
+    u_at = x_at + n_agents * n
+    norm_at = u_at + n_agents * held_u
+    error_at = norm_at + n_agents * norms
+    k_at = error_at + error
+
+    def x(i, c):
+        return x_at + (i - 1) * n + c
+
+    def u(i, c):
+        return u_at + (i - 1) * held_u + c
+
+    files = []
+    if norms:
+        items = []
+        for c in range(n):
+            items += [k_at, f",0,{c},", c, ",", c, ",0.0,0.0\r\n"]
+        for i in range(1, n_agents + 1):
+            for c in range(n):
+                items += [k_at, f",{i},{c},", x(i, c), ",", c, ",",
+                          u(i, c) if c < p else "0.0", ",",
+                          norm_at + i - 1, "\r\n"]
+        files.append((trajectory_path, "k,agent,component,x,xr,u,error",
+                      _compile(items)))
+    if error:
+        items = [k_at, ",error,", error_at, "\r\n"]
+        for c in range(n):
+            items += [k_at, f",exo.x{c},", c, "\r\n"]
+        for i in range(1, n_agents + 1):
+            for c in range(n):
+                items += [k_at, f",agent{i}.x{c},", x(i, c), "\r\n"]
+            for c in range(m):
+                items += [k_at, f",agent{i}.u{c},", u(i, c), "\r\n"]
+        files.append((plotdata_path, "k,series,value", _compile(items)))
+
+    handles = []
+    try:
+        for path, header, _ in files:
+            handles.append(open(path, "w", encoding="utf-8", newline=""))
+            handles[-1].write(header + "\r\n")
         for a in range(0, steps, _BLOCK):
-            rows = block_values(a, min(a + _BLOCK, steps)).tolist()
-            fh.writelines(step(*map(repr, row), k=k)
-                          for k, row in enumerate(rows, a))
+            rows = _block_strings(traj, a, min(a + _BLOCK, steps), held_u,
+                                  norms, error)
+            for fh, (_, _, text) in zip(handles, files):
+                fh.write(text(rows))
+    finally:
+        for fh in handles:
+            fh.close()
 
 
 def write_trajectory_csv(traj, path):
@@ -82,38 +177,13 @@ def write_trajectory_csv(traj, path):
     min(m, n) inputs and each agent's error norm, Python's `s ** 0.5` of
     its squared deviation summed over the components; each is formatted
     once and its rows repeat it."""
-    steps, n_agents, n = traj.x.shape
-    p = min(traj.u.shape[2], n)
-    u_at, err_at = (n_agents + 1) * n, (n_agents + 1) * n + n_agents * p
-    lines = [f"{{k}},0,{c},{{{c}}},{{{c}}},0.0,0.0" for c in range(n)] + [
-        f"{{k}},{i},{c},{{{i * n + c}}},{{{c}}},"
-        + (f"{{{u_at + (i - 1) * p + c}}}" if c < p else "0.0")
-        + f",{{{err_at + i - 1}}}"
-        for i in range(1, n_agents + 1) for c in range(n)]
-
-    def block_values(a, b):
-        x, xr = traj.x[a:b], traj.x_ref[a:b]
-        sq = ((x - xr[:, None, :]) ** 2).sum(axis=2).ravel().tolist()
-        return np.hstack([xr, x.reshape(b - a, -1),
-                          traj.u[a:b, :, :p].reshape(b - a, -1),
-                          np.reshape([s ** 0.5 for s in sq], (b - a, -1))])
-    _write_blocks(path, "k,agent,component,x,xr,u,error", lines, steps,
-                  block_values)
+    _write_csvs(traj, trajectory_path=path)
 
 
 def write_plotdata_csv(traj, path):
     """One row per (step, series): `error`, the reference's `exo.x{c}`, then
     per agent i its states `agent{i}.x{c}` and all m inputs `agent{i}.u{c}`."""
-    steps, n_agents, n = traj.x.shape
-    names = ["error"] + [f"exo.x{c}" for c in range(n)] + [
-        f"agent{i}.{var}{c}" for i in range(1, n_agents + 1)
-        for var, dim in (("x", n), ("u", traj.u.shape[2])) for c in range(dim)]
-    _write_blocks(path, "k,series,value",
-                  [f"{{k}},{name},{{{j}}}" for j, name in enumerate(names)],
-                  steps, lambda a, b: np.hstack([
-                      traj.error[a:b, None], traj.x_ref[a:b],
-                      np.concatenate([traj.x[a:b], traj.u[a:b]],
-                                     axis=2).reshape(b - a, -1)]))
+    _write_csvs(traj, plotdata_path=path)
 
 
 def _report_text(report):
@@ -172,9 +242,9 @@ def cmd_simulate(args):
     traj = simulate(cfg.model, design, cfg.graph, cfg.delays,
                     cfg.x0, cfg.xr0, cfg.k_max)
     write_design_txt(design, _path(args.out, "design.txt"))
-    write_trajectory_csv(traj, _path(args.out, "trajectory.csv"))
-    if cfg.emit_plot_data:
-        write_plotdata_csv(traj, _path(args.out, "plotdata.csv"))
+    _write_csvs(traj, _path(args.out, "trajectory.csv"),
+                _path(args.out, "plotdata.csv") if cfg.emit_plot_data
+                else None)
     print(f"simulated {cfg.k_max} steps over {cfg.graph.n_agents} agents; "
           f"final sync error {traj.error[-1]:.6e}")
     return 0

@@ -16,16 +16,19 @@ notation):
     }
 
 Validation is not fail-fast: every violation is collected and reported in
-one ScenarioError, each message naming the offending field or key.  A
-value is read by the library code that owns its rule, and that message is
-reported under the field: `AgentModel`, `CommGraph` (weights, root flags),
-`DelayProfile` (whole, non-negative delays), `mode` by the designer's rule,
-`protocol.epsilon` by the solver's, `sim.k_max` (the one horizon) by the
-whole-number rule `simulate` uses.  This module adds only what a file
-needs: the sections and their keys, finite real-number matrices, the
-`sim.k_max >= 10` floor, the `output` fields, and the checks across
-sections (the adjacency order against `delays.kappa` and `sim.x0`, `C = I`
-in full mode, at least one root).
+one ScenarioError, each message naming the offending field or key.  An
+absent required section or key is reported as missing and no value rule
+runs on it; every key is required but `delays.kappa_bar` and those of the
+optional sections.  A value is read by the library code that owns its
+rule, and that message is reported under the field: `AgentModel`,
+`CommGraph` (weights, root flags), `DelayProfile` (whole, non-negative
+delays), `mode` by the designer's rule, `protocol.epsilon` by the
+solver's, `sim.k_max` (the one horizon) by the whole-number rule
+`simulate` uses.  This module adds only what a file needs: the sections
+and their keys, finite real-number matrices, the `sim.k_max >= 10` floor,
+the `output` fields, and the checks across sections (the adjacency order
+against `delays.kappa` and `sim.x0`, `C = I` in full mode, at least one
+root).
 """
 
 import json
@@ -61,9 +64,16 @@ _KEYS = {"model": {"A", "B", "C"}, "mode": None,
          "graph": {"adjacency", "roots"}, "delays": {"kappa", "kappa_bar"},
          "protocol": {"epsilon"}, "sim": {"k_max", "x0", "xr0"},
          "output": {"directory", "emit_plot_data"}}
+#: the sections a file must have, and the keys each must hold
+_REQUIRED = {"model": ("A", "B", "C"), "graph": ("adjacency", "roots"),
+             "delays": ("kappa",), "sim": ("k_max", "x0", "xr0")}
+#: an absent required key: reported once as missing, and no value rule runs
+_MISSING = object()
 
 
 def _matrix(raw, name, problems, ndim=2):
+    if raw is _MISSING:
+        return None
     rows = " of row arrays" if ndim == 2 else ""
     try:
         arr = real_array(raw, name)
@@ -78,7 +88,10 @@ def _matrix(raw, name, problems, ndim=2):
 
 def _build(section, problems, make, **fields):
     """make(**fields), or None with its error reported under `section` (a
-    section, or a field "section.key")."""
+    section, or a field "section.key"); None, unreported, if a field is
+    missing."""
+    if any(value is _MISSING for value in fields.values()):
+        return None
     try:
         return make(**fields)
     except DelaySyncError as exc:
@@ -86,10 +99,12 @@ def _build(section, problems, make, **fields):
         return None
 
 
-def _section(data, name, problems, required=True):
+def _section(data, name, problems):
+    """The section `name`, or {} with its absence or type reported; its
+    unknown keys and absent required keys are reported."""
     sec = data.get(name)
     if sec is None:
-        if required:
+        if name in _REQUIRED:
             problems.append(f"{name}: missing section")
         return {}
     if not isinstance(sec, dict):
@@ -97,6 +112,8 @@ def _section(data, name, problems, required=True):
         return {}
     problems.extend(f"{name}.{key}: unknown key" for key in sec
                     if key not in _KEYS[name])
+    problems.extend(f"{name}.{key}: missing key"
+                    for key in _REQUIRED.get(name, ()) if key not in sec)
     return sec
 
 
@@ -111,30 +128,34 @@ def parse_config(data):
     problems.extend(f"{k}: unknown section" for k in data if k not in _KEYS)
 
     model_sec = _section(data, "model", problems)
-    A, B, C = (_matrix(model_sec.get(key), f"model.{key}", problems)
+    A, B, C = (_matrix(model_sec.get(key, _MISSING), f"model.{key}", problems)
                for key in "ABC")
     model = None if any(M is None for M in (A, B, C)) else _build(
         "model", problems, AgentModel, A=A, B=B, C=C)
 
-    mode = _build("mode", problems, _check_mode, mode=data.get("mode"))
+    if "mode" not in data:
+        problems.append("mode: missing key")
+    mode = _build("mode", problems, _check_mode,
+                  mode=data.get("mode", _MISSING))
     if (mode == FULL_STATE and model is not None
             and not np.array_equal(model.C, np.eye(model.n))):
         problems.append("model.C: full-state coupling requires C to be "
                         "the identity")
 
     graph_sec = _section(data, "graph", problems)
-    adj = _matrix(graph_sec.get("adjacency"), "graph.adjacency", problems)
+    adj = _matrix(graph_sec.get("adjacency", _MISSING), "graph.adjacency",
+                  problems)
     n_agents = graph = None
     if adj is not None:
         n_agents = adj.shape[0]
         graph = _build("graph", problems, CommGraph, adjacency=adj,
-                       roots=graph_sec.get("roots"))
+                       roots=graph_sec.get("roots", _MISSING))
     if graph is not None and not graph.roots.any():
         problems.append("graph.roots: at least one agent must be a root")
 
     delays_sec = _section(data, "delays", problems)
     delays = _build("delays", problems, DelayProfile,
-                    kappa=delays_sec.get("kappa"),
+                    kappa=delays_sec.get("kappa", _MISSING),
                     kappa_bar=delays_sec.get("kappa_bar"))
     if (delays is not None and n_agents is not None
             and delays.kappa.size != n_agents):
@@ -142,19 +163,20 @@ def parse_config(data):
             f"delays.kappa: length {delays.kappa.size} does not match the "
             f"graph.adjacency order {n_agents}")
 
-    proto_sec = _section(data, "protocol", problems, required=False)
+    proto_sec = _section(data, "protocol", problems)
     epsilon = proto_sec.get("epsilon")
     if epsilon is not None:
         epsilon = _build("protocol.epsilon", problems, _check_epsilon,
                          epsilon=epsilon)
 
     sim_sec = _section(data, "sim", problems)
-    k_max = _build("sim.k_max", problems, scalar, value=sim_sec.get("k_max"),
-                   name="k_max", rule=whole_array)
+    k_max = _build("sim.k_max", problems, scalar,
+                   value=sim_sec.get("k_max", _MISSING), name="k_max",
+                   rule=whole_array)
     if k_max is not None and k_max < 10:
         problems.append(f"sim.k_max: must be at least 10, got {k_max}")
-    x0 = _matrix(sim_sec.get("x0"), "sim.x0", problems)
-    xr0 = _matrix(sim_sec.get("xr0"), "sim.xr0", problems, ndim=1)
+    x0 = _matrix(sim_sec.get("x0", _MISSING), "sim.x0", problems)
+    xr0 = _matrix(sim_sec.get("xr0", _MISSING), "sim.xr0", problems, ndim=1)
     if (x0 is not None and model is not None and n_agents is not None
             and x0.shape != (n_agents, model.n)):
         problems.append(f"sim.x0: expected shape ({n_agents}, {model.n}), "
@@ -162,7 +184,7 @@ def parse_config(data):
     if xr0 is not None and model is not None and xr0.shape != (model.n,):
         problems.append(f"sim.xr0: expected length {model.n}, got {xr0.shape[0]}")
 
-    out_sec = _section(data, "output", problems, required=False)
+    out_sec = _section(data, "output", problems)
     out_dir = out_sec.get("directory", ".")
     if not isinstance(out_dir, str):
         problems.append(f"output.directory: must be a string, got {out_dir!r}")

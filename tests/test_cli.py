@@ -70,14 +70,26 @@ def reference_plotdata_csv(traj, path):
                                      repr(float(traj.u[k, i, c]))])
 
 
+def write_both_csvs(traj, path):
+    """The combined pass `simulate` runs with plot data: both files at once."""
+    cli_mod._write_csvs(traj, path, path.with_name("plot_" + path.name))
+
+
 def assert_writers_match_reference(traj, tmp_path):
-    for writer, reference in (
-            (cli_mod.write_trajectory_csv, reference_trajectory_csv),
-            (cli_mod.write_plotdata_csv, reference_plotdata_csv)):
+    # each public writer alone, and the combined pass writing both files
+    write_both_csvs(traj, tmp_path / "both.csv")
+    for writer, reference, combined in (
+            (cli_mod.write_trajectory_csv, reference_trajectory_csv,
+             "both.csv"),
+            (cli_mod.write_plotdata_csv, reference_plotdata_csv,
+             "plot_both.csv")):
         writer(traj, tmp_path / "new.csv")
         reference(traj, tmp_path / "ref.csv")
-        assert ((tmp_path / "new.csv").read_bytes()
-                == (tmp_path / "ref.csv").read_bytes()), writer.__name__
+        expected = (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes() == expected, \
+            writer.__name__
+        assert (tmp_path / combined).read_bytes() == expected, \
+            f"combined pass, {writer.__name__}"
 
 
 class TestWritersMatchReference:
@@ -125,7 +137,8 @@ class TestWritersMatchReference:
 
 
 @pytest.mark.parametrize("writer", [cli_mod.write_trajectory_csv,
-                                    cli_mod.write_plotdata_csv])
+                                    cli_mod.write_plotdata_csv,
+                                    write_both_csvs])
 def test_writer_memory_does_not_grow_with_horizon(tmp_path, writer):
     # the writers stream: demo 3's whole horizon peaks as two blocks do
     cfg = demo_scenario(3, "full")
@@ -271,6 +284,18 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=f"protocol.{key}: .*True"):
             parse_config(data)
 
+    @pytest.mark.parametrize("name", [
+        "model.A", "model.B", "model.C", "mode", "graph.adjacency",
+        "graph.roots", "delays.kappa", "sim.k_max", "sim.x0", "sim.xr0"])
+    def test_missing_required_key_named(self, name):
+        # an absent key is reported as missing, not read as a bad None
+        data = config_to_dict(demo_scenario(1, "full"))
+        section, _, key = name.rpartition(".")
+        del (data[section] if section else data)[key]
+        with pytest.raises(ScenarioError) as err:
+            parse_config(data)
+        assert err.value.problems == [f"{name}: missing key"]
+
     def test_parse_error_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  \"model\": [,]\n}")
@@ -352,17 +377,23 @@ class TestCommands:
         assert not (out / "plotdata.csv").exists()
 
     def test_simulate_emits_plotdata_when_configured(self, tmp_path):
-        path = demo_config_file(tmp_path, **{"output.emit_plot_data": True,
-                                             "sim.k_max": 30})
+        # both files of the one combined pass equal the reference writers'
+        # on the same run, across a partial last block and past step 57,
+        # where s ** 0.5 and np.sqrt first differ on this demo
+        path = demo_config_file(tmp_path, 3, "partial", **{
+            "output.emit_plot_data": True,
+            "sim.k_max": 2 * cli_mod._BLOCK + 3})
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(path), "--out",
                      str(out)]) == 0
-        with open(out / "plotdata.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["k", "series", "value"]
-        series = {r[1] for r in rows[1:]}
-        assert "error" in series and "exo.x0" in series \
-            and "agent1.x0" in series
+        cfg = load_config(path)
+        traj = simulate(cfg.model, cli_mod._designed(cfg), cfg.graph,
+                        cfg.delays, cfg.x0, cfg.xr0, cfg.k_max)
+        for name, reference in (("trajectory.csv", reference_trajectory_csv),
+                                ("plotdata.csv", reference_plotdata_csv)):
+            reference(traj, tmp_path / name)
+            assert (out / name).read_bytes() \
+                == (tmp_path / name).read_bytes(), name
 
     def test_verify_passes_on_demo(self, tmp_path, capsys):
         path = demo_config_file(tmp_path)
