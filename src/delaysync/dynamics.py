@@ -14,11 +14,14 @@ both extra exchanges:
 
 where scale = 1 / (2 + d_in), u = Z_states Kz, and T, Kz are built once
 per run (`_block_transition`).  The columns T Kz write the next inputs
-u(k+1) = Z+_states Kz in the same product.  Updates are strictly
-synchronous: every quantity at step k is computed from the step-k block
-before the next is written.  `control_input`, `network_measurement` and
-the `extra_exchange_*` helpers state the same laws term by term;
-`simulate` no longer calls them.
+u(k+1) = Z+_states Kz in the same product.  [V | W] is one buffer,
+allocated once per run and refilled in place each step: the states are
+copied into V, the delayed inputs are read into it from the record, W is
+written by the scaled product and the transition writes the next block of
+the record.  Updates are strictly synchronous: every quantity at step k is
+computed from the step-k block before the next is written.
+`control_input`, `network_measurement` and the `extra_exchange_*` helpers
+state the same laws term by term; `simulate` no longer calls them.
 
 The product L_ext V is taken one of two ways, chosen once per run from N
 and the edge count E alone (`_laplacian_product`): a dense (N+1) x (N+1)
@@ -33,8 +36,10 @@ The delays, their bound and k_max are read by the whole-number rule
 inputs before step 0, so each agent's delayed input u_i(k - kappa_i) is
 read back from the record itself at a fixed per-agent offset.  Protocol
 and observer states start at zero.  A run whose states, inputs or
-synchronization error leave the finite floats stops at the first
-non-finite step and raises NumericError naming the first step and agent.
+synchronization error leave the finite floats raises NumericError naming
+the first non-finite step and agent.  The inputs' finiteness is tested
+once per block of `_STEP_BLOCK` steps; a run stops at the block's first
+step with a non-finite input, as a test per step would.
 """
 
 import os
@@ -210,6 +215,10 @@ def _block_transition(model, design, partial):
     return T, Kz
 
 
+#: steps `simulate` runs between two tests of its inputs' finiteness
+_STEP_BLOCK = 32
+
+
 #: the edge product is taken once the dense product's (N + 1)^2 entries
 #: outnumber the edge product's N + 1 + E terms by more than this factor
 _EDGE_PRODUCT_RATIO = 100
@@ -285,6 +294,13 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
     Raises ScenarioError, before allocating, when the record of
     8 (kappa_bar + k_max + 1)(N + 1)(w + m) bytes would exceed physical
     memory, and NumericError when the run leaves the finite floats.
+
+    Each step refills one (N + 1) x 2 (w + m) buffer [V | W] in place and
+    writes the next block of the record with one product.  The delayed
+    inputs are gathered from a 1-D view of the record at element indices
+    built once per block of `_STEP_BLOCK` steps, and the block's inputs
+    are then tested for finiteness; the run stops at the first step whose
+    inputs are non-finite, as a test before every step would.
     """
     n, m = model.n, model.m
     N = graph.n_agents
@@ -320,27 +336,42 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
     lap_ext_times = _laplacian_product(graph, w + m)
     scale = np.append(1.0 / (2.0 + graph.in_degrees), 0.0)[:, None]
 
-    # kappa_bar zero rows lead: u_i(k - kappa_i) is row lag_i + k (N + 1)
+    # kappa_bar zero rows lead: u_i(k - kappa_i) is row lag_i + k (N + 1),
+    # its inputs the entries `delayed` + k stride of the record's 1-D view
     kappa = np.append(delays.kappa, 0)
     lag = (delays.kappa_bar - kappa) * (N + 1) + np.arange(N + 1)
-    steps = k_max + 1
-    full = np.zeros((delays.kappa_bar + steps, N + 1, w + m))
-    rec, flat = full[delays.kappa_bar:], full.reshape(-1, w + m)
+    stride = (N + 1) * (w + m)
+    delayed = lag[:, None] * (w + m) + np.arange(w, w + m)
+    full = np.zeros((delays.kappa_bar + k_max + 1, N + 1, w + m))
+    rec, entries = full[delays.kappa_bar:], full.reshape(-1)
     rec[0, :N, :n] = x0
     rec[0, N, :n] = xr0
+    # one [V | W] buffer for the whole run, refilled in place every step
+    VW = np.empty((N + 1, 2 * (w + m)))
+    V, W = VW[:, :w + m], VW[:, w + m:]
+    states, inputs = V[:, :w], V[:, w:]
 
     with np.errstate(over="ignore", invalid="ignore"):
         rec[0, :, w:] = rec[0, :, :w] @ Kz
-        for k in range(steps):
-            Z = rec[k]
+        k = 0
+        while k < k_max:
+            stop = min(k + _STEP_BLOCK, k_max)
+            reads = delayed + stride * np.arange(k, stop)[:, None, None]
+            for Z_states, read, Z_next in zip(rec[k:stop, :, :w], reads,
+                                              rec[k + 1:stop + 1]):
+                states[...] = Z_states
+                inputs[...] = entries[read]
+                # scale after the product: a synchronized network measures 0
+                np.multiply(scale, lap_ext_times(V), out=W)
+                np.matmul(VW, T, out=Z_next)
             # every state feeds the inputs within two steps, so a non-finite
-            # input ends the run; the check below names the first bad step
-            if k == k_max or not np.isfinite(Z[:, w:]).all():
+            # input ends the run at the first such step of the block; the
+            # check below names the first bad step
+            finite = np.isfinite(rec[k:stop + 1, :, w:]).all(axis=(1, 2))
+            if not finite.all():
+                k += int(np.argmin(finite))
                 break
-            V = np.concatenate((Z[:, :w], flat[lag + k * (N + 1), w:]), axis=1)
-            # scale after the product: a synchronized network measures 0
-            np.matmul(np.concatenate((V, scale * lap_ext_times(V)), axis=1),
-                      T, out=rec[k + 1])
+            k = stop
 
         x, x_ref = rec[:, :N, :n], rec[:, N, :n]
         agent_errors = _agent_errors(x[:k + 1], x_ref[:k + 1])

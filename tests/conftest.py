@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from delaysync import AgentModel, CommGraph
-from delaysync.design import EPSILON_SWEEP
-from delaysync.errors import ConvergenceError
+from delaysync import AgentModel, CommGraph, dynamics
+from delaysync.design import EPSILON_SWEEP, PARTIAL_STATE
+from delaysync.errors import ConvergenceError, NumericError
 from delaysync.network import network_matrices
 from delaysync.riccati import (DARE_MAX_ITER, DARE_TOL, DareSolution,
                                dare_residual, feedback_gain, is_detectable,
@@ -266,3 +266,49 @@ def monolithic_partial(design, graph, kappa):
         np.hstack([np.zeros((n, (depth + 2) * N * n)), A]),
     ]
     return np.vstack(rows)
+
+
+def _concatenate_simulate(model, design, graph, delays, x0, xr0, k_max):
+    """`dynamics.simulate`'s step loop as it was before its [V | W] buffer:
+    each step concatenates V and [V | W] afresh and tests its inputs'
+    finiteness before it runs.  The oracle the buffered, block-tested loop
+    must reproduce bit for bit, its NumericError and the steps it hands
+    to `dynamics._agent_errors` included.  Inputs are taken as valid."""
+    n, m = model.n, model.m
+    N = graph.n_agents
+    x0, xr0 = np.asarray(x0, dtype=float), np.asarray(xr0, dtype=float)
+    partial = design.mode == PARTIAL_STATE
+    T, Kz = dynamics._block_transition(model, design, partial)
+    w = T.shape[1] - m
+    lap_ext_times = dynamics._laplacian_product(graph, w + m)
+    scale = np.append(1.0 / (2.0 + graph.in_degrees), 0.0)[:, None]
+    kappa = np.append(delays.kappa, 0)
+    lag = (delays.kappa_bar - kappa) * (N + 1) + np.arange(N + 1)
+    steps = k_max + 1
+    full = np.zeros((delays.kappa_bar + steps, N + 1, w + m))
+    rec, flat = full[delays.kappa_bar:], full.reshape(-1, w + m)
+    rec[0, :N, :n] = x0
+    rec[0, N, :n] = xr0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec[0, :, w:] = rec[0, :, :w] @ Kz
+        for k in range(steps):
+            Z = rec[k]
+            if k == k_max or not np.isfinite(Z[:, w:]).all():
+                break
+            V = np.concatenate((Z[:, :w], flat[lag + k * (N + 1), w:]), axis=1)
+            np.matmul(np.concatenate((V, scale * lap_ext_times(V)), axis=1),
+                      T, out=rec[k + 1])
+
+        x, x_ref = rec[:, :N, :n], rec[:, N, :n]
+        agent_errors = dynamics._agent_errors(x[:k + 1], x_ref[:k + 1])
+    ran = rec[:k + 1, :N]
+    if not np.isfinite((agent_errors.max(), ran.min(), ran.max())).all():
+        bad = ~(np.isfinite(agent_errors) & np.isfinite(ran).all(axis=2))
+        k, i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NumericError(f"simulation diverged: a state, input or the sync "
+                           f"error is non-finite from step {k} (agent {i})")
+    return dynamics.Trajectory(
+        x=x, protocol=rec[:, :N, n:2 * n], u=rec[:, :N, w:],
+        observer=rec[:, :N, 2 * n:w] if partial else None,
+        x_ref=x_ref, error=agent_errors.max(axis=1))

@@ -140,13 +140,17 @@ class TestWritersMatchReference:
                                     cli_mod.write_plotdata_csv,
                                     write_both_csvs])
 def test_writer_memory_does_not_grow_with_horizon(tmp_path, writer):
-    # the writers stream: demo 3's whole horizon peaks as two blocks do
+    # the writers stream: 24 blocks of demo 3 peak as two blocks do (the
+    # whole horizon would cost seconds under tracemalloc and show no more)
     cfg = demo_scenario(3, "full")
-    traj = simulate(cfg.model, cli_mod._designed(cfg), cfg.graph,
-                    cfg.delays, cfg.x0, cfg.xr0, cfg.k_max)
-    two_blocks = dataclasses.replace(traj, **{
-        name: getattr(traj, name)[:2 * cli_mod._BLOCK]
-        for name in ("x", "protocol", "x_ref", "u", "error")})
+    run = simulate(cfg.model, cli_mod._designed(cfg), cfg.graph,
+                   cfg.delays, cfg.x0, cfg.xr0, cfg.k_max)
+
+    def first(blocks):
+        return dataclasses.replace(run, **{
+            name: getattr(run, name)[:blocks * cli_mod._BLOCK]
+            for name in ("x", "protocol", "x_ref", "u", "error")})
+    traj, two_blocks = first(24), first(2)
     assert traj.x.shape[0] > 20 * cli_mod._BLOCK
 
     def peak(trajectory):

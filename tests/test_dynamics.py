@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -20,8 +21,8 @@ from delaysync.errors import DimensionError, NumericError, ScenarioError
 from delaysync.network import network_matrices
 from delaysync.spectral import spectral_radius
 
-from conftest import (chain_with_shortcuts, cycle3_graph, monolithic_full,
-                      monolithic_partial)
+from conftest import (_concatenate_simulate, chain_with_shortcuts,
+                      cycle3_graph, monolithic_full, monolithic_partial)
 
 XR0 = np.array([0.0, 1.0, 0.0])
 
@@ -442,15 +443,38 @@ def check_plant_and_input_laws(design, graph, data):
                                        rtol=0, atol=1e-12)
 
 
+def diverging_case1():
+    """simulate's arguments but k_max for demo 1 at epsilon 0.1, far above
+    the swept one: the sync error overflows from step 2277 and the states
+    from step 4545."""
+    cfg = demo_scenario(1, "full")
+    design = design_protocol(cfg.model, 2, mode="full", epsilon=0.1)
+    return cfg.model, design, cfg.graph, cfg.delays, cfg.x0, cfg.xr0
+
+
+def outcome(run):
+    """What a run returned or raised, and the lengths of the step prefixes
+    it handed to `_agent_errors`."""
+    prefixes = []
+    agent_errors = dynamics._agent_errors
+
+    def recording(x, x_ref):
+        prefixes.append(len(x))
+        return agent_errors(x, x_ref)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_agent_errors", recording)
+        try:
+            result = run()
+        except NumericError as err:
+            result = str(err)
+    return result, prefixes
+
+
 class TestDivergence:
     def test_raises_at_first_non_finite_step(self):
-        # pinned epsilon far above the swept one: the delayed loop blows up
-        cfg = demo_scenario(1, "full")
-        design = design_protocol(cfg.model, 2, mode="full", epsilon=0.1)
-
         def run(k_max):
-            return simulate(cfg.model, design, cfg.graph, cfg.delays, cfg.x0,
-                            cfg.xr0, k_max)
+            return simulate(*diverging_case1(), k_max)
 
         with pytest.raises(NumericError, match=r"non-finite from step \d+ "
                                                r"\(agent \d\)") as info:
@@ -460,34 +484,78 @@ class TestDivergence:
         assert np.isfinite(run(step - 1).error).all()
 
     def test_stops_at_first_non_finite_step(self, monkeypatch):
-        # case 1 at epsilon 0.1: the sync error overflows from step 2277 and
-        # the states from step 4545, far before the horizon
-        cfg = demo_scenario(1, "full")
-        design = design_protocol(cfg.model, 2, mode="full", epsilon=0.1)
-        prefixes = []
-        agent_errors = dynamics._agent_errors
-
-        def recording(x, x_ref):
-            # the loop hands over the steps it ran, up to the one it stopped at
-            prefixes.append(len(x))
-            return agent_errors(x, x_ref)
-
-        monkeypatch.setattr(dynamics, "_agent_errors", recording)
+        # the inputs' finiteness is tested once per block of steps; the
+        # block's size must not move the step a run stops at
         k_max = 20000
-        with pytest.raises(NumericError) as info:
-            simulate(cfg.model, design, cfg.graph, cfg.delays, cfg.x0,
-                     cfg.xr0, k_max)
-        assert str(info.value) == ("simulation diverged: a state, input or "
-                                   "the sync error is non-finite from step "
-                                   "2277 (agent 2)")
-        assert len(prefixes) == 1
-        assert 2277 < prefixes[0] < k_max
+        for block in (1, 7, 32):
+            monkeypatch.setattr(dynamics, "_STEP_BLOCK", block)
+            message, prefixes = outcome(
+                lambda: simulate(*diverging_case1(), k_max))
+            assert message == ("simulation diverged: a state, input or the "
+                               "sync error is non-finite from step 2277 "
+                               "(agent 2)"), block
+            # the loop hands over the steps it ran, up to the one it
+            # stopped at
+            assert len(prefixes) == 1, block
+            assert 2277 < prefixes[0] < k_max, block
 
-    def test_non_finite_initial_state_names_agent(self, full_design):
+    def test_non_finite_initial_state_names_agent(self, monkeypatch,
+                                                  full_design):
         x0 = _initial_states(3)
         x0[1, 2] = np.nan
-        with pytest.raises(NumericError, match=r"step 0 \(agent 1\)"):
-            run_case1(full_design, [1, 1, 2], 10, x0=x0)
+        for block in (1, 7, 32):
+            monkeypatch.setattr(dynamics, "_STEP_BLOCK", block)
+            with pytest.raises(NumericError, match=r"step 0 \(agent 1\)"):
+                run_case1(full_design, [1, 1, 2], 10, x0=x0)
+
+    @pytest.mark.parametrize("block", [1, 7, 32])
+    def test_horizon_at_first_non_finite_input(self, monkeypatch, block):
+        monkeypatch.setattr(dynamics, "_STEP_BLOCK", block)
+        args = diverging_case1()
+        # the per-step loop hands over the steps up to the first whose
+        # inputs are non-finite
+        _, (ran,) = outcome(lambda: _concatenate_simulate(*args, 20000))
+        first_bad = ran - 1
+        assert 2277 < first_bad < 20000
+        for k_max in (first_bad - 1, first_bad, first_bad + 1):
+            got = outcome(lambda: simulate(*args, k_max))
+            want = outcome(lambda: _concatenate_simulate(*args, k_max))
+            assert got == want, k_max
+            assert got[1] == [min(k_max, first_bad) + 1], k_max
+
+
+def assert_bit_identical(got, want):
+    for field in dataclasses.fields(dynamics.Trajectory):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if b is None:
+            assert a is None, field.name
+        else:
+            assert (a.shape, a.dtype) == (b.shape, b.dtype), field.name
+            assert a.tobytes() == b.tobytes(), field.name
+
+
+class TestStepLoopOracle:
+    """The buffered step loop against the per-step concatenating one,
+    bit for bit, at horizons around the finiteness test's block of 32."""
+
+    @pytest.mark.parametrize("k_max", [0, 1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("n_agents", [10, 300])
+    def test_matches_concatenating_loop(self, full_design, partial_design,
+                                        n_agents, partial, k_max):
+        design = partial_design if partial else full_design
+        rng = np.random.default_rng(n_agents)
+        if n_agents == 10:
+            # demo 3's graph: the dense product
+            graph = demo_scenario(3, "full").graph
+        else:
+            graph = chain_with_shortcuts(rng, n_agents)
+        assert dynamics._use_edge_product(
+            n_agents, graph.edge_dst.size) == (n_agents == 300)
+        delays = DelayProfile(rng.integers(0, 3, size=n_agents), 2)
+        x0 = rng.uniform(-2.0, 2.0, size=(n_agents, 3))
+        args = (design.model, design, graph, delays, x0, XR0, k_max)
+        assert_bit_identical(simulate(*args), _concatenate_simulate(*args))
 
 
 class TestZeroDelayOracles:
