@@ -37,9 +37,11 @@ inputs before step 0, so each agent's delayed input u_i(k - kappa_i) is
 read back from the record itself at a fixed per-agent offset.  Protocol
 and observer states start at zero.  A run whose states, inputs or
 synchronization error leave the finite floats raises NumericError naming
-the first non-finite step and agent.  The inputs' finiteness is tested
-once per block of `_STEP_BLOCK` steps; a run stops at the block's first
-step with a non-finite input, as a test per step would.
+the first non-finite step and agent.  The run goes a block of steps at a
+time, each block about `_BLOCK_ENTRIES` entries of the record: after a
+block it computes that block's per-agent errors and tests its states,
+inputs and errors once, so a diverging run stops within one block of its
+first non-finite value.
 """
 
 import os
@@ -157,22 +159,6 @@ def control_input(design, chi):
     return -design.rho * (chi @ design.K.T)
 
 
-#: entries of x per block of `_agent_errors`: its temporaries stay near
-#: 0.5 MB each however many agents and steps a run has
-_ERROR_BLOCK_ENTRIES = 2 ** 16
-
-
-def _agent_errors(x, x_ref):
-    """||x_i(k) - x_ref(k)|| indexed [step, agent], a block of steps at a
-    time."""
-    errors = np.empty(x.shape[:2])
-    block = max(1, _ERROR_BLOCK_ENTRIES // x[0].size)
-    for k in range(0, len(x), block):
-        errors[k:k + block] = np.linalg.norm(
-            x[k:k + block] - x_ref[k:k + block, None, :], axis=2)
-    return errors
-
-
 def _block_transition(model, design, partial):
     """Per-step matrices of the stacked block Z = [x | chi | xhat | u].
 
@@ -215,8 +201,10 @@ def _block_transition(model, design, partial):
     return T, Kz
 
 
-#: steps `simulate` runs between two tests of its inputs' finiteness
-_STEP_BLOCK = 32
+#: entries of the record per block of steps of `simulate`: a block's
+#: delayed-input indices and error temporaries stay near 0.5 MB each
+#: however many agents a run has
+_BLOCK_ENTRIES = 2 ** 16
 
 
 #: the edge product is taken once the dense product's (N + 1)^2 entries
@@ -296,11 +284,12 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
     memory, and NumericError when the run leaves the finite floats.
 
     Each step refills one (N + 1) x 2 (w + m) buffer [V | W] in place and
-    writes the next block of the record with one product.  The delayed
+    writes the next block of the record with one product.  The steps run
+    in blocks of max(1, `_BLOCK_ENTRIES` // ((N + 1)(w + m))).  The delayed
     inputs are gathered from a 1-D view of the record at element indices
-    built once per block of `_STEP_BLOCK` steps, and the block's inputs
-    are then tested for finiteness; the run stops at the first step whose
-    inputs are non-finite, as a test before every step would.
+    built once per block; after the block its per-agent errors are written
+    and its rows are tested for finiteness once, and the first non-finite
+    step and agent are named as a test after every step would name them.
     """
     n, m = model.n, model.m
     N = graph.n_agents
@@ -350,12 +339,15 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
     VW = np.empty((N + 1, 2 * (w + m)))
     V, W = VW[:, :w + m], VW[:, w + m:]
     states, inputs = V[:, :w], V[:, w:]
+    x, x_ref = rec[:, :N, :n], rec[:, N, :n]
+    errors = np.empty((k_max + 1, N))
+    block = max(1, _BLOCK_ENTRIES // stride)
 
     with np.errstate(over="ignore", invalid="ignore"):
         rec[0, :, w:] = rec[0, :, :w] @ Kz
-        k = 0
-        while k < k_max:
-            stop = min(k + _STEP_BLOCK, k_max)
+        # at k_max = 0 one pass of no steps still tests the initial states
+        for k in range(0, max(k_max, 1), block):
+            stop = min(k + block, k_max)
             reads = delayed + stride * np.arange(k, stop)[:, None, None]
             for Z_states, read, Z_next in zip(rec[k:stop, :, :w], reads,
                                               rec[k + 1:stop + 1]):
@@ -364,25 +356,17 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
                 # scale after the product: a synchronized network measures 0
                 np.multiply(scale, lap_ext_times(V), out=W)
                 np.matmul(VW, T, out=Z_next)
-            # every state feeds the inputs within two steps, so a non-finite
-            # input ends the run at the first such step of the block; the
-            # check below names the first bad step
-            finite = np.isfinite(rec[k:stop + 1, :, w:]).all(axis=(1, 2))
-            if not finite.all():
-                k += int(np.argmin(finite))
-                break
-            k = stop
-
-        x, x_ref = rec[:, :N, :n], rec[:, N, :n]
-        agent_errors = _agent_errors(x[:k + 1], x_ref[:k + 1])
-    # a non-finite state or reference makes that agent's error non-finite;
-    # reductions test the whole run without a temporary of the record's size
-    ran = rec[:k + 1, :N]
-    if not np.isfinite((agent_errors.max(), ran.min(), ran.max())).all():
-        bad = ~(np.isfinite(agent_errors) & np.isfinite(ran).all(axis=2))
-        k, i = np.unravel_index(np.argmax(bad), bad.shape)
-        raise NumericError(f"simulation diverged: a state, input or the sync "
-                           f"error is non-finite from step {k} (agent {i})")
+            # a non-finite state or reference makes that agent's error
+            # non-finite; reductions test the block without a temporary
+            err, ran = errors[k:stop + 1], rec[k:stop + 1, :N]
+            err[...] = np.linalg.norm(x[k:stop + 1]
+                                      - x_ref[k:stop + 1, None, :], axis=2)
+            if not np.isfinite((err.max(), ran.min(), ran.max())).all():
+                bad = ~(np.isfinite(err) & np.isfinite(ran).all(axis=2))
+                step, i = np.unravel_index(np.argmax(bad), bad.shape)
+                raise NumericError(f"simulation diverged: a state, input or "
+                                   f"the sync error is non-finite from step "
+                                   f"{k + step} (agent {i})")
     return Trajectory(x=x, protocol=rec[:, :N, n:2 * n], u=rec[:, :N, w:],
                       observer=rec[:, :N, 2 * n:w] if partial else None,
-                      x_ref=x_ref, error=agent_errors.max(axis=1))
+                      x_ref=x_ref, error=errors.max(axis=1))

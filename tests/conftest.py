@@ -271,9 +271,10 @@ def monolithic_partial(design, graph, kappa):
 def _concatenate_simulate(model, design, graph, delays, x0, xr0, k_max):
     """`dynamics.simulate`'s step loop as it was before its [V | W] buffer:
     each step concatenates V and [V | W] afresh and tests its inputs'
-    finiteness before it runs.  The oracle the buffered, block-tested loop
-    must reproduce bit for bit, its NumericError and the steps it hands
-    to `dynamics._agent_errors` included.  Inputs are taken as valid."""
+    finiteness before it runs; after the loop it computes every agent's
+    error over the steps it ran and scans them with the record.  The
+    oracle the buffered, block-tested loop must reproduce bit for bit, its
+    NumericError included.  Inputs are taken as valid."""
     n, m = model.n, model.m
     N = graph.n_agents
     x0, xr0 = np.asarray(x0, dtype=float), np.asarray(xr0, dtype=float)
@@ -301,7 +302,8 @@ def _concatenate_simulate(model, design, graph, delays, x0, xr0, k_max):
                       T, out=rec[k + 1])
 
         x, x_ref = rec[:, :N, :n], rec[:, N, :n]
-        agent_errors = dynamics._agent_errors(x[:k + 1], x_ref[:k + 1])
+        agent_errors = np.linalg.norm(x[:k + 1] - x_ref[:k + 1, None, :],
+                                      axis=2)
     ran = rec[:k + 1, :N]
     if not np.isfinite((agent_errors.max(), ran.min(), ran.max())).all():
         bad = ~(np.isfinite(agent_errors) & np.isfinite(ran).all(axis=2))

@@ -277,6 +277,58 @@ class TestProtocolSteps:
         # 0.8*0.048 + 2*(-0.0072) + 0.8*(0.078 - 0.024)
         assert chi[3] == pytest.approx(0.0672, abs=1e-15)
 
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_first_steps_match_brute_force_sums(self, full_design,
+                                                partial_design, partial):
+        # the sums of TestMeasurements' brute-force tests, taken through
+        # simulate's first steps on a weighted graph with two roots; the
+        # partial-mode inputs, and with them their exchange, are zero up
+        # to step 2
+        design = partial_design if partial else full_design
+        A, B, C = design.model.A, design.model.B, design.model.C
+        rng = np.random.default_rng(31)
+        adj = rng.uniform(0, 2, size=(4, 4)) * (1 - np.eye(4))
+        roots = np.array([1, 0, 1, 0], dtype=bool)
+        traj = simulate(design.model, design,
+                        CommGraph(adjacency=adj, roots=roots),
+                        DelayProfile([0, 0, 0, 0]), rng.normal(size=(4, 3)),
+                        rng.normal(size=3), 3)
+        for k in range(3):
+            x, chi, u, xr = (traj.x[k], traj.protocol[k], traj.u[k],
+                             traj.x_ref[k])
+            for i in range(4):
+                s = 1.0 / (2 + adj[i].sum())
+                # scaled relative measurement and the exchanged protocol
+                # states and inputs, the reference's own row being zero
+                meas = roots[i] * (C @ x[i] - C @ xr)
+                mix_chi, mix_u = roots[i] * chi[i], roots[i] * u[i]
+                for j in range(4):
+                    meas = meas + adj[i, j] * (C @ x[i] - C @ x[j])
+                    mix_chi = mix_chi + adj[i, j] * (chi[i] - chi[j])
+                    mix_u = mix_u + adj[i, j] * (u[i] - u[j])
+                if partial:
+                    xhat = traj.observer[k, i]
+                    chi_next = A @ chi[i] + B @ u[i] \
+                        + A @ (xhat - s * mix_chi)
+                    xhat_next = A @ xhat + B @ (s * mix_u) \
+                        + design.F @ (s * meas - C @ xhat)
+                    np.testing.assert_allclose(traj.observer[k + 1, i],
+                                               xhat_next, rtol=0, atol=1e-12)
+                else:
+                    chi_next = A @ chi[i] + B @ u[i] \
+                        + A @ (s * (meas - mix_chi))
+                np.testing.assert_allclose(traj.protocol[k + 1, i], chi_next,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(traj.x[k + 1, i],
+                                           A @ x[i] + B @ u[i],
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    traj.u[k + 1, i],
+                    -design.rho * design.K @ traj.protocol[k + 1, i],
+                    rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj.x_ref[k + 1], A @ xr,
+                                       rtol=0, atol=1e-12)
+
     def test_control_input_sign_and_scale(self):
         d = scalar_design("full")
         assert control_input(d, np.array([[2.0]]))[0, 0] \
@@ -453,22 +505,53 @@ def diverging_case1():
 
 
 def outcome(run):
-    """What a run returned or raised, and the lengths of the step prefixes
-    it handed to `_agent_errors`."""
-    prefixes = []
-    agent_errors = dynamics._agent_errors
+    """What a run returned, or the message it raised."""
+    try:
+        return run()
+    except NumericError as err:
+        return str(err)
 
-    def recording(x, x_ref):
-        prefixes.append(len(x))
-        return agent_errors(x, x_ref)
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_bit_identical(got, want)
+
+
+def use_blocks(monkeypatch, steps):
+    """Size `simulate`'s blocks to `steps` steps on the 3-agent full-state
+    runs: 4 nodes of 2 n + m = 7 entries make 28 entries per step."""
+    monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 28 * steps)
+
+
+@contextlib.contextmanager
+def counted_products():
+    """A context that counts the graph products of the runs inside it."""
+    calls = [0]
+    make = dynamics._laplacian_product
+
+    def counting(graph, width):
+        product = make(graph, width)
+
+        def counted(V):
+            calls[0] += 1
+            return product(V)
+        return counted
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_agent_errors", recording)
-        try:
-            result = run()
-        except NumericError as err:
-            result = str(err)
-    return result, prefixes
+        mp.setattr(dynamics, "_laplacian_product", counting)
+        yield calls
+
+
+def assert_bit_identical(got, want):
+    for field in dataclasses.fields(dynamics.Trajectory):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if b is None:
+            assert a is None, field.name
+        else:
+            assert (a.shape, a.dtype) == (b.shape, b.dtype), field.name
+            assert a.tobytes() == b.tobytes(), field.name
 
 
 class TestDivergence:
@@ -484,61 +567,69 @@ class TestDivergence:
         assert np.isfinite(run(step - 1).error).all()
 
     def test_stops_at_first_non_finite_step(self, monkeypatch):
-        # the inputs' finiteness is tested once per block of steps; the
-        # block's size must not move the step a run stops at
-        k_max = 20000
+        # the run is tested once per block of steps; the block's size must
+        # not move the step it names
         for block in (1, 7, 32):
-            monkeypatch.setattr(dynamics, "_STEP_BLOCK", block)
-            message, prefixes = outcome(
-                lambda: simulate(*diverging_case1(), k_max))
-            assert message == ("simulation diverged: a state, input or the "
-                               "sync error is non-finite from step 2277 "
-                               "(agent 2)"), block
-            # the loop hands over the steps it ran, up to the one it
-            # stopped at
-            assert len(prefixes) == 1, block
-            assert 2277 < prefixes[0] < k_max, block
+            use_blocks(monkeypatch, block)
+            assert outcome(lambda: simulate(*diverging_case1(), 20000)) == (
+                "simulation diverged: a state, input or the sync error is "
+                "non-finite from step 2277 (agent 2)"), block
+
+    @pytest.mark.parametrize("block", [1, 7, 32])
+    def test_stops_within_one_block(self, monkeypatch, block):
+        # the sync error is non-finite from step 2277 and the states only
+        # from step 4545: the run stops in the block that holds step 2277
+        use_blocks(monkeypatch, block)
+        with counted_products() as calls:
+            with pytest.raises(NumericError, match=r"step 2277 \(agent 2\)"):
+                simulate(*diverging_case1(), 20000)
+        assert 2277 <= calls[0] <= 2277 + block
 
     def test_non_finite_initial_state_names_agent(self, monkeypatch,
                                                   full_design):
         x0 = _initial_states(3)
         x0[1, 2] = np.nan
         for block in (1, 7, 32):
-            monkeypatch.setattr(dynamics, "_STEP_BLOCK", block)
+            use_blocks(monkeypatch, block)
             with pytest.raises(NumericError, match=r"step 0 \(agent 1\)"):
                 run_case1(full_design, [1, 1, 2], 10, x0=x0)
 
     @pytest.mark.parametrize("block", [1, 7, 32])
     def test_horizon_at_first_non_finite_input(self, monkeypatch, block):
-        monkeypatch.setattr(dynamics, "_STEP_BLOCK", block)
+        use_blocks(monkeypatch, block)
         args = diverging_case1()
-        # the per-step loop hands over the steps up to the first whose
-        # inputs are non-finite
-        _, (ran,) = outcome(lambda: _concatenate_simulate(*args, 20000))
-        first_bad = ran - 1
-        assert 2277 < first_bad < 20000
-        for k_max in (first_bad - 1, first_bad, first_bad + 1):
-            got = outcome(lambda: simulate(*args, k_max))
-            want = outcome(lambda: _concatenate_simulate(*args, k_max))
-            assert got == want, k_max
-            assert got[1] == [min(k_max, first_bad) + 1], k_max
+        # the per-step loop stops at the first step whose inputs are
+        # non-finite, after one product per step before it
+        with counted_products() as calls:
+            outcome(lambda: _concatenate_simulate(*args, 20000))
+        first_bad_input = calls[0]
+        assert 2277 < first_bad_input < 20000
+        # around the first non-finite error and the first non-finite input
+        for first_bad in (2277, first_bad_input):
+            for k_max in (first_bad - 1, first_bad, first_bad + 1):
+                assert_same_outcome(
+                    outcome(lambda: simulate(*args, k_max)),
+                    outcome(lambda: _concatenate_simulate(*args, k_max)))
 
 
-def assert_bit_identical(got, want):
-    for field in dataclasses.fields(dynamics.Trajectory):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if b is None:
-            assert a is None, field.name
-        else:
-            assert (a.shape, a.dtype) == (b.shape, b.dtype), field.name
-            assert a.tobytes() == b.tobytes(), field.name
+def block_steps(n_agents, design):
+    """`simulate`'s block length: max(1, _BLOCK_ENTRIES // ((N + 1)(w + m)))
+    with w = 2 n in full mode and 3 n in partial mode."""
+    n, m = design.model.n, design.model.m
+    w = (3 if design.mode == "partial" else 2) * n
+    return max(1, dynamics._BLOCK_ENTRIES // ((n_agents + 1) * (w + m)))
+
+
+#: horizons as (blocks, extra steps) of a case's block length b
+BLOCK_HORIZONS = {"b-1": (1, -1), "b": (1, 0), "b+1": (1, 1), "2b+1": (2, 1)}
 
 
 class TestStepLoopOracle:
-    """The buffered step loop against the per-step concatenating one,
-    bit for bit, at horizons around the finiteness test's block of 32."""
+    """The buffered step loop against the per-step concatenating one, bit
+    for bit, at horizons that straddle each case's block length b and at
+    a few fixed ones."""
 
-    @pytest.mark.parametrize("k_max", [0, 1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("k_max", [0, 1, 31, 32, 33, 65, *BLOCK_HORIZONS])
     @pytest.mark.parametrize("partial", [False, True])
     @pytest.mark.parametrize("n_agents", [10, 300])
     def test_matches_concatenating_loop(self, full_design, partial_design,
@@ -550,8 +641,12 @@ class TestStepLoopOracle:
             graph = demo_scenario(3, "full").graph
         else:
             graph = chain_with_shortcuts(rng, n_agents)
+            assert block_steps(n_agents, design) == (21 if partial else 31)
         assert dynamics._use_edge_product(
             n_agents, graph.edge_dst.size) == (n_agents == 300)
+        if k_max in BLOCK_HORIZONS:
+            blocks, extra = BLOCK_HORIZONS[k_max]
+            k_max = blocks * block_steps(n_agents, design) + extra
         delays = DelayProfile(rng.integers(0, 3, size=n_agents), 2)
         x0 = rng.uniform(-2.0, 2.0, size=(n_agents, 3))
         args = (design.model, design, graph, delays, x0, XR0, k_max)
