@@ -85,16 +85,12 @@ def _compile(items):
 
 def _block_strings(traj, a, b, held_u, norms, error):
     """Steps a..b-1 as one row of strings each: the `repr` of x_ref, every
-    agent's x and its first `held_u` inputs, then, if asked, the agents'
-    error norms (Python's `s ** 0.5` of the squared deviation summed over
-    the components) and `Trajectory.error`; last, k."""
-    x, xr = traj.x[a:b], traj.x_ref[a:b]
-    values = [xr, x.reshape(b - a, -1),
+    agent's x and its first `held_u` inputs, then, if asked, every agent's
+    `Trajectory.agent_error` and the worst, `Trajectory.error`; last, k."""
+    values = [traj.x_ref[a:b], traj.x[a:b].reshape(b - a, -1),
               traj.u[a:b, :, :held_u].reshape(b - a, -1)]
     if norms:
-        sq = ((x - xr[:, None, :]) ** 2).sum(axis=2).ravel()
-        values.append(np.reshape([s ** 0.5 for s in sq.tolist()],
-                                 (b - a, -1)))
+        values.append(traj.agent_error[a:b])
     if error:
         values.append(traj.error[a:b, None])
     strings = np.array(list(map(repr, np.hstack(values).ravel().tolist())),
@@ -174,9 +170,8 @@ def write_trajectory_csv(traj, path):
     with zero u and error.  `u` is zero-padded past m and cut to n.
 
     A step's distinct values are the states of every node, the first
-    min(m, n) inputs and each agent's error norm, Python's `s ** 0.5` of
-    its squared deviation summed over the components; each is formatted
-    once and its rows repeat it."""
+    min(m, n) inputs and each agent's `Trajectory.agent_error`; each is
+    formatted once and its rows repeat it."""
     _write_csvs(traj, trajectory_path=path)
 
 

@@ -186,8 +186,9 @@ def parse_config(data):
 
     out_sec = _section(data, "output", problems)
     out_dir = out_sec.get("directory", ".")
-    if not isinstance(out_dir, str):
-        problems.append(f"output.directory: must be a string, got {out_dir!r}")
+    if not isinstance(out_dir, str) or not out_dir:
+        problems.append("output.directory: must be a non-empty string, got "
+                        f"{out_dir!r}")
     emit_plot = out_sec.get("emit_plot_data", False)
     if not isinstance(emit_plot, bool):
         problems.append("output.emit_plot_data: must be a boolean, got "
@@ -202,10 +203,13 @@ def parse_config(data):
 
 def load_config(path):
     """Parse and validate a scenario file; raises ScenarioError listing
-    every violation, or a parse error with position info."""
+    every violation, or a parse or decoding error with position info."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(
+                [f"not UTF-8 text at byte {exc.start}"]) from exc
         except json.JSONDecodeError as exc:
             raise ScenarioError(
                 [f"parse error at line {exc.lineno}, column {exc.colno}: "

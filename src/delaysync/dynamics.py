@@ -39,9 +39,9 @@ and observer states start at zero.  A run whose states, inputs or
 synchronization error leave the finite floats raises NumericError naming
 the first non-finite step and agent.  The run goes a block of steps at a
 time, each block about `_BLOCK_ENTRIES` entries of the record: after a
-block it computes that block's per-agent errors and tests its states,
-inputs and errors once, so a diverging run stops within one block of its
-first non-finite value.
+block it computes that block's per-agent errors, the run's `agent_error`,
+and tests its states, inputs and errors once, so a diverging run stops
+within one block of its first non-finite value.
 """
 
 import os
@@ -111,9 +111,9 @@ class InputHistory:
 class Trajectory:
     """Time-indexed closed-loop record; arrays are indexed [step, agent, ...].
 
-    `observer` is None for full-state runs.  `error` holds the worst-agent
-    synchronization error per step.  Every field but `error` is a view of
-    the one recorded block.
+    `observer` is None for full-state runs.  `agent_error` holds each
+    agent's synchronization error |x_i - x_ref| per step and `error` its
+    worst agent's.  Every other field is a view of the one recorded block.
     """
     x: np.ndarray
     protocol: np.ndarray
@@ -121,6 +121,7 @@ class Trajectory:
     x_ref: np.ndarray
     u: np.ndarray
     error: np.ndarray
+    agent_error: np.ndarray
 
 
 def network_measurement(graph, net, states, y_ref, C=None):
@@ -369,4 +370,5 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
                                    f"{k + step} (agent {i})")
     return Trajectory(x=x, protocol=rec[:, :N, n:2 * n], u=rec[:, :N, w:],
                       observer=rec[:, :N, 2 * n:w] if partial else None,
-                      x_ref=x_ref, error=errors.max(axis=1))
+                      x_ref=x_ref, error=errors.max(axis=1),
+                      agent_error=errors)

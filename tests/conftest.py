@@ -313,4 +313,5 @@ def _concatenate_simulate(model, design, graph, delays, x0, xr0, k_max):
     return dynamics.Trajectory(
         x=x, protocol=rec[:, :N, n:2 * n], u=rec[:, :N, w:],
         observer=rec[:, :N, 2 * n:w] if partial else None,
-        x_ref=x_ref, error=agent_errors.max(axis=1))
+        x_ref=x_ref, error=agent_errors.max(axis=1),
+        agent_error=agent_errors)

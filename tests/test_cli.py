@@ -29,7 +29,9 @@ def demo_config_file(tmp_path, case=1, mode="full", **tweaks):
 
 
 def reference_trajectory_csv(traj, path):
-    """The csv.writer implementation the streaming writer replaced."""
+    """The csv.writer implementation the streaming writer replaced.  It
+    computes each agent's error itself, as the benchmark's checker does,
+    and reads no `Trajectory.agent_error`."""
     steps, n_agents, n = traj.x.shape
     m = traj.u.shape[2]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -41,8 +43,7 @@ def reference_trajectory_csv(traj, path):
                 writer.writerow([k, 0, c, repr(float(xr[c])),
                                  repr(float(xr[c])), repr(0.0), repr(0.0)])
             for i in range(n_agents):
-                err = float(
-                    ((traj.x[k, i] - xr) ** 2).sum() ** 0.5)
+                err = float(np.sqrt(((traj.x[k, i] - xr) ** 2).sum()))
                 for c in range(n):
                     u_val = float(traj.u[k, i, c]) if c < m else 0.0
                     writer.writerow([k, i + 1, c, repr(float(traj.x[k, i, c])),
@@ -93,8 +94,9 @@ def assert_writers_match_reference(traj, tmp_path):
 
 
 class TestWritersMatchReference:
-    # the first step whose error differs by one ulp between Python's
-    # s ** 0.5 and np.sqrt(s): demo 2 full at step 30, demo 3 partial at 57
+    # past the first step where Python's s ** 0.5 is one ulp off np.sqrt(s):
+    # demo 2 full at step 30, demo 3 partial at 57; a writer that took its
+    # own root of the squared deviation would fail here
     @pytest.mark.parametrize("case,mode,k_max", [(2, "full", 40),
                                                  (3, "partial", 60)])
     def test_demo_bytes(self, tmp_path, case, mode, k_max):
@@ -113,9 +115,11 @@ class TestWritersMatchReference:
             -20, 20, (steps, n_agents, n))
         u = rng.standard_normal((steps, n_agents, m))
         u[0, 0, 0] = -0.0
+        x_ref = rng.standard_normal((steps, n))
         traj = Trajectory(x=x, protocol=np.zeros_like(x), observer=None,
-                          x_ref=rng.standard_normal((steps, n)), u=u,
-                          error=rng.random(steps))
+                          x_ref=x_ref, u=u, error=rng.random(steps),
+                          agent_error=np.linalg.norm(x - x_ref[:, None, :],
+                                                     axis=2))
         assert_writers_match_reference(traj, tmp_path)
 
     # the writers format a block of cli._BLOCK steps at a time
@@ -130,9 +134,11 @@ class TestWritersMatchReference:
         u = rng.standard_normal((steps, n_agents, m))
         for k in {0, steps - 1, min(cli_mod._BLOCK, steps - 1)}:
             x[k, -1, -1] = u[k, 0, 0] = -0.0
+        x_ref = rng.standard_normal((steps, n))
         traj = Trajectory(x=x, protocol=np.zeros_like(x), observer=None,
-                          x_ref=rng.standard_normal((steps, n)), u=u,
-                          error=rng.random(steps))
+                          x_ref=x_ref, u=u, error=rng.random(steps),
+                          agent_error=np.linalg.norm(x - x_ref[:, None, :],
+                                                     axis=2))
         assert_writers_match_reference(traj, tmp_path)
 
 
@@ -149,7 +155,8 @@ def test_writer_memory_does_not_grow_with_horizon(tmp_path, writer):
     def first(blocks):
         return dataclasses.replace(run, **{
             name: getattr(run, name)[:blocks * cli_mod._BLOCK]
-            for name in ("x", "protocol", "x_ref", "u", "error")})
+            for name in ("x", "protocol", "x_ref", "u", "error",
+                         "agent_error")})
     traj, two_blocks = first(24), first(2)
     assert traj.x.shape[0] > 20 * cli_mod._BLOCK
 
@@ -240,6 +247,15 @@ class TestValidation:
             named = rf"^{section}\b" + (rf".*\b{key}\b" if key else "")
             assert any(re.search(named, p) for p in err.value.problems), name
 
+    @pytest.mark.parametrize("command", ["design", "verify"])
+    def test_empty_output_directory_refused(self, tmp_path, capsys, command):
+        # "" would load, and then every command would fail on the path
+        path = demo_config_file(tmp_path, **{"output.directory": ""})
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == ("config error: output.directory: "
+                                           "must be a non-empty string, "
+                                           "got ''\n")
+
     @pytest.mark.parametrize("name", ["model.A", "model.B",
                                       "graph.adjacency", "sim.x0"])
     @pytest.mark.parametrize("entry", ["0.5", True, 10 ** 400])
@@ -305,6 +321,14 @@ class TestValidation:
         path.write_text("{\n  \"model\": [,]\n}")
         with pytest.raises(ScenarioError, match="line 2"):
             load_config(path)
+
+    def test_non_utf8_file_is_a_config_error(self, tmp_path, capsys):
+        # one config error naming the first byte that does not decode
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"model": "\xff"}')
+        assert main(["design", "--config", str(path)]) == 1
+        assert capsys.readouterr().err \
+            == "config error: not UTF-8 text at byte 11\n"
 
 
 class TestCommands:
@@ -383,7 +407,7 @@ class TestCommands:
     def test_simulate_emits_plotdata_when_configured(self, tmp_path):
         # both files of the one combined pass equal the reference writers'
         # on the same run, across a partial last block and past step 57,
-        # where s ** 0.5 and np.sqrt first differ on this demo
+        # where Python's s ** 0.5 is first one ulp off np.sqrt on this demo
         path = demo_config_file(tmp_path, 3, "partial", **{
             "output.emit_plot_data": True,
             "sim.k_max": 2 * cli_mod._BLOCK + 3})
@@ -398,6 +422,35 @@ class TestCommands:
             reference(traj, tmp_path / name)
             assert (out / name).read_bytes() \
                 == (tmp_path / name).read_bytes(), name
+
+    @pytest.mark.parametrize("case,mode,k_max", [(2, "full", 40),
+                                                 (3, "partial", 60)])
+    def test_both_files_write_the_library_errors(self, tmp_path, case, mode,
+                                                 k_max):
+        # every agent's error in trajectory.csv is its agent_error, and the
+        # worst of them, read back as a float, is plotdata.csv's error
+        path = demo_config_file(tmp_path, case, mode, **{
+            "output.emit_plot_data": True, "sim.k_max": k_max})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--out",
+                     str(out)]) == 0
+        cfg = load_config(path)
+        traj = simulate(cfg.model, cli_mod._designed(cfg), cfg.graph,
+                        cfg.delays, cfg.x0, cfg.xr0, cfg.k_max)
+        agents = [[] for _ in range(k_max + 1)]
+        with open(out / "trajectory.csv", newline="") as fh:
+            for k, i, *_, error in list(csv.reader(fh))[1:]:
+                if i != "0":
+                    agents[int(k)].append((int(i), error))
+        with open(out / "plotdata.csv", newline="") as fh:
+            worst = [value for _, series, value in list(csv.reader(fh))[1:]
+                     if series == "error"]
+        assert len(worst) == k_max + 1
+        for k, (errors, plotted) in enumerate(zip(agents, worst)):
+            assert repr(max(float(e) for _, e in errors)) == plotted, k
+            for i, error in errors:
+                assert error == repr(float(traj.agent_error[k, i - 1])), \
+                    (k, i)
 
     def test_verify_passes_on_demo(self, tmp_path, capsys):
         path = demo_config_file(tmp_path)
