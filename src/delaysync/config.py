@@ -214,6 +214,9 @@ def load_config(path):
             raise ScenarioError(
                 [f"parse error at line {exc.lineno}, column {exc.colno}: "
                  f"{exc.msg}"]) from exc
+        except RecursionError as exc:
+            raise ScenarioError(["arrays or objects nested too deep to "
+                                 "parse"]) from exc
     return parse_config(data)
 
 

@@ -27,9 +27,13 @@ The product L_ext V is taken one of two ways, chosen once per run from N
 and the edge count E alone (`_laplacian_product`): a dense (N+1) x (N+1)
 matrix product, or a sum over the graph's edge list plus one edge from
 the reference into every root, which costs O((N + E) w) per step and
-builds no N x N array.  Graphs of fewer than 100 agents always take the
-dense product; sparse graphs of a few hundred agents and more take the
-edges.
+builds no N x N array.  Either is bound once per run to [V | W] and
+writes W itself; the edge sum gathers and scatters through 1-D indices
+into the buffer and writes only the columns of W that meet nonzero rows
+of T (on the demos' agent 6 of 7 in full mode and 5 of 10 in partial
+mode), leaving the others zero.  Graphs of fewer
+than 100 agents always take the dense product; sparse graphs of a few
+hundred agents and more take the edges.
 
 The delays, their bound and k_max are read by the whole-number rule
 (`errors.whole_array`).  The record starts with kappa_bar zero rows, the
@@ -40,8 +44,10 @@ synchronization error leave the finite floats raises NumericError naming
 the first non-finite step and agent.  The run goes a block of steps at a
 time, each block about `_BLOCK_ENTRIES` entries of the record: after a
 block it computes that block's per-agent errors, the run's `agent_error`,
-and tests its states, inputs and errors once, so a diverging run stops
-within one block of its first non-finite value.
+by summing the squared deviations one state component at a time (the
+same bits as `np.linalg.norm` for n <= 7, within 2 ulp above), and tests
+its states, inputs and errors once, so a diverging run stops within one
+block of its first non-finite value.
 """
 
 import os
@@ -218,21 +224,23 @@ def _use_edge_product(n_agents, n_edges):
 
     Per step, the dense product costs about (N + 1)^2 w multiply-adds in
     BLAS and the edge product about N + 1 + E gathered and scattered
-    entries per column, with a fixed overhead of a few microseconds.
-    Measured per product on a 2-vCPU VM (two BLAS threads) at the record
-    widths w = 7 (full mode, one input) and w = 10 (partial mode), on
-    chains with N/10 shortcuts and on denser random graphs:
+    entries per column it writes, with a fixed overhead of a few
+    microseconds.  Measured per scaled product on a 2-vCPU VM (two BLAS
+    threads) at the record widths w = 7 (full mode, one input; the edges
+    write 6 columns) and w = 10 (partial mode; 5 columns), on chains with
+    N/10 shortcuts and on denser random graphs:
 
-    - chains, w = 7 / 10: N = 150 dense 9.6 / 14.5 us, edges 12.3 / 21.6 us;
-      N = 200 dense 20.5 / 22.1 us, edges 15.9 / 18.5 us; N = 300 dense
-      36 / 45 us, edges 21 / 27 us; N = 400 dense 128 / 93 us, edges
-      27 / 34 us; N = 800 dense 670 / 459 us, edges 67 / 56 us;
-    - N = 400 with 8 399 edges (5%): dense 127 / 113 us, edges 295 / 400
-      us; the complete graph: dense 139 / 88 us, edges 10.8 / 15.8 ms;
-    - the two break even at (N + 1)^2 / (N + 1 + E) of about 75-100 for
-      N = 200-300, about 60-90 at N = 400 and 40-85 at N = 800.
+    - chains, w = 7 / 10: N = 150 dense 11.2 / 15.1 us, edges 8.3 / 7.5 us;
+      N = 200 dense 17.6 / 23.1 us, edges 10.1 / 8.9 us; N = 300 dense
+      34 / 47 us, edges 14 / 12 us; N = 400 dense 129 / 99 us, edges
+      21 / 15 us; N = 800 dense 454 / 422 us, edges 32 / 28 us;
+    - N = 400 with 8 305 edges (5%): dense 105 / 100 us, edges 137 / 112
+      us; the complete graph: dense 104 / 109 us, edges 3.0 / 2.7 ms;
+    - the two break even at (N + 1)^2 / (N + 1 + E) of about 30-45 for
+      N = 150-300, about 20-30 at N = 400 and 25-30 at N = 800.
 
-    The rule takes the edges above a ratio of 100.  It leans to the dense
+    The rule takes the edges above a ratio of 100, set when the edge sum
+    wrote every column and broke even at 40-100.  It leans to the dense
     product near the crossover, where a wrong edge choice costs more than
     a wrong dense one, and it never takes the edges below N = 100, where
     the ratio cannot exceed N + 1.  It reads no clock: the same graph
@@ -241,37 +249,54 @@ def _use_edge_product(n_agents, n_edges):
     return (n_agents + 1) ** 2 > _EDGE_PRODUCT_RATIO * (n_agents + 1 + n_edges)
 
 
-def _laplacian_product(graph, width):
-    """The map V -> L_ext V on (N + 1) x width blocks, unscaled.
+def _laplacian_product(graph, VW, columns):
+    """A function that writes W = diag(scale) L_ext V into [V | W] = VW.
 
     L_ext is the expanded Laplacian with the column -roots appended for
-    the reference, node N, and a zero row for it.  `_use_edge_product`
-    picks the dense matrix or the edge sum
+    the reference, node N, and a zero row for it; scale = 1 / (2 + d_in)
+    and 0 for the reference, applied after the product so that a
+    synchronized network measures 0.  `_use_edge_product` picks the dense
+    matrix, which writes all of W, or the edge sum
     diag(d_in + roots, 0) V - sum over edges j -> i of a_ij V_j, where the
-    reference enters every root i as an edge N -> i of weight 1.
+    reference enters every root i as an edge N -> i of weight 1, which
+    writes only W's `columns` and computes each as the edge sum over all
+    of V would, bit for bit.
     """
     N = graph.n_agents
+    width = VW.shape[1] // 2
+    V, W = VW[:, :width], VW[:, width:]
+    scale = np.append(1.0 / (2.0 + graph.in_degrees), 0.0)
     if not _use_edge_product(N, graph.edge_dst.size):
         lap_ext = np.zeros((N + 1, N + 1))
         lap_ext[:N, :N] = np.diag(graph.in_degrees + graph.roots) \
             - graph.adjacency
         lap_ext[:N, N] = -graph.roots.astype(float)
-        return lambda V: lap_ext @ V
+        scale = scale[:, None]
+        return lambda: np.multiply(scale, lap_ext @ V, out=W)
 
     rooted = np.flatnonzero(graph.roots)
     dst = np.concatenate((graph.edge_dst, rooted))
     src = np.concatenate((graph.edge_src, np.full(rooted.size, N)))
-    neg_weight = -np.concatenate((graph.edge_weight,
-                                  np.ones(rooted.size)))[:, None]
-    diag = np.append(graph.in_degrees + graph.roots, 0.0)[:, None]
-    # flat index of entry (i, c) of the result for every edge into i
-    into = (dst[:, None] * width + np.arange(width)).ravel()
-    size = (N + 1) * width
+    weight = np.concatenate((graph.edge_weight, np.ones(rooted.size)))
+    neg_weight, diag, scale = (np.repeat(v, columns.size) for v in (
+        -weight, np.append(graph.in_degrees + graph.roots, 0.0), scale))
+    # indices into VW's 1-D view of V's entries (r, c), c in `columns`, and
+    # into the result of its entry (i, c) for every edge into i
+    flat = VW.reshape(-1)
+    sources = (src[:, None] * VW.shape[1] + columns).ravel()
+    own = (np.arange(N + 1)[:, None] * VW.shape[1] + columns).ravel()
+    into = (dst[:, None] * columns.size + np.arange(columns.size)).ravel()
+    written = own + width
 
-    def product(V):
-        neighbors = np.bincount(into, (neg_weight * V[src]).ravel(),
-                                 minlength=size)
-        return diag * V + neighbors.reshape(N + 1, width)
+    def product():
+        terms = flat[sources]
+        terms *= neg_weight
+        neighbors = np.bincount(into, terms, minlength=own.size)
+        mixed = flat[own]
+        mixed *= diag
+        mixed += neighbors
+        mixed *= scale
+        flat[written] = mixed
     return product
 
 
@@ -284,13 +309,15 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
     8 (kappa_bar + k_max + 1)(N + 1)(w + m) bytes would exceed physical
     memory, and NumericError when the run leaves the finite floats.
 
-    Each step refills one (N + 1) x 2 (w + m) buffer [V | W] in place and
-    writes the next block of the record with one product.  The steps run
-    in blocks of max(1, `_BLOCK_ENTRIES` // ((N + 1)(w + m))).  The delayed
-    inputs are gathered from a 1-D view of the record at element indices
-    built once per block; after the block its per-agent errors are written
-    and its rows are tested for finiteness once, and the first non-finite
-    step and agent are named as a test after every step would name them.
+    Each step refills one (N + 1) x 2 (w + m) buffer [V | W] in place: the
+    graph product bound to it writes W (on the edges, only the columns T
+    reads), and one product with T writes the next block of the record.
+    The steps run in blocks of max(1, `_BLOCK_ENTRIES` // ((N + 1)(w + m))).
+    The delayed inputs are gathered from a 1-D view of the record at
+    element indices built once per block; after the block its per-agent
+    errors are summed over the state components and its rows are tested
+    for finiteness once, and the first non-finite step and agent are named
+    as a test after every step would name them.
     """
     n, m = model.n, model.m
     N = graph.n_agents
@@ -321,11 +348,6 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
         raise ScenarioError(f"sim.k_max = {k_max} needs a run record of "
                             f"{size / 2 ** 30:,.1f} GiB, beyond the "
                             f"{memory / 2 ** 30:,.1f} GiB of physical memory")
-    # the reference is node N of the extended graph: rows 0..N-1 read
-    # L_exp y - roots y_ref, and its own row is zero
-    lap_ext_times = _laplacian_product(graph, w + m)
-    scale = np.append(1.0 / (2.0 + graph.in_degrees), 0.0)[:, None]
-
     # kappa_bar zero rows lead: u_i(k - kappa_i) is row lag_i + k (N + 1),
     # its inputs the entries `delayed` + k stride of the record's 1-D view
     kappa = np.append(delays.kappa, 0)
@@ -336,10 +358,12 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
     rec, entries = full[delays.kappa_bar:], full.reshape(-1)
     rec[0, :N, :n] = x0
     rec[0, N, :n] = xr0
-    # one [V | W] buffer for the whole run, refilled in place every step
-    VW = np.empty((N + 1, 2 * (w + m)))
-    V, W = VW[:, :w + m], VW[:, w + m:]
-    states, inputs = V[:, :w], V[:, w:]
+    # one [V | W] buffer for the whole run, refilled in place every step;
+    # W's columns that meet only zero rows of T may stay finite zeros
+    VW = np.zeros((N + 1, 2 * (w + m)))
+    states, inputs = VW[:, :w], VW[:, w:w + m]
+    write_coupled = _laplacian_product(
+        graph, VW, np.flatnonzero(T[w + m:].any(axis=1)))
     x, x_ref = rec[:, :N, :n], rec[:, N, :n]
     errors = np.empty((k_max + 1, N))
     block = max(1, _BLOCK_ENTRIES // stride)
@@ -354,14 +378,19 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
                                               rec[k + 1:stop + 1]):
                 states[...] = Z_states
                 inputs[...] = entries[read]
-                # scale after the product: a synchronized network measures 0
-                np.multiply(scale, lap_ext_times(V), out=W)
+                write_coupled()
                 np.matmul(VW, T, out=Z_next)
-            # a non-finite state or reference makes that agent's error
-            # non-finite; reductions test the block without a temporary
+            # |x_i - x_ref|: a pass over the agents per component, summed in
+            # order; a non-finite state or reference makes that agent's
+            # error non-finite, and reductions test the block
             err, ran = errors[k:stop + 1], rec[k:stop + 1, :N]
-            err[...] = np.linalg.norm(x[k:stop + 1]
-                                      - x_ref[k:stop + 1, None, :], axis=2)
+            xs, refs = x[k:stop + 1], x_ref[k:stop + 1, None]
+            dev = xs[..., 0] - refs[..., 0]
+            np.multiply(dev, dev, out=err)
+            for c in range(1, n):
+                np.subtract(xs[..., c], refs[..., c], out=dev)
+                err += np.multiply(dev, dev, out=dev)
+            np.sqrt(err, out=err)
             if not np.isfinite((err.max(), ran.min(), ran.max())).all():
                 bad = ~(np.isfinite(err) & np.isfinite(ran).all(axis=2))
                 step, i = np.unravel_index(np.argmax(bad), bad.shape)

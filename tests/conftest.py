@@ -268,20 +268,51 @@ def monolithic_partial(design, graph, kappa):
     return np.vstack(rows)
 
 
+def laplacian_product_oracle(graph, width):
+    """The map V -> L_ext V on (N + 1) x width blocks, unscaled, as
+    `dynamics._laplacian_product` took it before it wrote [V | W] itself:
+    the dense matrix or the edge sum over every column, chosen by
+    `dynamics._use_edge_product`.  The oracle of that writer's columns."""
+    N = graph.n_agents
+    if not dynamics._use_edge_product(N, graph.edge_dst.size):
+        lap_ext = np.zeros((N + 1, N + 1))
+        lap_ext[:N, :N] = np.diag(graph.in_degrees + graph.roots) \
+            - graph.adjacency
+        lap_ext[:N, N] = -graph.roots.astype(float)
+        return lambda V: lap_ext @ V
+
+    rooted = np.flatnonzero(graph.roots)
+    dst = np.concatenate((graph.edge_dst, rooted))
+    src = np.concatenate((graph.edge_src, np.full(rooted.size, N)))
+    neg_weight = -np.concatenate((graph.edge_weight,
+                                  np.ones(rooted.size)))[:, None]
+    diag = np.append(graph.in_degrees + graph.roots, 0.0)[:, None]
+    # flat index of entry (i, c) of the result for every edge into i
+    into = (dst[:, None] * width + np.arange(width)).ravel()
+    size = (N + 1) * width
+
+    def product(V):
+        neighbors = np.bincount(into, (neg_weight * V[src]).ravel(),
+                                 minlength=size)
+        return diag * V + neighbors.reshape(N + 1, width)
+    return product
+
+
 def _concatenate_simulate(model, design, graph, delays, x0, xr0, k_max):
     """`dynamics.simulate`'s step loop as it was before its [V | W] buffer:
     each step concatenates V and [V | W] afresh and tests its inputs'
-    finiteness before it runs; after the loop it computes every agent's
-    error over the steps it ran and scans them with the record.  The
-    oracle the buffered, block-tested loop must reproduce bit for bit, its
-    NumericError included.  Inputs are taken as valid."""
+    finiteness before it runs, and takes the whole of L_ext V from
+    `laplacian_product_oracle`; after the loop it computes every agent's
+    error over the steps it ran with `np.linalg.norm` and scans them with
+    the record.  The oracle the buffered, block-tested loop must reproduce
+    bit for bit, its NumericError included.  Inputs are taken as valid."""
     n, m = model.n, model.m
     N = graph.n_agents
     x0, xr0 = np.asarray(x0, dtype=float), np.asarray(xr0, dtype=float)
     partial = design.mode == PARTIAL_STATE
     T, Kz = dynamics._block_transition(model, design, partial)
     w = T.shape[1] - m
-    lap_ext_times = dynamics._laplacian_product(graph, w + m)
+    lap_ext_times = laplacian_product_oracle(graph, w + m)
     scale = np.append(1.0 / (2.0 + graph.in_degrees), 0.0)[:, None]
     kappa = np.append(delays.kappa, 0)
     lag = (delays.kappa_bar - kappa) * (N + 1) + np.arange(N + 1)

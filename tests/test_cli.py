@@ -330,6 +330,15 @@ class TestValidation:
         assert capsys.readouterr().err \
             == "config error: not UTF-8 text at byte 11\n"
 
+    def test_deep_nesting_is_a_config_error(self, tmp_path, capsys):
+        # json.load recurses once per level: a RecursionError, not a
+        # traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["design", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == ("config error: arrays or objects "
+                                           "nested too deep to parse\n")
+
 
 class TestCommands:
     def test_design_prints_and_writes(self, tmp_path, capsys):

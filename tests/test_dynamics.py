@@ -21,8 +21,10 @@ from delaysync.errors import DimensionError, NumericError, ScenarioError
 from delaysync.network import network_matrices
 from delaysync.spectral import spectral_radius
 
+import conftest
 from conftest import (_concatenate_simulate, chain_with_shortcuts,
-                      cycle3_graph, monolithic_full, monolithic_partial)
+                      cycle3_graph, laplacian_product_oracle,
+                      monolithic_full, monolithic_partial)
 
 XR0 = np.array([0.0, 1.0, 0.0])
 
@@ -525,22 +527,28 @@ def use_blocks(monkeypatch, steps):
     monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", 28 * steps)
 
 
+def counting(make, calls):
+    """`make` with every product it returns counted in calls[0]."""
+    def made(*args):
+        product = make(*args)
+
+        def counted(*operands):
+            calls[0] += 1
+            return product(*operands)
+        return counted
+    return made
+
+
 @contextlib.contextmanager
 def counted_products():
-    """A context that counts the graph products of the runs inside it."""
+    """A context that counts the graph products of the runs inside it:
+    `simulate`'s writes of W and the oracle loop's products alike."""
     calls = [0]
-    make = dynamics._laplacian_product
-
-    def counting(graph, width):
-        product = make(graph, width)
-
-        def counted(V):
-            calls[0] += 1
-            return product(V)
-        return counted
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_laplacian_product", counting)
+        mp.setattr(dynamics, "_laplacian_product",
+                   counting(dynamics._laplacian_product, calls))
+        mp.setattr(conftest, "laplacian_product_oracle",
+                   counting(conftest.laplacian_product_oracle, calls))
         yield calls
 
 
@@ -610,6 +618,37 @@ class TestDivergence:
                 assert_same_outcome(
                     outcome(lambda: simulate(*args, k_max)),
                     outcome(lambda: _concatenate_simulate(*args, k_max)))
+
+
+@pytest.mark.parametrize("demo, mode, epsilon, step, agent",
+                         [(1, "full", 0.1, 2277, 2),
+                          (3, "partial", 1.0, 1697, 6)])
+def test_edge_product_diverges_at_the_oracles_step(demo, mode, epsilon,
+                                                   step, agent):
+    # the edge sum writes only the columns of W that T reads; a diverging
+    # run still names the step and agent the whole-V product names
+    cfg = demo_scenario(demo, mode)
+    design = design_protocol(cfg.model, 2, mode=mode, epsilon=epsilon)
+    args = (cfg.model, design, cfg.graph, cfg.delays, cfg.x0, cfg.xr0, 20000)
+    want = ("simulation diverged: a state, input or the sync error is "
+            f"non-finite from step {step} (agent {agent})")
+    with forced(True):
+        assert outcome(lambda: _concatenate_simulate(*args)) == want
+        assert outcome(lambda: simulate(*args)) == want
+
+
+def test_agent_error_of_eight_components_is_within_two_ulp():
+    # the block pass sums the squared components in order; numpy's norm
+    # reduces 8 or more of them pairwise, which may round differently
+    rng = np.random.default_rng(8)
+    Q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    model = AgentModel(A=0.95 * Q, B=rng.normal(size=(8, 1)), C=np.eye(8))
+    design = design_protocol(model, 1, mode="full", epsilon=1e-3)
+    traj = simulate(model, design, cycle3_graph(), DelayProfile([0, 1, 1]),
+                    rng.uniform(-2.0, 2.0, size=(3, 8)),
+                    rng.uniform(-2.0, 2.0, size=8), 60)
+    norm = np.linalg.norm(traj.x - traj.x_ref[:, None, :], axis=2)
+    np.testing.assert_array_max_ulp(traj.agent_error, norm, maxulp=2)
 
 
 def block_steps(n_agents, design):
@@ -804,16 +843,42 @@ class TestLaplacianProduct:
     @given(graph=rooted_graphs(max_agents=8), width=st.sampled_from([7, 10]),
            data=st.data())
     def test_both_products_match_dense_oracle(self, graph, width, data):
+        # the dense product writes all of W, the edge sum only the columns
+        # asked for; each written column is the old product's, bit for bit
         N = graph.n_agents
         V = data.draw(arrays(np.float64, (N + 1, width),
                              elements=st.floats(-2.0, 2.0)))
+        columns = np.array(sorted(data.draw(st.sets(
+            st.integers(0, width - 1), min_size=1))))
         lap_ext = extended_laplacian(graph)
-        want = lap_ext @ V
+        scale = np.append(1.0 / (2.0 + graph.in_degrees), 0.0)[:, None]
+        want = scale * (lap_ext @ V)
         bound = 1e-12 * max(1.0, (np.abs(lap_ext) @ np.abs(V)).max())
         for use_edges in (False, True):
+            VW = np.zeros((N + 1, 2 * width))
+            VW[:, :width] = V
             with forced(use_edges):
-                got = dynamics._laplacian_product(graph, width)(V)
-            assert np.abs(got - want).max() <= bound, use_edges
+                dynamics._laplacian_product(graph, VW, columns)()
+                old = scale * laplacian_product_oracle(graph, width)(V)
+            written = columns if use_edges else np.arange(width)
+            unread = np.setdiff1d(np.arange(width), written)
+            W = VW[:, width:]
+            assert VW[:, :width].tobytes() == V.tobytes(), use_edges
+            assert np.abs(W[:, written] - want[:, written]).max() <= bound
+            assert W[:, written].tobytes() == old[:, written].tobytes()
+            assert not W[:, unread].any(), use_edges
+
+    @pytest.mark.parametrize("partial, read", [(False, 6), (True, 5)])
+    def test_transition_reads_part_of_w(self, full_design, partial_design,
+                                        partial, read):
+        # of the 7 (full) or 10 (partial) columns of W, T reads in full mode
+        # the coupled states and protocol states, in partial mode the
+        # protocol states, the measured first state and the exchanged
+        # input; the edge sum writes only those
+        design = partial_design if partial else full_design
+        T, _ = dynamics._block_transition(design.model, design, partial)
+        width = T.shape[1]
+        assert np.flatnonzero(T[width:].any(axis=1)).size == read
 
 
 @pytest.fixture(scope="class")
