@@ -303,10 +303,15 @@ def build_parser():
     return parser
 
 
+#: the parser `main` reads, built once per process: argparse spends most
+#: of an in-process `design` call building one, and parsing leaves it as
+#: it was
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return 0 if exc.code == 0 else 1
     try:

@@ -7,7 +7,8 @@ notation):
     {
       "model":    {"A": [[...]], "B": [[...]], "C": [[...]]},
       "mode":     "full" | "partial",
-      "graph":    {"adjacency": [[...]], "roots": [0/1 flags, length N]},
+      "graph":    {"adjacency": [[...]] | "edges": [[i, j, a_ij], ...],
+                   "roots": [0/1 flags, length N]},
       "delays":   {"kappa": [whole numbers, length N],
                    "kappa_bar": whole number (optional)},
       "protocol": {"epsilon": float}                        (optional),
@@ -15,20 +16,29 @@ notation):
       "output":   {"directory": str, "emit_plot_data": bool} (optional)
     }
 
+A graph is given by exactly one of `adjacency`, the dense N x N weights,
+and `edges`, one row [i, j, a_ij] per edge from agent j to agent i (the
+indices of adjacency[i][j], from 0) with a positive weight; with edges, N
+is the length of `roots`.  Number texts are parsed once per distinct text,
+so the many equal entries of a large matrix share one float.
+
 Validation is not fail-fast: every violation is collected and reported in
 one ScenarioError, each message naming the offending field or key.  An
 absent required section or key is reported as missing and no value rule
 runs on it; every key is required but `delays.kappa_bar` and those of the
-optional sections.  A value is read by the library code that owns its
-rule, and that message is reported under the field: `AgentModel`,
-`CommGraph` (weights, root flags), `DelayProfile` (whole, non-negative
-delays), `mode` by the designer's rule, `protocol.epsilon` by the
-solver's, `sim.k_max` (the one horizon) by the whole-number rule
-`simulate` uses.  This module adds only what a file needs: the sections
+optional sections, and the graph needs one of its two forms (without
+either, `graph.adjacency` is reported missing).  A value is read by the
+library code that owns its rule, and that message is reported under the
+field: `AgentModel`, `CommGraph` (weights, edges, root flags),
+`DelayProfile` (whole, non-negative delays), `mode` by the designer's
+rule, `protocol.epsilon` by the solver's, `sim.k_max` (the one horizon)
+by the whole-number rule `simulate` uses.  This module adds only what a file needs: the sections
 and their keys, finite real-number matrices, the `sim.k_max >= 10` floor,
-the `output` fields, and the checks across sections (the adjacency order
+the `output` fields, and the checks across sections (the graph order
 against `delays.kappa` and `sim.x0`, `C = I` in full mode, at least one
-root).
+root).  A matrix entry that is no real number is named by its index and
+value, in the number rule's own message under the section, e.g.
+`graph: non-numeric or boolean adjacency: entry (0, 1) is True`.
 """
 
 import json
@@ -61,11 +71,14 @@ class ScenarioConfig:
 
 #: the keys the loader reads, by section (mode is a value); others are refused
 _KEYS = {"model": {"A", "B", "C"}, "mode": None,
-         "graph": {"adjacency", "roots"}, "delays": {"kappa", "kappa_bar"},
+         "graph": {"adjacency", "edges", "roots"},
+         "delays": {"kappa", "kappa_bar"},
          "protocol": {"epsilon"}, "sim": {"k_max", "x0", "xr0"},
          "output": {"directory", "emit_plot_data"}}
-#: the sections a file must have, and the keys each must hold
-_REQUIRED = {"model": ("A", "B", "C"), "graph": ("adjacency", "roots"),
+#: the sections a file must have, and the keys each must hold; of a tuple
+#: of keys exactly one (reported as its first when none is given)
+_REQUIRED = {"model": ("A", "B", "C"),
+             "graph": (("adjacency", "edges"), "roots"),
              "delays": ("kappa",), "sim": ("k_max", "x0", "xr0")}
 #: an absent required key: reported once as missing, and no value rule runs
 _MISSING = object()
@@ -75,9 +88,13 @@ def _matrix(raw, name, problems, ndim=2):
     if raw is _MISSING:
         return None
     rows = " of row arrays" if ndim == 2 else ""
+    section, key = name.split(".")
     try:
-        arr = real_array(raw, name)
-    except DelaySyncError:  # ragged rows, or an entry that is no number
+        arr = real_array(raw, key)
+    except ScenarioError as exc:  # the number rule names the bad entry
+        problems.append(f"{section}: {exc}")
+        return None
+    except DelaySyncError:  # ragged rows
         problems.append(f"{name}: not a numeric array{rows}")
         return None
     if arr.ndim != ndim or not np.all(np.isfinite(arr)):
@@ -112,9 +129,45 @@ def _section(data, name, problems):
         return {}
     problems.extend(f"{name}.{key}: unknown key" for key in sec
                     if key not in _KEYS[name])
-    problems.extend(f"{name}.{key}: missing key"
-                    for key in _REQUIRED.get(name, ()) if key not in sec)
+    for keys in _REQUIRED.get(name, ()):
+        keys = keys if isinstance(keys, tuple) else (keys,)
+        given = [key for key in keys if key in sec]
+        if not given:
+            problems.append(f"{name}.{keys[0]}: missing key")
+        elif len(given) > 1:
+            problems.append(f"{name}: give exactly one of "
+                            f"{' and '.join(keys)}")
     return sec
+
+
+def _graph(sec, problems):
+    """(N, the CommGraph or None, what gives N) from the graph section: N
+    is the adjacency order, or with edges the length of the roots."""
+    roots = sec.get("roots", _MISSING)
+    if "edges" not in sec:
+        adj = _matrix(sec.get("adjacency", _MISSING), "graph.adjacency",
+                      problems)
+        if adj is None:
+            return None, None, None
+        return adj.shape[0], _build("graph", problems, CommGraph,
+                                    adjacency=adj, roots=roots), \
+            "graph.adjacency order"
+    if "adjacency" in sec:  # reported by _section
+        return None, None, None
+    raw = sec["edges"]
+    edges = (np.zeros((0, 3)) if isinstance(raw, list) and not raw
+             else _matrix(raw, "graph.edges", problems))
+    if edges is not None and edges.shape[1] != 3:
+        problems.append("graph.edges: each row must be [i, j, a_ij], got "
+                        f"rows of {edges.shape[1]}")
+        edges = None
+    n_agents = len(roots) if isinstance(roots, list) else None
+    if n_agents is None and roots is not _MISSING:
+        problems.append("graph: roots must be one row of 0/1 flags")
+    graph = None if edges is None or n_agents is None else _build(
+        "graph", problems, CommGraph.from_edges, n_agents=n_agents,
+        dst=edges[:, 0], src=edges[:, 1], weight=edges[:, 2], roots=roots)
+    return n_agents, graph, "graph.roots length"
 
 
 def parse_config(data):
@@ -143,13 +196,7 @@ def parse_config(data):
                         "the identity")
 
     graph_sec = _section(data, "graph", problems)
-    adj = _matrix(graph_sec.get("adjacency", _MISSING), "graph.adjacency",
-                  problems)
-    n_agents = graph = None
-    if adj is not None:
-        n_agents = adj.shape[0]
-        graph = _build("graph", problems, CommGraph, adjacency=adj,
-                       roots=graph_sec.get("roots", _MISSING))
+    n_agents, graph, order = _graph(graph_sec, problems)
     if graph is not None and not graph.roots.any():
         problems.append("graph.roots: at least one agent must be a root")
 
@@ -161,7 +208,7 @@ def parse_config(data):
             and delays.kappa.size != n_agents):
         problems.append(
             f"delays.kappa: length {delays.kappa.size} does not match the "
-            f"graph.adjacency order {n_agents}")
+            f"{order} {n_agents}")
 
     proto_sec = _section(data, "protocol", problems)
     epsilon = proto_sec.get("epsilon")
@@ -201,12 +248,21 @@ def parse_config(data):
                           out_dir=out_dir, emit_plot_data=emit_plot)
 
 
+class _Floats(dict):
+    """Number text -> float, each distinct text parsed once: a file's equal
+    entries share one float object, the value `json` would parse."""
+
+    def __missing__(self, text):
+        value = self[text] = float(text)
+        return value
+
+
 def load_config(path):
     """Parse and validate a scenario file; raises ScenarioError listing
     every violation, or a parse or decoding error with position info."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=_Floats().__getitem__)
         except UnicodeDecodeError as exc:
             raise ScenarioError(
                 [f"not UTF-8 text at byte {exc.start}"]) from exc

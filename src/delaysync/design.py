@@ -62,7 +62,7 @@ FULL_STATE = "full"
 PARTIAL_STATE = "partial"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentModel:
     """Agent dynamics triple: x+ = A x + B u (delayed), y = C x."""
     A: np.ndarray
@@ -83,7 +83,7 @@ class AgentModel:
         return self.B.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolDesign:
     """Complete designed protocol: gains plus the scalars that certified them.
 

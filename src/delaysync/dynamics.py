@@ -61,7 +61,7 @@ from .errors import (DimensionError, NumericError, ScenarioError,
 from .network import is_rooted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelayProfile:
     """Per-agent integer input delays with their common bound, by default
     the largest delay."""
@@ -113,7 +113,7 @@ class InputHistory:
         return self._rows[self.kappa_bar:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-indexed closed-loop record; arrays are indexed [step, agent, ...].
 

@@ -2,6 +2,7 @@
 
 import reprlib
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -67,16 +68,42 @@ def is_real_type(kind):
             and not issubclass(kind, bool))
 
 
+def _entry_types(values, depth):
+    """The types of the entries of the nested sequences `values`, `depth`
+    levels deep, read row by row (no array of objects is built)."""
+    if depth == 0:
+        return {type(values)}
+    rows = [values]
+    for _ in range(depth - 1):
+        rows = chain.from_iterable(rows)
+    kinds = set()
+    for row in rows:
+        kinds.update(map(type, row))
+    return kinds
+
+
 def real_array(values, name, dtype=float):
     """`values` as an array of `dtype` (None keeps integer input integer).
     Each entry must be of `is_real_type` (else ScenarioError names the first
     that is not) and rows of one length (else DimensionError); int and float
-    ndarrays pass as they are, other input is scanned once as objects."""
+    ndarrays pass as they are.  Other input is read by numpy first, and
+    taken when it reads as numbers whose entries are all of real types;
+    anything else is scanned once as objects to name the first bad entry."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         return np.asarray(values, dtype=dtype)
     try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):  # ragged, or no array at all
+        arr = None
+    if (arr is not None and arr.dtype.kind in "iuf"
+            and all(map(is_real_type, _entry_types(values, arr.ndim)))):
+        # flags read as numbers by numpy are refused by their types
+        if dtype is None and arr.dtype.kind in "iu":
+            return arr
+        return arr.astype(float, copy=False)
+    try:
         items = np.asarray(values, dtype=object)
-        kinds = set(map(type, items.flat))  # one pass: adjacencies are large
+        kinds = set(map(type, items.flat))
     except ValueError:  # a nesting numpy cannot hold even as objects
         kinds = {list}
     if any(issubclass(k, (list, tuple, np.ndarray)) for k in kinds):

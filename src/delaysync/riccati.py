@@ -45,7 +45,7 @@ DARE_TOL = 1e-12
 DARE_MAX_ITER = 200000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DareSolution:
     """Stabilizing Riccati solution bundle.
 

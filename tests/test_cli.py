@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import re
+import reprlib
 import tracemalloc
 
 import numpy as np
@@ -267,8 +268,13 @@ class TestValidation:
         data[section][key][0][0] = entry
         with pytest.raises(ScenarioError) as err:
             parse_config(data)
-        assert f"{name}: not a numeric array of row arrays" \
-            in err.value.problems
+        # the number rule's own message, under the section: the entry's
+        # index and value, the field named once
+        at = f"entry (0, 0) is {reprlib.repr(entry)}"
+        assert err.value.problems == [
+            f"{section}: {key} has an entry beyond the float range: {at}"
+            if entry == 10 ** 400 else
+            f"{section}: non-numeric or boolean {key}: {at}"]
 
     def test_ragged_model_matrix_named(self):
         data = config_to_dict(demo_scenario(1, "full"))
@@ -303,6 +309,52 @@ class TestValidation:
         data["protocol"][key] = True
         with pytest.raises(ScenarioError, match=f"protocol.{key}: .*True"):
             parse_config(data)
+
+    @pytest.mark.parametrize("rows, problem", [
+        ([[1, 0, 1.0], [2, 1, 1.0], [0, 2, 1.0]], None),
+        ([[1, 0, 1.0], [2, 2, 1.0]],
+         "graph: edges must not be self-loops: entry 1 is (2, 2, 1.0)"),
+        ([[1, 0, 1.0], [2, 1, 1.0], [1, 0, 2.0]],
+         "graph: edges must not repeat a (dst, src) pair: "
+         "entry 2 is (1, 0, 2.0)"),
+        ([[1, 0, 1.0], [0, 3, 1.0]],
+         "graph: edges must join agents in [0, 3): entry 1 is (0, 3, 1.0)"),
+        ([[1, 0, 1.0], [2, 1, 0.0]],
+         "graph: edges must have finite positive weights: "
+         "entry 1 is (2, 1, 0.0)"),
+        ([[1, 0, 1.0], [2.5, 1, 1.0]],
+         "graph: non-integer edge destinations: entry 1 is 2.5"),
+        ([[1, 0, 1.0], [2, True, 1.0]],
+         "graph: non-numeric or boolean edges: entry (1, 1) is True"),
+        ([[1, 0], [2, 1]],
+         "graph.edges: each row must be [i, j, a_ij], got rows of 2"),
+        ([[1, 0, 1.0], [2, 1]], "graph.edges: not a numeric array of row "
+                                "arrays"),
+    ])
+    def test_edge_rows_read_by_the_graph_rules(self, rows, problem):
+        # graph.edges in place of graph.adjacency: N is the roots' length,
+        # and the first bad edge is named by its row and value
+        data = config_to_dict(demo_scenario(1, "full"))
+        adjacency = data["graph"].pop("adjacency")
+        data["graph"]["edges"] = rows
+        if problem is None:
+            got = parse_config(data).graph
+            want = parse_config(config_to_dict(demo_scenario(1, "full")))
+            assert got.adjacency.tolist() == adjacency
+            assert config_to_dict(want) == config_to_dict(
+                dataclasses.replace(want, graph=got))
+            return
+        with pytest.raises(ScenarioError) as err:
+            parse_config(data)
+        assert err.value.problems == [problem]
+
+    def test_graph_needs_exactly_one_form(self):
+        data = config_to_dict(demo_scenario(1, "full"))
+        data["graph"]["edges"] = [[1, 0, 1.0], [2, 1, 1.0], [0, 2, 1.0]]
+        with pytest.raises(ScenarioError) as err:
+            parse_config(data)
+        assert err.value.problems == [
+            "graph: give exactly one of adjacency and edges"]
 
     @pytest.mark.parametrize("name", [
         "model.A", "model.B", "model.C", "mode", "graph.adjacency",
@@ -540,6 +592,43 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: sim.k_max = 1000000000000 needs")
         assert "Traceback" not in err
+
+    def test_consecutive_calls_share_one_parser(self, tmp_path, capsys):
+        # the parser is built once per process; every call still parses
+        # afresh, with the exit codes and output of a new parser
+        path = str(demo_config_file(tmp_path))
+        calls = [["--help"], ["frobnicate"], ["design", "--config", path],
+                 ["verify", "--config", path]]
+        rounds = [[(main(argv), capsys.readouterr()) for argv in calls]
+                  for _ in range(2)]
+        assert [code for code, _ in rounds[0]] == [0, 1, 0, 0]
+        assert rounds[0] == rounds[1]
+        for (_, got), argv in zip(rounds[0][:2], calls):
+            with pytest.raises(SystemExit):
+                cli_mod.build_parser().parse_args(argv)
+            assert got == capsys.readouterr()
+        assert rounds[0][2][1].out.startswith("mode: full\n")
+        assert rounds[0][3][1].out.startswith("certificate: PASS\n")
+
+    def test_simulate_reads_an_edge_list(self, tmp_path):
+        # demo 3's graph as graph.edges rows: the same run, byte for byte
+        files = {}
+        for form in ("adjacency", "edges"):
+            data = config_to_dict(demo_scenario(3, "partial"))
+            data["sim"]["k_max"] = 60
+            if form == "edges":
+                adj = data["graph"].pop("adjacency")
+                data["graph"]["edges"] = [[i, j, a] for i, row in
+                                          enumerate(adj)
+                                          for j, a in enumerate(row) if a]
+            path = tmp_path / f"{form}.json"
+            path.write_text(json.dumps(data))
+            out = tmp_path / form
+            assert main(["simulate", "--config", str(path), "--out",
+                         str(out)]) == 0
+            files[form] = [(out / name).read_bytes()
+                           for name in ("design.txt", "trajectory.csv")]
+        assert files["adjacency"] == files["edges"]
 
     def test_bad_usage_maps_to_one(self, capsys):
         assert main(["design"]) == 1          # missing required --config

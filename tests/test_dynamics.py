@@ -1,17 +1,20 @@
 import contextlib
 import dataclasses
+import json
 import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from delaysync import (AgentModel, CommGraph, DelayProfile, ProtocolDesign,
-                       closed_loop_certificate, design_protocol, simulate)
+                       closed_loop_certificate, design_protocol, load_config,
+                       simulate)
 from delaysync import dynamics
 from delaysync.demos import demo_model, demo_scenario, _initial_states
 from delaysync.dynamics import (InputHistory, control_input,
@@ -953,4 +956,63 @@ class TestLargeGraph:
             np.add.at(mixed, dst, weight * e[k, src])
             Se = e[k] - scale * (diag * e[k] - mixed)
             err = np.abs(e[k + 1] - Se @ A.T).max()
+            assert err <= 1e-12 * max(1.0, np.abs(e[k]).max()), (k, err)
+
+    def test_ten_thousand_agents_on_the_edge_list(self, full_design,
+                                                  tmp_path):
+        # a chain with N/10 random shortcuts, drawn as the benchmark's
+        # rooted_chain draws them but kept as edges: a dense adjacency
+        # alone would take 763 MiB, the run's record takes 107 MiB
+        N, k_max = 10_000, 200
+        rng = np.random.default_rng(11)
+        edges = dict.fromkeys((i + 1, i) for i in range(N - 1))
+        while len(edges) < N - 1 + N // 10:
+            i, j = (int(v) for v in rng.choice(N, size=2, replace=False))
+            edges[i, j] = None
+        dst, src = np.array(list(edges)).T
+        weight = np.ones(dst.size)
+        roots = np.arange(N) == 0
+        x0 = rng.uniform(-2.0, 2.0, size=(N, 3))
+        delays = DelayProfile(np.zeros(N, dtype=int))
+        tracemalloc.start()
+        try:
+            graph = CommGraph.from_edges(N, dst, src, weight, roots)
+            traj = simulate(full_design.model, full_design, graph, delays,
+                            x0, XR0, k_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = (k_max + 1) * (N + 1) * 7 * 8
+        assert peak < record + 100 * 2 ** 20, (peak, record)
+
+        # the same graph read from a scenario file's graph.edges rows
+        model = full_design.model
+        path = tmp_path / "edges.json"
+        path.write_text(json.dumps({
+            "model": {"A": model.A.tolist(), "B": model.B.tolist(),
+                      "C": model.C.tolist()},
+            "mode": "full",
+            "graph": {"edges": [[i, j, 1.0] for i, j in edges],
+                      "roots": roots.astype(int).tolist()},
+            "delays": {"kappa": [0] * N},
+            "sim": {"k_max": k_max, "x0": x0.tolist(),
+                    "xr0": XR0.tolist()}}))
+        loaded = load_config(path).graph
+        for name in ("roots", "in_degrees", "edge_dst", "edge_src",
+                     "edge_weight"):
+            assert getattr(loaded, name).tobytes() \
+                == getattr(graph, name).tobytes(), name
+        assert loaded.n_agents == N
+
+        # zero delays, so e = (x - x_ref) - chi obeys e(k+1) = S e(k) A'
+        # with S = I - diag(1 / (2 + d_in)) (D_in + diag(roots) - Adj),
+        # here a scipy sparse matrix built from the drawn edges
+        adj = scipy.sparse.csr_matrix((weight, (dst, src)), shape=(N, N))
+        d_in = np.asarray(adj.sum(axis=1)).ravel()
+        S = (scipy.sparse.identity(N) - scipy.sparse.diags(1.0 / (2.0 + d_in))
+             @ (scipy.sparse.diags(d_in + roots) - adj)).tocsr()
+        e = traj.x - traj.x_ref[:, None, :] - traj.protocol
+        assert np.abs(e[0]).max() > 1.0
+        for k in range(k_max):
+            err = np.abs(e[k + 1] - (S @ e[k]) @ model.A.T).max()
             assert err <= 1e-12 * max(1.0, np.abs(e[k]).max()), (k, err)

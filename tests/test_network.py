@@ -1,10 +1,15 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from delaysync import CommGraph, is_rooted
+from delaysync import (CommGraph, DelayProfile, design_protocol, dynamics,
+                       is_rooted, simulate)
+from delaysync.demos import demo_model
 from delaysync.errors import DimensionError, ScenarioError
 from delaysync.network import network_matrices
 from delaysync.spectral import spectral_radius
@@ -115,7 +120,12 @@ class TestCommGraph:
         assert g.edge_dst.size == np.count_nonzero(adj)
         assert np.all(g.edge_weight > 0)
         assert np.all(np.diff(g.edge_dst) >= 0)
-        np.testing.assert_array_equal(g.in_degrees, adj.sum(axis=1))
+        # an in-degree sums its agent's in-edge weights in edge order, so
+        # it can differ from numpy's pairwise adj.sum(axis=1) in the last
+        # bit once an agent has three or more fractional in-weights
+        want = [functools.reduce(operator.add, row[row > 0], 0.0)
+                for row in adj]
+        np.testing.assert_array_equal(g.in_degrees, want)
 
     def test_derived_fields_are_not_arguments(self):
         g = cycle3_graph()
@@ -123,6 +133,119 @@ class TestCommGraph:
         with pytest.raises(TypeError):
             CommGraph(adjacency=np.zeros((1, 1)), roots=np.array([True]),
                       in_degrees=np.zeros(1))
+
+
+def weighted_graph(rng, n_agents, density):
+    """A rooted chain plus random fractional weights of the given density,
+    as a matrix, and its edges in a shuffled order."""
+    adj = rng.uniform(0.1, 2.0, (n_agents, n_agents)) \
+        * (rng.random((n_agents, n_agents)) < density)
+    adj[np.arange(1, n_agents), np.arange(n_agents - 1)] = 1.5
+    np.fill_diagonal(adj, 0.0)
+    roots = rng.random(n_agents) < 0.2
+    roots[0] = True
+    dst, src = np.nonzero(adj)
+    shuffled = rng.permutation(dst.size)
+    return adj, roots, (dst[shuffled], src[shuffled],
+                        adj[dst, src][shuffled])
+
+
+GRAPH_FIELDS = ("roots", "in_degrees", "edge_dst", "edge_src", "edge_weight")
+
+
+class TestFromEdges:
+    @pytest.mark.parametrize("n_agents, density, edge_product", [
+        (1, 0.0, False), (5, 0.5, False), (12, 0.6, False),
+        (300, 0.003, True)])
+    def test_same_fields_and_runs_as_the_matrix(self, n_agents, density,
+                                                edge_product):
+        # the edge list in any order builds the graph the matrix builds,
+        # field for field, and simulate runs it bit for bit the same way
+        rng = np.random.default_rng(n_agents)
+        adj, roots, (dst, src, weight) = weighted_graph(rng, n_agents,
+                                                        density)
+        by_matrix = CommGraph(adjacency=adj, roots=roots)
+        by_edges = CommGraph.from_edges(n_agents, dst, src, weight, roots)
+        assert by_edges.n_agents == by_matrix.n_agents == n_agents
+        for name in GRAPH_FIELDS:
+            got, want = getattr(by_edges, name), getattr(by_matrix, name)
+            assert (got.dtype, got.tobytes()) == (want.dtype,
+                                                  want.tobytes()), name
+        assert by_edges.adjacency.tobytes() == adj.tobytes()
+        assert dynamics._use_edge_product(
+            n_agents, dst.size) == edge_product
+        x0 = rng.uniform(-2.0, 2.0, (n_agents, 3))
+        delays = DelayProfile(rng.integers(0, 3, n_agents))
+        for mode in ("full", "partial"):
+            design = design_protocol(demo_model(mode), 2, mode=mode,
+                                     epsilon=1e-3)
+            runs = [simulate(design.model, design, graph, delays, x0,
+                             [0.0, 1.0, 0.0], 40)
+                    for graph in (by_matrix, by_edges)]
+            for name in ("x", "protocol", "x_ref", "u", "error",
+                         "agent_error"):
+                assert getattr(runs[0], name).tobytes() \
+                    == getattr(runs[1], name).tobytes(), (mode, name)
+
+    def test_empty_edge_list(self):
+        g = CommGraph.from_edges(2, [], [], [], [True, True])
+        assert g.edge_dst.size == 0 and g.edge_dst.dtype == np.int64
+        np.testing.assert_array_equal(g.in_degrees, [0.0, 0.0])
+        assert is_rooted(g)
+
+    @pytest.mark.parametrize("dst, src, weight, error, message", [
+        ([1, 2], [0, 3], [1.0, 1.0], ScenarioError,
+         r"edges must join agents in \[0, 3\): entry 1 is \(2, 3, 1\.0\)"),
+        ([1, 2], [0, 2], [1.0, 1.0], ScenarioError,
+         r"edges must not be self-loops: entry 1 is \(2, 2, 1\.0\)"),
+        ([1, 2, 1], [0, 1, 0], [1.0, 1.0, 0.5], ScenarioError,
+         r"edges must not repeat a \(dst, src\) pair: "
+         r"entry 2 is \(1, 0, 0\.5\)"),
+        ([1, 2], [0, 1], [1.0, 0.0], ScenarioError,
+         r"finite positive weights: entry 1 is \(2, 1, 0\.0\)"),
+        ([1, 2], [0, 1], [-1.0, 1.0], ScenarioError,
+         r"finite positive weights: entry 0 is \(1, 0, -1\.0\)"),
+        ([1, 2], [0, 1], [1.0, np.inf], ScenarioError,
+         r"finite positive weights: entry 1 is \(2, 1, inf\)"),
+        ([1, 2], [0, 1], [np.nan, 1.0], ScenarioError,
+         r"finite positive weights: entry 0 is \(1, 0, nan\)"),
+        ([1, True], [0, 1], [1.0, 1.0], ScenarioError,
+         r"non-numeric or boolean edge destinations: entry 1 is True"),
+        ([1, 2], [0, 1.5], [1.0, 1.0], ScenarioError,
+         r"non-integer edge sources: entry 1 is 1\.5"),
+        ([1, -2], [0, 1], [1.0, 1.0], ScenarioError,
+         r"negative edge destinations: entry 1 is -2"),
+        ([1, 2], [0, 1], [1.0, "1"], ScenarioError,
+         r"non-numeric or boolean edge weights: entry 1 is '1'"),
+        ([1, 2], [0, 1], [1.0], DimensionError,
+         r"vectors of one length, got shapes \(2,\), \(2,\) and \(1,\)"),
+        ([[1, 2]], [[0, 1]], [[1.0, 1.0]], DimensionError,
+         r"vectors of one length"),
+    ])
+    def test_first_bad_edge_named(self, dst, src, weight, error, message):
+        with pytest.raises(error, match=message):
+            CommGraph.from_edges(3, dst, src, weight, [1, 0, 0])
+
+    def test_agents_and_roots_checked(self):
+        with pytest.raises(DimensionError, match="at least one agent"):
+            CommGraph.from_edges(0, [], [], [], [])
+        with pytest.raises(DimensionError, match="roots must have length 3"):
+            CommGraph.from_edges(3, [1], [0], [1.0], [1, 0])
+        with pytest.raises(ScenarioError, match="0/1 flags: entry 1 is 2"):
+            CommGraph.from_edges(3, [1], [0], [1.0], [1, 2, 0])
+        with pytest.raises(ScenarioError, match="non-integer n_agents"):
+            CommGraph.from_edges(2.5, [1], [0], [1.0], [1, 0])
+
+    def test_adjacency_is_derived_and_read_only(self):
+        g = CommGraph.from_edges(3, [1, 2, 0], [0, 1, 2], [1.0, 2.0, 0.5],
+                                 [1, 0, 0])
+        np.testing.assert_array_equal(g.adjacency, [[0.0, 0.0, 0.5],
+                                                    [1.0, 0.0, 0.0],
+                                                    [0.0, 2.0, 0.0]])
+        with pytest.raises(AttributeError):
+            g.adjacency = np.zeros((3, 3))
+        # the matrix a graph was built from is not kept
+        assert not any(np.ndim(value) == 2 for value in vars(g).values())
 
 
 def expanded_laplacian(g):

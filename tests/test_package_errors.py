@@ -10,8 +10,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from delaysync import convergence_report, estimate_mu
-from delaysync.demos import demo_scenario
+from delaysync import (AgentModel, CommGraph, DelayProfile, convergence_report,
+                       design_protocol, estimate_mu, simulate,
+                       solve_low_gain_dare)
+from delaysync.demos import demo_model, demo_scenario
 from delaysync.errors import ScenarioError
 
 PACKAGE = pathlib.Path(__file__).parents[1] / "src" / "delaysync"
@@ -46,3 +48,28 @@ def test_bad_inputs_are_scenario_errors(call, message):
     with pytest.raises(ScenarioError) as err:
         call()
     assert str(err.value) == message
+
+
+def _run():
+    cfg = demo_scenario(1, "full")
+    design = design_protocol(cfg.model, 2, mode="full", epsilon=1e-3)
+    return simulate(cfg.model, design, cfg.graph, cfg.delays, cfg.x0,
+                    cfg.xr0, 20)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AgentModel(A=np.eye(2), B=np.ones((2, 1)), C=np.eye(2)),
+    lambda: CommGraph(adjacency=[[0.0, 0.0], [1.0, 0.0]], roots=[1, 0]),
+    lambda: DelayProfile([1, 2]),
+    lambda: design_protocol(demo_model("partial"), 2, mode="partial",
+                            epsilon=1e-3),
+    lambda: solve_low_gain_dare(0.5 * np.eye(2), np.ones((2, 1)), 1e-2),
+    _run,
+], ids=["AgentModel", "CommGraph", "DelayProfile", "ProtocolDesign",
+        "DareSolution", "Trajectory"])
+def test_array_holders_compare_by_identity(build):
+    # numpy fields have no truth value, so a field-wise == would raise
+    a, b = build(), build()
+    assert (a == b) is False and (a != b) is True
+    assert a == a
+    assert hash(a) == hash(a) and len({a, b}) == 2

@@ -1,7 +1,7 @@
 """README stays in step with the code: every command line it shows parses
 against the real CLI, every repo path it names exists, its scenario file
-example loads and shows every key the loader reads, and its library
-example runs."""
+examples load and together show every key the loader reads, and its
+library example runs."""
 
 import argparse
 import json
@@ -64,13 +64,22 @@ def test_named_repo_paths_exist():
 
 
 def test_scenario_file_example_parses():
+    # the first example is a whole scenario; a later one shows a section
+    # that replaces the first example's (a graph gives one of its forms)
     section = README.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
-    block = re.search(r"^```json\n(.*?)^```", section, re.M | re.S).group(1)
-    cfg = parse_config(json.loads(block))
-    assert cfg.graph.n_agents == len(cfg.delays.kappa) == 2
-    # the example shows every key the loader reads, section by section
-    shown = {name: set(value) if isinstance(value, dict) else None
-             for name, value in json.loads(block).items()}
+    blocks = [json.loads(block) for block in
+              re.findall(r"^```json\n(.*?)^```", section, re.M | re.S)]
+    assert len(blocks) == 2
+    shown = {}
+    for block in blocks:
+        cfg = parse_config({**blocks[0], **block})
+        assert cfg.graph.n_agents == len(cfg.delays.kappa) == 2
+        for name, value in block.items():
+            if isinstance(value, dict):
+                shown.setdefault(name, set()).update(value)
+            else:
+                shown[name] = None
+    # together the examples show every key the loader reads, by section
     assert shown == _KEYS
 
 
