@@ -8,8 +8,7 @@ from .design import (AgentModel, ProtocolDesign, choose_rho, choose_theta,
                      validate_assumptions)
 from .dynamics import DelayProfile, Trajectory, simulate
 from .network import CommGraph, is_rooted
-from .riccati import (DareSolution, GainDisc, check_lambda_stabilized,
-                      dare_residual, feedback_gain, gain_disc,
+from .riccati import (DareSolution, dare_residual, feedback_gain,
                       solve_low_gain_dare)
 from .spectral import eigenvalues, is_schur_stable, omega_max, spectral_radius
 from .verify import (ConvergenceReport, StabilityCertificate,
@@ -19,12 +18,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentModel", "CommGraph", "ConvergenceReport", "DareSolution",
-    "DelayProfile", "GainDisc", "ProtocolDesign", "ScenarioConfig",
-    "StabilityCertificate", "Trajectory",
-    "check_lambda_stabilized", "choose_rho", "choose_theta",
+    "DelayProfile", "ProtocolDesign", "ScenarioConfig",
+    "StabilityCertificate", "Trajectory", "choose_rho", "choose_theta",
     "closed_loop_certificate", "convergence_report", "dare_residual",
     "delay_admissible", "demo_model", "demo_scenario", "design_protocol",
-    "eigenvalues", "estimate_mu", "feedback_gain", "gain_disc", "is_rooted",
+    "eigenvalues", "estimate_mu", "feedback_gain", "is_rooted",
     "is_schur_stable", "load_config", "omega_max", "parse_config",
     "simulate", "solve_low_gain_dare", "spectral_radius",
     "validate_assumptions", "write_config",

@@ -36,10 +36,6 @@ class AssumptionError(DelaySyncError, ValueError):
     detectability, or spectrum outside the closed unit disc)."""
 
 
-class DegenerateInputError(AssumptionError):
-    """The input channel carries no gain (B'PB has zero largest eigenvalue)."""
-
-
 class DesignError(DelaySyncError, RuntimeError):
     """A protocol design stage failed; the message carries the stage tag."""
 

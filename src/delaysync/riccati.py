@@ -4,35 +4,28 @@
 
     A'PA - P - A'PB (I + B'PB)^{-1} B'PA + eps*I = 0
 
-for eps in (0, 1]: the one Riccati family the protocol designer, the
-observer and the gain-disc tools use.  One body, `_doubling`, runs the
-structure-preserving doubling of Chu, Fan, Lin et al. on (A, BB', eps*I),
-whose iteration count stays flat as eps shrinks, for a stack of epsilons;
-each point is frozen when it stops, bit-identical to a doubling at its
-epsilon alone.  `_polish` takes that stack on to the Frobenius residual
-DARE_TOL in one pass (residuals, gains K and gamma for every point, the
-fixed-point iteration only for the points above the tolerance) and returns
-each point's `DareSolution` (P, K, gamma: solve once, pass it on) or its
+for eps in (0, 1]: the one Riccati family the protocol designer and the
+observer use.  One body, `_doubling`, runs the structure-preserving
+doubling of Chu, Fan, Lin et al. on (A, BB', eps*I), whose iteration
+count stays flat as eps shrinks, for a stack of epsilons; each point is
+frozen when it stops, bit-identical to a doubling at its epsilon alone.
+`_polish` takes that stack on to the Frobenius residual DARE_TOL in one
+pass (residuals and gains K for every point, the fixed-point iteration
+only for the points above the tolerance) and returns each point's
+`DareSolution` (P and K: solve once, pass it on) or its
 `ConvergenceError`.  `_low_gain_dare` is the one-point case, run by
 `solve_low_gain_dare` after it checks the shapes, epsilon, the closed disc
 and the PBH test; the designer, which validates its model once, solves
 unchecked, its sweep in stacked chunks.
-
-`gain_disc` and `check_lambda_stabilized` expose the complex gain region
-of a solution at weight delta: for gamma = lambda_max(B'P_delta B), every
-lambda inside the open disc centred at 1 + 1/gamma with radius
-sqrt(1 + gamma)/gamma keeps A + lambda*B*F_delta Schur stable, where
-F_delta is the negated low-gain feedback.  As delta shrinks the disc
-swallows any compact subset of {Re z > 1/2}.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AssumptionError, ConvergenceError, DegenerateInputError,
-                     DimensionError, ScenarioError, real_array, scalar)
-from .spectral import UNIT_CIRCLE_TOL, eigenvalues, is_schur_stable, omega_max
+from .errors import (AssumptionError, ConvergenceError, DimensionError,
+                     ScenarioError, real_array, scalar)
+from .spectral import UNIT_CIRCLE_TOL, eigenvalues, omega_max
 
 #: PBH rank test: the trailing singular value of [A - lambda I, B] must
 #: exceed this fraction of the leading one
@@ -50,26 +43,14 @@ class DareSolution:
     """Stabilizing Riccati solution bundle.
 
     P is symmetric positive definite, K the associated feedback gain
-    (I + B'PB)^{-1} B'PA, gamma the largest eigenvalue of B'PB, and
-    residual the Frobenius norm of the equation defect at P.
+    (I + B'PB)^{-1} B'PA, and residual the Frobenius norm of the equation
+    defect at P.
     """
     P: np.ndarray
     epsilon: float
     K: np.ndarray
-    gamma: float
     residual: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class GainDisc:
-    """Open disc of complex loop gains that preserve closed-loop stability."""
-    center: float
-    radius: float
-    gamma: float
-
-    def contains(self, lam):
-        return bool(abs(complex(lam) - self.center) < self.radius)
 
 
 def _check_a(A):
@@ -252,32 +233,7 @@ def _polish(A, B, epsilons, H, iterations):
         P[live[kept]], residual[live[kept]] = P_next[kept], res[kept]
         K[live[kept]] = K_live[kept]
         live, P_next = live[kept & going], next_live[kept[going]]
-    solved = [i for i in range(eps.size) if i not in failed]
-    gamma = dict(zip(solved, np.linalg.eigvalsh(B.T @ P[solved] @ B).max(-1)))
     return [failed[i] if i in failed else DareSolution(
-        P=P[i], epsilon=float(eps[i]), K=K[i], gamma=float(gamma[i]),
-        residual=float(residual[i]), iterations=int(iterations[i]))
-        for i in range(eps.size)]
+        P=P[i], epsilon=float(eps[i]), K=K[i], residual=float(residual[i]),
+        iterations=int(iterations[i])) for i in range(eps.size)]
 
-
-def gain_disc(sol):
-    """Stability-preserving complex gain disc of a low-gain solution.
-
-    Returns the open disc with center 1 + 1/gamma and radius
-    sqrt(1 + gamma)/gamma, gamma = lambda_max(B'P_delta B) for the solution
-    `sol` at weight delta.  Raises DegenerateInputError when gamma is zero
-    (no input authority), since the disc is undefined.
-    """
-    g = sol.gamma
-    if g <= 0.0:
-        raise DegenerateInputError(
-            "largest eigenvalue of B'PB is zero; the gain disc is undefined")
-    return GainDisc(center=1.0 + 1.0 / g, radius=float(np.sqrt(1.0 + g) / g),
-                    gamma=g)
-
-
-def check_lambda_stabilized(A, B, sol, lam):
-    """True iff A + lambda*B*F_delta is Schur stable for the complex gain lam,
-    with F_delta = -K the negated gain of the low-gain solution `sol`."""
-    A, B = _check_ab(A, B)
-    return is_schur_stable(A + complex(lam) * (B @ -sol.K))

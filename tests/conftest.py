@@ -155,10 +155,9 @@ def _serial_polish(A, B, epsilon, P, iterations):
         else:
             stalls = 0
         P, residual = P_next, res_next
-    K = feedback_gain(A, B, P)
-    gamma = float(np.linalg.eigvalsh(B.T @ P @ B).max())
-    return DareSolution(P=P, epsilon=float(epsilon), K=K, gamma=gamma,
-                        residual=residual, iterations=iterations)
+    return DareSolution(P=P, epsilon=float(epsilon),
+                        K=feedback_gain(A, B, P), residual=residual,
+                        iterations=iterations)
 
 
 def _companion_lift(A0, A1, kappa):

@@ -8,10 +8,11 @@ import time
 
 import numpy as np
 
-from delaysync import (AgentModel, CommGraph, DelayProfile, check_lambda_stabilized,
+from delaysync import (AgentModel, CommGraph, DelayProfile,
                        closed_loop_certificate, convergence_report,
-                       delay_admissible, design_protocol, gain_disc,
-                       is_rooted, omega_max, simulate, solve_low_gain_dare)
+                       delay_admissible, design_protocol, is_rooted,
+                       is_schur_stable, omega_max, simulate,
+                       solve_low_gain_dare)
 from delaysync.cli import _design_text
 from delaysync.demos import _initial_states, demo_model, demo_scenario
 from delaysync.network import network_matrices
@@ -65,6 +66,9 @@ def test_criterion_2_riccati_residuals():
 
 
 def test_criterion_3_gain_disc_soundness():
+    # Lin's low-gain disc: for gamma = lambda_max(B'P_delta B), every complex
+    # loop gain z in the open disc centred at 1 + 1/gamma with radius
+    # sqrt(1 + gamma)/gamma keeps A - z B K_delta Schur stable
     t0 = time.perf_counter()
     rng = np.random.default_rng(31)
     violations = 0
@@ -73,17 +77,18 @@ def test_criterion_3_gain_disc_soundness():
         A, B = random_admissible_model(rng)
         for delta in (1.0, 0.1, 0.01):
             sol = solve_low_gain_dare(A, B, delta)
-            disc = gain_disc(sol)
+            gamma = float(np.linalg.eigvalsh(B.T @ sol.P @ B).max())
+            center, radius = 1.0 + 1.0 / gamma, float(np.sqrt(1.0 + gamma)
+                                                      / gamma)
             samples = 0
             while samples < 100:
-                z = complex(rng.uniform(disc.center - disc.radius,
-                                        disc.center + disc.radius),
-                            rng.uniform(-disc.radius, disc.radius))
-                if not disc.contains(z):  # rejection sampling from the box
+                z = complex(rng.uniform(center - radius, center + radius),
+                            rng.uniform(-radius, radius))
+                if not abs(z - center) < radius:  # rejection sampling
                     continue
                 samples += 1
                 checked += 1
-                if not check_lambda_stabilized(A, B, sol, z):
+                if not is_schur_stable(A - z * (B @ sol.K)):
                     violations += 1
     elapsed = time.perf_counter() - t0
     _report(3, violations == 0, elapsed, 10.0,

@@ -9,13 +9,11 @@ from hypothesis.extra.numpy import arrays
 
 import conftest
 import delaysync.riccati
-from delaysync import (AgentModel, check_lambda_stabilized, dare_residual,
-                       feedback_gain, gain_disc, is_schur_stable, omega_max,
-                       solve_low_gain_dare)
+from delaysync import (AgentModel, dare_residual, feedback_gain,
+                       is_schur_stable, omega_max, solve_low_gain_dare)
 from delaysync.design import _SWEEP_CHUNK, EPSILON_SWEEP, estimate_mu
 from delaysync.errors import (AssumptionError, ConvergenceError,
-                              DegenerateInputError, DimensionError,
-                              ScenarioError)
+                              DimensionError, ScenarioError)
 from delaysync.riccati import (DARE_MAX_ITER, _doubling, _frobenius,
                                _low_gain_dare, _polish, is_detectable,
                                is_stabilizable)
@@ -179,59 +177,6 @@ class TestFeedbackGain:
         np.testing.assert_allclose(K, np.zeros((1, 2)))
 
 
-class TestGainDisc:
-    def test_scalar_golden_geometry(self):
-        disc = gain_disc(solve_low_gain_dare(np.eye(1), np.eye(1), 1.0))
-        assert disc.gamma == pytest.approx(GOLDEN, abs=1e-12)
-        assert disc.center == pytest.approx(1 + 1 / GOLDEN, abs=1e-12)
-        # sqrt(1 + phi) = phi, so the radius is exactly one
-        assert disc.radius == pytest.approx(1.0, abs=1e-12)
-        assert disc.contains(1.0)
-
-    def test_disc_grows_to_cover_half_plane(self):
-        lam = 0.6
-        hits = [gain_disc(solve_low_gain_dare(np.eye(1), np.eye(1), d))
-                .contains(lam)
-                for d in (1.0, 0.5, 0.1, 0.05, 0.01, 0.001)]
-        assert hits[-1]
-        first = hits.index(True)
-        assert all(hits[first:])  # once inside, stays inside as delta shrinks
-
-    def test_degenerate_input(self):
-        with pytest.raises(DegenerateInputError):
-            gain_disc(solve_low_gain_dare(0.5 * np.eye(2), np.zeros((2, 1)),
-                                          0.5))
-
-
-class TestLambdaStabilized:
-    def test_zero_gain_reduces_to_A(self):
-        A, B = 0.5 * np.eye(2), np.ones((2, 1))
-        assert check_lambda_stabilized(A, B, solve_low_gain_dare(A, B, 0.5),
-                                       0.0)
-
-    def test_scalar_cases(self):
-        # A = B = 1, delta = 1: loop is 1 - lam * phi/(1+phi) = 1 - 0.618 lam
-        one = np.eye(1)
-        sol = solve_low_gain_dare(one, one, 1.0)
-        assert check_lambda_stabilized(one, one, sol, 1.0)
-        assert check_lambda_stabilized(one, one, sol, 3.0)
-        assert not check_lambda_stabilized(one, one, sol, 4.0)
-
-    def test_disc_membership_implies_stable(self):
-        rng = np.random.default_rng(17)
-        A, B = random_admissible_model(rng)
-        sol = solve_low_gain_dare(A, B, 0.1)
-        disc = gain_disc(sol)
-        for _ in range(50):
-            while True:  # rejection sampling from the bounding box
-                z = complex(rng.uniform(disc.center - disc.radius,
-                                        disc.center + disc.radius),
-                            rng.uniform(-disc.radius, disc.radius))
-                if disc.contains(z):
-                    break
-            assert check_lambda_stabilized(A, B, sol, z)
-
-
 class TestPbh:
     def test_stabilizable_examples(self):
         assert is_stabilizable(BENCH_A, BENCH_B)
@@ -271,8 +216,8 @@ def _assert_bit_identical(got, want):
         return
     assert np.array_equal(got.P, want.P)
     assert np.array_equal(got.K, want.K)
-    assert (got.epsilon, got.gamma, got.residual, got.iterations) \
-        == (want.epsilon, want.gamma, want.residual, want.iterations)
+    assert (got.epsilon, got.residual, got.iterations) \
+        == (want.epsilon, want.residual, want.iterations)
 
 
 def _sweep_stacks():
