@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import FULL_STATE, AgentModel, _check_mode
-from .dynamics import DelayProfile
+from .dynamics import DelayProfile, _use_edge_product
 from .errors import (DelaySyncError, ScenarioError, real_array, scalar,
                      whole_array)
 from .network import CommGraph
@@ -277,12 +277,21 @@ def load_config(path):
 
 
 def config_to_dict(cfg):
+    """The scenario file's data; a graph sparse enough for `simulate` to
+    multiply over its edges is written as `edges` rows, else as
+    `adjacency`."""
+    graph = cfg.graph
+    if _use_edge_product(graph.n_agents, graph.edge_dst.size):
+        links = {"edges": [list(edge) for edge in zip(
+            graph.edge_dst.tolist(), graph.edge_src.tolist(),
+            graph.edge_weight.tolist())]}
+    else:
+        links = {"adjacency": graph.adjacency.tolist()}
     out = {
         "model": {"A": cfg.model.A.tolist(), "B": cfg.model.B.tolist(),
                   "C": cfg.model.C.tolist()},
         "mode": cfg.mode,
-        "graph": {"adjacency": cfg.graph.adjacency.tolist(),
-                  "roots": [int(r) for r in cfg.graph.roots]},
+        "graph": {**links, "roots": [int(r) for r in graph.roots]},
         "delays": {"kappa": [int(k) for k in cfg.delays.kappa],
                    "kappa_bar": int(cfg.delays.kappa_bar)},
         "sim": {"k_max": int(cfg.k_max), "x0": cfg.x0.tolist(),

@@ -306,8 +306,9 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
     Requires a rooted graph and a delay profile within the design's bound.
     Protocol and observer states and all inputs before step 0 are zero.
     Raises ScenarioError, before allocating, when the record of
-    8 (kappa_bar + k_max + 1)(N + 1)(w + m) bytes would exceed physical
-    memory, and NumericError when the run leaves the finite floats.
+    8 (kappa_bar + k_max + 1)(N + 1)(w + m) bytes and the per-agent errors
+    of 8 (k_max + 1) N bytes would together exceed physical memory, and
+    NumericError when the run leaves the finite floats.
 
     Each step refills one (N + 1) x 2 (w + m) buffer [V | W] in place: the
     graph product bound to it writes W (on the edges, only the columns T
@@ -342,12 +343,14 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
 
     T, Kz = _block_transition(model, design, partial)
     w = T.shape[1] - m
-    size = 8 * (delays.kappa_bar + k_max + 1) * (N + 1) * (w + m)
+    size = 8 * ((delays.kappa_bar + k_max + 1) * (N + 1) * (w + m)
+                + (k_max + 1) * N)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if size > memory:  # refused before the record is allocated
-        raise ScenarioError(f"sim.k_max = {k_max} needs a run record of "
-                            f"{size / 2 ** 30:,.1f} GiB, beyond the "
-                            f"{memory / 2 ** 30:,.1f} GiB of physical memory")
+        raise ScenarioError(f"sim.k_max = {k_max} needs {size / 2 ** 30:,.1f}"
+                            f" GiB for the run record and its errors, beyond "
+                            f"the {memory / 2 ** 30:,.1f} GiB of physical "
+                            f"memory")
     # kappa_bar zero rows lead: u_i(k - kappa_i) is row lag_i + k (N + 1),
     # its inputs the entries `delayed` + k stride of the record's 1-D view
     kappa = np.append(delays.kappa, 0)

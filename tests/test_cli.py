@@ -179,6 +179,23 @@ class TestConfigRoundTrip:
         write_config(cfg, path)
         assert config_to_dict(load_config(path)) == config_to_dict(cfg)
 
+    def test_large_sparse_graph_written_as_edges(self, tmp_path):
+        # a 400-agent rooted chain with fractional weights: its edges come
+        # back as written, and no dense N x N matrix is written
+        n = 400
+        graph = CommGraph.from_edges(n, np.arange(1, n), np.arange(n - 1),
+                                     1.0 + np.arange(n - 1) / 7.0,
+                                     np.arange(n) == 0)
+        cfg = dataclasses.replace(
+            demo_scenario(1, "full"), graph=graph,
+            delays=DelayProfile(np.arange(n) % 3, kappa_bar=2),
+            x0=np.linspace(-1.0, 1.0, 3 * n).reshape(n, 3))
+        path = tmp_path / "cfg.json"
+        write_config(cfg, path)
+        written = json.loads(path.read_text())["graph"]
+        assert sorted(written) == ["edges", "roots"]
+        assert config_to_dict(load_config(path)) == config_to_dict(cfg)
+
     def test_round_trip_preserves_overrides(self, tmp_path):
         cfg = demo_scenario(1, "full")
         data = config_to_dict(cfg)

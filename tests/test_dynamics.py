@@ -410,13 +410,13 @@ class TestSimulate:
 
     def test_record_beyond_memory_refused_before_allocating(
             self, full_design):
-        # 10**12 steps of four nodes at width 7 would be a 204 TiB record;
-        # the refusal is decided on its computed size
+        # 10**12 steps of four nodes at width 7 would be a 204 TiB record
+        # and 22 TiB of errors; the refusal is decided on their computed size
         tracemalloc.start()
         try:
             with pytest.raises(ScenarioError, match=r"^sim\.k_max = "
-                               r"1000000000000 needs a run record of "
-                               r"208,616\.\d GiB, beyond the "):
+                               r"1000000000000 needs 230,968\.0 GiB for the "
+                               r"run record and its errors, beyond the "):
                 run_case1(full_design, [1, 1, 2], 10 ** 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -424,13 +424,14 @@ class TestSimulate:
         assert peak < 2 ** 20
 
     def test_record_size_is_checked_exactly(self, full_design, monkeypatch):
-        # 8 (kappa_bar + k_max + 1)(N + 1)(w + m) bytes: 8 * 13 * 4 * 7 for
-        # ten steps of case 1; a memory of that many bytes holds it
-        record = 8 * (2 + 10 + 1) * (3 + 1) * (6 + 1)
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": record}
+        # 8 (kappa_bar + k_max + 1)(N + 1)(w + m) bytes of record and
+        # 8 (k_max + 1) N of errors: 8 * 13 * 4 * 7 + 8 * 11 * 3 for ten
+        # steps of case 1; a memory of that many bytes holds them
+        size = 8 * (2 + 10 + 1) * (3 + 1) * (6 + 1) + 8 * (10 + 1) * 3
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": size}
         monkeypatch.setattr(dynamics.os, "sysconf", pages.__getitem__)
         run_case1(full_design, [1, 1, 2], 10)
-        pages["SC_PHYS_PAGES"] = record - 1
+        pages["SC_PHYS_PAGES"] = size - 1
         with pytest.raises(ScenarioError, match="sim.k_max = 10 "):
             run_case1(full_design, [1, 1, 2], 10)
 
