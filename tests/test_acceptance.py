@@ -78,8 +78,8 @@ def test_criterion_3_gain_disc_soundness():
         for delta in (1.0, 0.1, 0.01):
             sol = solve_low_gain_dare(A, B, delta)
             gamma = float(np.linalg.eigvalsh(B.T @ sol.P @ B).max())
-            center, radius = 1.0 + 1.0 / gamma, float(np.sqrt(1.0 + gamma)
-                                                      / gamma)
+            center = 1.0 + 1.0 / gamma
+            radius = float(np.sqrt(1.0 + gamma) / gamma)
             samples = 0
             while samples < 100:
                 z = complex(rng.uniform(center - radius, center + radius),
