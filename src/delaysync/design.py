@@ -9,13 +9,15 @@ The construction runs in stages: the peak unit-circle angle of A fixes the
 admissible delay bound (kappa_bar * omega_max < pi/2); the loop gain rho
 is pushed just above 1 / (2 cos(kappa_bar * omega_max)); a band margin
 theta and a high-frequency floor mu (the minimum of sigma_min(e^{jw} I -
-A) over a grid of the band) follow; and epsilon is swept downward, in
-stacked chunks, until the low-gain feedback is small enough for the floor
-and every delayed loop up to kappa_bar passes the certificate's exact
-test (`verify.delay_loop_radii`, on input-delay lifts of order n + m
-kappa), so swept designs certify by construction, with the sweep's
-accepted solution.  Each chunk is solved, polished and judged as one
-stack.  Each stage raises DesignError with a stage tag on failure.
+A) over a grid of the band) follow; and epsilon is swept downward until
+the low-gain feedback is small enough for the floor and every delayed
+loop up to kappa_bar passes the certificate's exact test
+(`verify.delay_loop_radii`, on input-delay lifts of order n + m kappa),
+so swept designs certify by construction, with the sweep's accepted
+solution.  The sweep solves, polishes and judges the top point alone,
+then every point below it as one stack, and decomposes lifts only for
+the points whose gain is below the floor.  Each stage raises DesignError
+with a stage tag on failure.
 
 `design_protocol` decides the model's facts once, up front, in
 `validate_assumptions` (PBH and closed-disc tests, which also yield
@@ -42,9 +44,6 @@ DELAY_BOUNDARY_GUARD = 1e-9
 
 #: epsilon sweep: quarter-decade geometric grid from 1e-1 down to 1e-8
 EPSILON_SWEEP = tuple(10.0 ** e for e in np.arange(-1.0, -8.25, -0.25))
-
-#: sweep points solved together after the top point, which is solved alone
-_SWEEP_CHUNK = 8
 
 #: multiplicative headroom of rho above its critical gain
 RHO_MARGIN = 1.05
@@ -247,22 +246,23 @@ def choose_epsilon_star(A, B, rho, mu, kappa_bar):
         test `closed_loop_certificate` applies.
 
     A, B are the float arrays of a model that passed `validate_assumptions`,
-    so points are solved unchecked: the top one, where most models accept,
-    alone, the rest in chunks of _SWEEP_CHUNK.  A chunk is one stack
-    throughout: one doubling and one polish, condition (a) from one batched
-    SVD of the gains BK, and condition (b) from one stacked decomposition
-    per delay of the lifts, of order n + m kappa.  The points are judged in
-    grid order, so the first to pass is accepted, as in a one-by-one scan
-    (no bisection: the delayed-loop margin is not monotone in epsilon).  A
-    point whose Riccati solve does not converge fails and the sweep goes
-    on; an exhausted sweep raises DesignError with per-condition reasons.
+    so points are solved unchecked, in two stacks: the top point, where
+    most models accept, alone, then every other point together.  A stack
+    is doubled and polished once and judged on (a) from one batched SVD of
+    the gains BK; only the points that pass (a) have their lifts, of order
+    n + m kappa, decomposed for (b), in one stacked decomposition per
+    delay.  The points are judged in grid order, so the first to pass both
+    is accepted, as in a one-by-one scan (no bisection: the delayed-loop
+    margin is not monotone in epsilon).  A point whose Riccati solve does
+    not converge fails and the sweep goes on; an exhausted sweep
+    decomposes the last judged point's lifts and raises DesignError with
+    per-condition reasons.
     """
     last, stalled = None, []
-    bounds = (0, *range(1, len(EPSILON_SWEEP), _SWEEP_CHUNK), None)
-    for chunk in (EPSILON_SWEEP[lo:hi] for lo, hi in zip(bounds, bounds[1:])):
+    for stack in (EPSILON_SWEEP[:1], EPSILON_SWEEP[1:]):
         sols = []
-        for eps, sol in zip(chunk, _polish(A, B, chunk,
-                                           *_doubling(A, B, chunk))):
+        for eps, sol in zip(stack, _polish(A, B, stack,
+                                           *_doubling(A, B, stack))):
             if isinstance(sol, ConvergenceError):
                 stalled.append(f"at eps={eps:.3e} ({sol})")
             else:
@@ -271,15 +271,20 @@ def choose_epsilon_star(A, B, rho, mu, kappa_bar):
             continue
         K = np.array([sol.K for sol in sols])
         cond_a = rho * _spectral_norms(B @ K) <= mu / 2.0
-        radii = np.max(delay_loop_radii(A, B, -rho * K, kappa_bar), axis=0)
-        cond_b = 1.0 - radii > CERTIFICATE_THRESHOLD
-        for sol, a, b, radius in zip(sols, cond_a, cond_b, radii):
-            if a and b:
-                return sol
-            last = (f"at eps={sol.epsilon:.3e} gain condition(a)={a}, "
-                    f"delayed-loop condition(b)={b} (largest lift "
-                    f"radius {radius:.9g}, mu={mu:.3e}, rho={rho:.6g})")
-    reasons = [last] if last else []
+        if cond_a.any():
+            radii = np.max(delay_loop_radii(A, B, -rho * K[cond_a],
+                                            kappa_bar), axis=0)
+            for i, radius in zip(np.flatnonzero(cond_a), radii):
+                if 1.0 - radius > CERTIFICATE_THRESHOLD:
+                    return sols[i]
+        last, last_a = sols[-1], cond_a[-1]
+    reasons = []
+    if last is not None:
+        radius = max(delay_loop_radii(A, B, -rho * last.K, kappa_bar))
+        reasons.append(f"at eps={last.epsilon:.3e} gain condition(a)="
+                       f"{last_a}, delayed-loop condition(b)="
+                       f"{1.0 - radius > CERTIFICATE_THRESHOLD} (largest lift "
+                       f"radius {radius:.9g}, mu={mu:.3e}, rho={rho:.6g})")
     if stalled:
         reasons.append(f"the Riccati solve did not converge at {len(stalled)} "
                        f"of {len(EPSILON_SWEEP)} points, first {stalled[0]}")

@@ -16,7 +16,7 @@ only for the points above the tolerance) and returns each point's
 `ConvergenceError`.  `_low_gain_dare` is the one-point case, run by
 `solve_low_gain_dare` after it checks the shapes, epsilon, the closed disc
 and the PBH test; the designer, which validates its model once, solves
-unchecked, its sweep in stacked chunks.
+unchecked, its sweep as two stacks: the top point, then all the rest.
 """
 
 from dataclasses import dataclass

@@ -25,8 +25,9 @@ from delaysync.riccati import solve_low_gain_dare
 from delaysync.spectral import spectral_radius
 from delaysync.verify import CERTIFICATE_THRESHOLD, delay_loop_radii
 
-from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_F, _serial_sweep,
-                      block_diag, random_admissible_model, rotation)
+from conftest import (BENCH_A, BENCH_B, BENCH_C, BENCH_F,
+                      _serial_low_gain_dare, _serial_sweep, block_diag,
+                      random_admissible_model, rotation)
 from test_acceptance import _battery
 
 #: the stage tags design_protocol's DesignError can carry: not "theta",
@@ -314,6 +315,31 @@ class TestChooseEpsilonStar:
         with pytest.raises(DesignError, match="condition"):
             choose_epsilon_star(BENCH_A, BENCH_B, 1.05, 1e-15, 2)
 
+    @pytest.mark.parametrize("mu, kappa_bar, failing", [
+        (1e-30, 2, "a"),  # no gain is below the floor
+        (1e9, 4, "b"),    # past the delay bound no delayed loop is stable
+        (4e-3, 4, "b"),   # and the gain is below the floor only low down
+    ])
+    def test_exhausted_sweep_names_last_point(self, mu, kappa_bar, failing):
+        # the message judges the grid's last point as the one-by-one scan
+        # did, lifts included, though the sweep decomposes lifts only for
+        # points whose gain passes condition (a)
+        rho = 1.05
+        with pytest.raises(DesignError) as info:
+            choose_epsilon_star(BENCH_A, BENCH_B, rho, mu, kappa_bar)
+        sol = _serial_low_gain_dare(BENCH_A, BENCH_B, EPSILON_SWEEP[-1])
+        a = rho * np.linalg.norm(BENCH_B @ sol.K, 2) <= mu / 2.0
+        radius = max(delay_loop_radii(BENCH_A, BENCH_B, -rho * sol.K,
+                                      kappa_bar))
+        b = 1.0 - radius > CERTIFICATE_THRESHOLD
+        assert not (a if failing == "a" else b)
+        assert info.value.stage == "epsilon"
+        assert str(info.value) == (
+            "[epsilon] sweep exhausted without an acceptable epsilon; at "
+            f"eps=1.000e-08 gain condition(a)={a}, delayed-loop condition"
+            f"(b)={b} (largest lift radius {radius:.9g}, mu={mu:.3e}, "
+            f"rho={rho:.6g})")
+
     def test_stalled_solve_fails_only_its_point(self, monkeypatch):
         # a Riccati solve that stalls at the first sweep point fails that
         # point only: eps* of the bench agent and the recorded family is
@@ -357,7 +383,7 @@ class TestChooseEpsilonStar:
         lambda n: arrays(np.float64, (k, n, n), elements=st.floats(
             -1e3, 1e3, allow_nan=False, allow_subnormal=False)))))
     def test_gain_norm_is_numpys_two_norm(self, stack):
-        # condition (a) judges a chunk's gains from one batched SVD; it must
+        # condition (a) judges a stack's gains from one batched SVD; it must
         # see the very norm the one-by-one scan took
         assert _spectral_norms(stack).tolist() \
             == [np.linalg.norm(M, 2) for M in stack]
@@ -375,7 +401,7 @@ class TestChooseEpsilonStar:
 
 
 def assert_linear_scan(design):
-    """The chunked sweep accepts, at the design's rho, mu and kappa_bar, the
+    """The stacked sweep accepts, at the design's rho, mu and kappa_bar, the
     point the one-by-one scan of the serial solver accepted, with the same
     solution bit for bit; returns that solution."""
     A, B = design.model.A, design.model.B
@@ -399,6 +425,43 @@ class TestChunkedSweepIsTheLinearScan:
     def test_acceptance_battery(self):
         for _, design, _ in _battery():
             assert_linear_scan(design)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2]),
+           data=st.data())
+    def test_gain_condition_first_holds_anywhere(self, seed, m, data):
+        # mu/2 drawn between consecutive gains rho*||BK|| of the serial
+        # scan, so that condition (a) first holds at any grid index or
+        # nowhere: the sweep, which decomposes lifts only past (a), accepts
+        # the serial scan's point bit for bit, or both exhaust
+        A, B = random_admissible_model(np.random.default_rng(seed), m=m)
+        kappa_max = 3
+        while not delay_admissible(A, kappa_max):
+            kappa_max -= 1
+        kappa_bar = data.draw(st.integers(0, kappa_max), label="kappa_bar")
+        rho = choose_rho(kappa_bar, omega_max(A))
+        gains = []
+        for eps in EPSILON_SWEEP:
+            try:
+                K = _serial_low_gain_dare(A, B, eps).K
+            except ConvergenceError:
+                continue
+            gains.append(rho * np.linalg.norm(B @ K, 2))
+        levels = sorted(set(gains), reverse=True)
+        at = data.draw(st.integers(0, len(levels)), label="level")
+        upper = levels[at - 1] if at else 2.0 * levels[0]
+        lower = levels[at] if at < len(levels) else 0.5 * levels[-1]
+        mu = 2.0 * data.draw(st.floats(lower, upper, exclude_max=True),
+                             label="mu/2")
+        want = _serial_sweep(A, B, rho, mu, kappa_bar)
+        if want is None:
+            with pytest.raises(DesignError, match="sweep exhausted"):
+                choose_epsilon_star(A, B, rho, mu, kappa_bar)
+            return
+        got = choose_epsilon_star(A, B, rho, mu, kappa_bar)
+        assert got.epsilon == want.epsilon
+        assert np.array_equal(got.K, want.K)
+        assert np.array_equal(got.P, want.P)
 
 
 class TestDesignObserver:
@@ -521,10 +584,12 @@ class TestDesignProtocol:
         # stages are counted through their module attributes, where the
         # benchmark's tracer wraps them, so a stage the designer stops
         # calling by that name shows here.  The sweep doubles and polishes
-        # the top point alone and then chunks of eight, polishing every
-        # point it doubled, and decomposes each stack's lifts once per
-        # delay, of order n + m kappa: the bench agent accepts at index 23,
-        # in the chunk 17..24
+        # the top point alone and then all the rest as one stack,
+        # polishing every point it doubled.  It decomposes lifts, of order
+        # n + m kappa, once per delay and only for the points whose gain
+        # passes condition (a): on the bench agent none at the top point
+        # and the six points 23..28 of the second stack, of which index 23
+        # is accepted
         calls = {name: [] for name in ("_doubling", "_polish",
                                        "_low_gain_dare", "solve_low_gain_dare",
                                        "choose_epsilon_star",
@@ -554,13 +619,9 @@ class TestDesignProtocol:
         model = demo_model("full")
         d = design_protocol(model, 2)
         monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-        chunks = [EPSILON_SWEEP[lo:lo + size]
-                  for lo, size in ((0, 1), (1, 8), (9, 8), (17, 8))]
-        assert solved("_doubling") == solved("_polish") == chunks
-        assert [eps for chunk in solved("_polish") for eps in chunk] \
-            == list(EPSILON_SWEEP[:25])
-        assert lifts == [(len(chunk), order, order) for chunk in chunks
-                         for order in (3, 4, 5)]
+        stacks = [EPSILON_SWEEP[:1], EPSILON_SWEEP[1:]]
+        assert solved("_doubling") == solved("_polish") == stacks
+        assert lifts == [(6, order, order) for order in (3, 4, 5)]
         assert len(calls["choose_epsilon_star"]) == 1
         assert calls["_low_gain_dare"] == calls["solve_low_gain_dare"] \
             == calls["design_observer"] == []

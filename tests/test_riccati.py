@@ -11,7 +11,7 @@ import conftest
 import delaysync.riccati
 from delaysync import (AgentModel, dare_residual, feedback_gain,
                        is_schur_stable, omega_max, solve_low_gain_dare)
-from delaysync.design import _SWEEP_CHUNK, EPSILON_SWEEP, estimate_mu
+from delaysync.design import EPSILON_SWEEP, estimate_mu
 from delaysync.errors import (AssumptionError, ConvergenceError,
                               DimensionError, ScenarioError)
 from delaysync.riccati import (DARE_MAX_ITER, _doubling, _frobenius,
@@ -221,11 +221,11 @@ def _assert_bit_identical(got, want):
 
 
 def _sweep_stacks():
-    """(start, stop) of the whole sweep as one stack and of the sweep's
-    own chunks: the top point alone, then _SWEEP_CHUNK at a time."""
-    bounds = (0, *range(1, len(EPSILON_SWEEP), _SWEEP_CHUNK),
-              len(EPSILON_SWEEP))
-    return [(0, len(EPSILON_SWEEP)), *zip(bounds, bounds[1:])]
+    """(start, stop) of the whole sweep as one stack, of the sweep's own
+    two stacks (the top point alone, then the rest) and of an interior
+    stack of eight."""
+    end = len(EPSILON_SWEEP)
+    return [(0, end), (0, 1), (1, end), (9, 17)]
 
 
 class TestStackedDoubling:
