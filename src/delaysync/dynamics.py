@@ -39,15 +39,20 @@ The delays, their bound and k_max are read by the whole-number rule
 (`errors.whole_array`).  The record starts with kappa_bar zero rows, the
 inputs before step 0, so each agent's delayed input u_i(k - kappa_i) is
 read back from the record itself at a fixed per-agent offset.  Protocol
-and observer states start at zero.  A run whose states, inputs or
+and observer states start at zero.  The record is allocated unfilled:
+only those leading rows and row 0 are zeroed, since the transition writes
+every later row in full before any read.  A run whose states, inputs or
 synchronization error leave the finite floats raises NumericError naming
 the first non-finite step and agent.  The run goes a block of steps at a
 time, each block about `_BLOCK_ENTRIES` entries of the record: after a
 block it computes that block's per-agent errors, the run's `agent_error`,
 by summing the squared deviations one state component at a time (the
 same bits as `np.linalg.norm` for n <= 7, within 2 ulp above), and tests
-its states, inputs and errors once, so a diverging run stops within one
-block of its first non-finite value.
+the block with one sum over its contiguous rows and the largest error.
+Only when that reads non-finite does an exact scan look for the first
+non-finite entry (a sum of finite entries can overflow, and then the run
+goes on), so a diverging run stops within one block of its first
+non-finite value.
 """
 
 import os
@@ -313,12 +318,15 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
     Each step refills one (N + 1) x 2 (w + m) buffer [V | W] in place: the
     graph product bound to it writes W (on the edges, only the columns T
     reads), and one product with T writes the next block of the record.
-    The steps run in blocks of max(1, `_BLOCK_ENTRIES` // ((N + 1)(w + m))).
-    The delayed inputs are gathered from a 1-D view of the record at
-    element indices built once per block; after the block its per-agent
-    errors are summed over the state components and its rows are tested
-    for finiteness once, and the first non-finite step and agent are named
-    as a test after every step would name them.
+    The record is allocated unfilled and only its first kappa_bar + 1
+    rows are zeroed.  The steps run in blocks of
+    max(1, `_BLOCK_ENTRIES` // ((N + 1)(w + m))).  The delayed inputs are
+    gathered from a 1-D view of the record at element indices built once
+    per block; after the block its per-agent errors are summed over the
+    state components, and one sum over its rows plus its largest error
+    tests it.  When that reads non-finite, an exact scan names the first
+    non-finite step and agent as a test after every step would name them,
+    or finds none (the sum overflowed) and the run goes on.
     """
     n, m = model.n, model.m
     N = graph.n_agents
@@ -357,7 +365,10 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
     lag = (delays.kappa_bar - kappa) * (N + 1) + np.arange(N + 1)
     stride = (N + 1) * (w + m)
     delayed = lag[:, None] * (w + m) + np.arange(w, w + m)
-    full = np.zeros((delays.kappa_bar + k_max + 1, N + 1, w + m))
+    # the transition writes every row after row 0 in full before a gather
+    # reads it, so only the inputs before step 0 and row 0 start zeroed
+    full = np.empty((delays.kappa_bar + k_max + 1, N + 1, w + m))
+    full[:delays.kappa_bar + 1] = 0
     rec, entries = full[delays.kappa_bar:], full.reshape(-1)
     rec[0, :N, :n] = x0
     rec[0, N, :n] = xr0
@@ -385,8 +396,8 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
                 np.matmul(VW, T, out=Z_next)
             # |x_i - x_ref|: a pass over the agents per component, summed in
             # order; a non-finite state or reference makes that agent's
-            # error non-finite, and reductions test the block
-            err, ran = errors[k:stop + 1], rec[k:stop + 1, :N]
+            # error non-finite
+            err = errors[k:stop + 1]
             xs, refs = x[k:stop + 1], x_ref[k:stop + 1, None]
             dev = xs[..., 0] - refs[..., 0]
             np.multiply(dev, dev, out=err)
@@ -394,12 +405,18 @@ def simulate(model, design, graph, delays, x0, xr0, k_max):
                 np.subtract(xs[..., c], refs[..., c], out=dev)
                 err += np.multiply(dev, dev, out=dev)
             np.sqrt(err, out=err)
-            if not np.isfinite((err.max(), ran.min(), ran.max())).all():
-                bad = ~(np.isfinite(err) & np.isfinite(ran).all(axis=2))
-                step, i = np.unravel_index(np.argmax(bad), bad.shape)
-                raise NumericError(f"simulation diverged: a state, input or "
-                                   f"the sync error is non-finite from step "
-                                   f"{k + step} (agent {i})")
+            # one sum over the block's contiguous rows is non-finite if any
+            # entry is, and may overflow on finite ones: only the exact scan
+            # decides, and names the first non-finite step and agent
+            if not np.isfinite(rec[k:stop + 1].sum() + err.max()):
+                bad = ~(np.isfinite(err)
+                        & np.isfinite(rec[k:stop + 1, :N]).all(axis=2))
+                if bad.any():
+                    step, i = np.unravel_index(np.argmax(bad), bad.shape)
+                    raise NumericError(
+                        f"simulation diverged: a state, input or the sync "
+                        f"error is non-finite from step {k + step} "
+                        f"(agent {i})")
     return Trajectory(x=x, protocol=rec[:, :N, n:2 * n], u=rec[:, :N, w:],
                       observer=rec[:, :N, 2 * n:w] if partial else None,
                       x_ref=x_ref, error=errors.max(axis=1),

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -606,6 +607,30 @@ class TestDivergence:
             with pytest.raises(NumericError, match=r"step 0 \(agent 1\)"):
                 run_case1(full_design, [1, 1, 2], 10, x0=x0)
 
+    def test_block_sum_overflow_on_finite_states_runs_on(self,
+                                                         full_design):
+        # a block is tested by one sum over its rows; started synchronized
+        # at 1e307 the states stay finite while that sum overflows, and
+        # only the exact scan decides that nothing is non-finite
+        cfg = demo_scenario(3, "full")
+        xr0 = np.full(3, 1e307)
+        x0 = np.tile(xr0, (cfg.graph.n_agents, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = simulate(cfg.model, full_design, cfg.graph, cfg.delays,
+                            x0, xr0, 400)
+        assert np.isfinite(traj.x).all() and not traj.error.any()
+        with np.errstate(over="ignore"):
+            assert np.isinf(traj.x[:2].sum())
+
+    def test_non_finite_gain_named_at_step_zero(self, full_design):
+        K = full_design.K.copy()
+        K[0, 1] = np.nan
+        design = dataclasses.replace(full_design, K=K)
+        with pytest.raises(NumericError, match=r"non-finite from step 0 "
+                                               r"\(agent 0\)$"):
+            run_case1(design, [1, 1, 2], 10)
+
     @pytest.mark.parametrize("block", [1, 7, 32])
     def test_horizon_at_first_non_finite_input(self, monkeypatch, block):
         use_blocks(monkeypatch, block)
@@ -694,6 +719,55 @@ class TestStepLoopOracle:
         x0 = rng.uniform(-2.0, 2.0, size=(n_agents, 3))
         args = (design.model, design, graph, delays, x0, XR0, k_max)
         assert_bit_identical(simulate(*args), _concatenate_simulate(*args))
+
+
+class NanEmpty:
+    """numpy for `dynamics`, except that `empty` fills what it returns with
+    NaN, so an entry read or returned before it is written shows."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        self.calls += 1
+        return np.full(shape, np.nan, dtype)
+
+
+class TestUnfilledRecord:
+    """`simulate` allocates its record unfilled and zeroes only the inputs
+    before step 0 and row 0: every other entry is written before it is
+    read or returned."""
+
+    @pytest.mark.parametrize("k_max", [0, 1, 50])
+    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("n_agents", [10, 400])
+    def test_every_entry_is_written_before_use(
+            self, full_design, partial_design, monkeypatch, n_agents,
+            partial, k_max):
+        design = partial_design if partial else full_design
+        rng = np.random.default_rng(n_agents)
+        if n_agents == 10:
+            # demo 3's graph: the dense product
+            graph = demo_scenario(3, "full").graph
+        else:
+            graph = chain_with_shortcuts(rng, n_agents)
+        assert dynamics._use_edge_product(
+            n_agents, graph.edge_dst.size) == (n_agents == 400)
+        delays = DelayProfile(np.arange(n_agents) % 3, 2)
+        x0 = rng.uniform(-2.0, 2.0, size=(n_agents, 3))
+        args = (design.model, design, graph, delays, x0, XR0, k_max)
+        want = simulate(*args)
+        nan_empty = NanEmpty()
+        monkeypatch.setattr(dynamics, "np", nan_empty)
+        got = simulate(*args)
+        assert nan_empty.calls >= 2  # the record and the per-agent errors
+        assert_bit_identical(got, want)
+        for field in dataclasses.fields(dynamics.Trajectory):
+            value = getattr(got, field.name)
+            assert value is None or np.isfinite(value).all(), field.name
 
 
 class TestZeroDelayOracles:
