@@ -187,37 +187,47 @@ def estimate_mu(A, omega, theta):
 
     Not every grid point is decomposed.  Equal angles are decomposed once
     (with kappa_bar = 0 the band is the single angle pi), and the distinct
-    ones refined coarse to fine over the strides _MU_STRIDES.  By Weyl's
-    inequality sigma_min(e^{jw} I - A) is 1-Lipschitz in w, so no point
-    between decomposed neighbours a and b lies below (s_a + s_b - (w_b -
-    w_a)) / 2; an interval is refined only while that bound is within
-    1e-9 * (1 + ||A||_2), far above the SVD's rounding, of the smallest
-    value found.  The grid's argmin is therefore always decomposed, and
-    numpy decomposes each matrix of a batch on its own, so mu is
-    bit-identical to the minimum over the whole grid.
+    ones refined coarse to fine over the strides _MU_STRIDES.  Between
+    decomposed neighbours a and b two certified bounds hold:
+    - by Weyl's inequality sigma_min(e^{jw} I - A) is 1-Lipschitz in w,
+      so no point between them lies below (s_a + s_b - (w_b - w_a)) / 2;
+    - sigma_min^2 is 2 ||A||_2-Lipschitz in w, as the derivative of
+      (e^{jw} I - A)^H (e^{jw} I - A) is j (e^{-jw} A - e^{jw} A^T), of
+      norm at most 2 ||A||_2, so no point lies below (s_a^2 + s_b^2 -
+      2 ||A||_2 (w_b - w_a)) / 2 in squares.  It is the tighter bound
+      where sigma_min varies slowly, as on a contractive A.
+    An interval is refined only while both bounds are within their slack
+    of the smallest value found: 1e-9 * (1 + ||A||_2) for sigma_min and
+    1e-9 * (1 + ||A||_2)^2 for its square.  Both are far above the SVD's
+    rounding; the squared slack does not shrink with the minimum, so it
+    stays above the rounding of the squares where the minimum is tiny.
+    The grid's argmin is therefore always decomposed, and numpy
+    decomposes each matrix of a batch on its own, so mu is bit-identical
+    to the minimum over the whole grid.
     """
     A = real_array(A, "A")
     if omega + theta > math.pi + 1e-12:
         raise ScenarioError("omega + theta must not exceed pi")
     grid = np.linspace(omega + theta, math.pi, MU_GRID_POINTS)
-    scale = 1.0 + np.linalg.norm(A, 2)
-    mu = 0.9 * _grid_min_sigma(A, grid, 1e-9 * scale)
+    norm = np.linalg.norm(A, 2)
+    scale = 1.0 + norm
+    mu = 0.9 * _grid_min_sigma(A, grid, norm)
     if mu <= 1e-10 * scale:
         raise DesignError("mu", f"mu = {mu:.3e} is at rounding level: the "
                           "band [omega+theta, pi] touches an eigenvalue of A")
     return mu
 
 
-def _grid_min_sigma(A, grid, slack):
+def _grid_min_sigma(A, grid, norm):
     """min over the sorted `grid` of sigma_min(e^{jw} I - A), decomposing
-    only the points `estimate_mu` describes."""
-    distinct = np.flatnonzero(np.diff(grid, prepend=-math.inf))
-    w = grid[distinct]
-    z = np.exp(1j * grid)[distinct]
+    only the points `estimate_mu` describes; `norm` is ||A||_2."""
+    slack = 1e-9 * (1.0 + norm)
+    slack_sq = slack * (1.0 + norm)
+    w = grid[np.flatnonzero(np.diff(grid, prepend=-math.inf))]
     eye = np.eye(A.shape[0])
 
     def sigma_min(at):
-        M = z[at][:, None, None] * eye[None] - A[None]
+        M = np.exp(1j * w[at])[:, None, None] * eye[None] - A[None]
         return np.linalg.svd(M, compute_uv=False)[:, -1]
 
     sig = np.full(w.size, math.inf)  # sigma_min of the decomposed angles
@@ -225,8 +235,12 @@ def _grid_min_sigma(A, grid, slack):
     sig[pts] = sigma_min(pts)
     for stride in _MU_STRIDES[1:]:
         lo, hi = pts[:-1], pts[1:]
-        bound = (sig[lo] + sig[hi] - (w[hi] - w[lo])) / 2.0
-        live = (hi - lo > 1) & (bound <= sig.min() + slack)
+        s_lo, s_hi, step = sig[lo], sig[hi], w[hi] - w[lo]
+        least = sig.min()
+        bound = (s_lo + s_hi - step) / 2.0
+        bound_sq = (s_lo * s_lo + s_hi * s_hi - 2.0 * norm * step) / 2.0
+        live = ((hi - lo > 1) & (bound <= least + slack)
+                & (bound_sq <= least * least + slack_sq))
         if not live.any():
             break
         new = np.concatenate([np.arange(a + stride, b, stride)

@@ -121,19 +121,25 @@ def whole_array(values, name):
     """`values` as ints.  Each entry must be a real number (`real_array`),
     and a whole one within the int64 range and non-negative (every whole
     number in the package is a delay, a delay bound or a step count): a
-    value is never truncated, but whole floats such as 2.0 are accepted."""
+    value is never truncated, but whole floats such as 2.0 are accepted.
+    Signed integers are exact in int64 and are read as they are; float and
+    unsigned input makes the round trip through int64 that finds values
+    beyond its range."""
     arr = real_array(values, name, dtype=None)
-    if arr.dtype.kind not in "iu" and not np.all(
-            np.isfinite(arr) & (arr == np.round(arr))):
+    if arr.dtype.kind not in "iu" and not (
+            np.isfinite(arr) & (arr == np.round(arr))).all():
         raise ScenarioError(f"non-integer {name}: " + describe_entry(
             arr, lambda v: not (np.isfinite(v) and v == np.round(v))))
-    with np.errstate(invalid="ignore"):  # a float beyond int64 casts wrong
+    if arr.dtype.kind == "i":
         whole = arr.astype(int)
-    beyond = whole != arr
-    if np.any(beyond):
-        raise ScenarioError(f"{name} beyond the integer range: "
-                            f"{arr[beyond].tolist()}")
-    if np.any(whole < 0):
+    else:
+        with np.errstate(invalid="ignore"):  # a float beyond int64 casts wrong
+            whole = arr.astype(int)
+        beyond = whole != arr
+        if beyond.any():
+            raise ScenarioError(f"{name} beyond the integer range: "
+                                f"{arr[beyond].tolist()}")
+    if (whole < 0).any():
         raise ScenarioError(f"negative {name}: "
                             + describe_entry(whole, lambda v: v < 0))
     return whole

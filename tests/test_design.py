@@ -239,6 +239,14 @@ class TestEstimateMuIsTheFullGridMinimum:
             w, theta = _band(A, kappa_bar)
             assert estimate_mu(A, w, theta) == _full_grid_mu(A, w, theta)
             tested += 1
+        # contractive models, where sigma_min varies slowly over the band
+        # and the squared bound prunes most intervals
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            A = rng.normal(size=(n, n))
+            A *= rng.uniform(0.01, 0.9) / np.linalg.norm(A, 2)
+            w, theta = _band(A, int(rng.integers(0, 8)))
+            assert estimate_mu(A, w, theta) == _full_grid_mu(A, w, theta)
 
     @pytest.mark.parametrize("kappa_bar", [0, 1, 2])
     def test_bench_agent(self, kappa_bar):
@@ -282,6 +290,29 @@ class TestEstimateMuIsTheFullGridMinimum:
         w, theta = _band(BENCH_A, kappa_bar)
         estimate_mu(BENCH_A, w, theta)
         assert 0 < svd_matrices[0] <= most
+
+    def test_contractive_scalar_decomposes_few_matrices(self, svd_matrices):
+        # the benchmark family's model family-0 at kappa_bar 6: sigma_min
+        # rises by about 0.03 over a band of about 3.1, so the 1-Lipschitz
+        # bound alone left 465 of its 2000 angles to decompose
+        A = np.array([[0.02725023917627245]])
+        w, theta = _band(A, 6)
+        full = _full_grid_mu(A, w, theta)
+        svd_matrices[0] = 0
+        assert estimate_mu(A, w, theta) == full
+        assert 0 < svd_matrices[0] <= 100
+
+    @pytest.mark.parametrize("angle", [0.5, 2.0])
+    def test_minimum_below_the_squared_rounding(self, angle):
+        # a mode at radius 1 - 1e-7 on the band's second grid angle: the
+        # grid minimum is about 1e-7, its square far below the squared
+        # bound's slack, which then decides which intervals stay live
+        grid = np.linspace(angle, math.pi, MU_GRID_POINTS)
+        A = block_diag([(1.0 - 1e-7) * rotation(grid[1]),
+                        np.array([[0.5]])])
+        full = _full_grid_mu(A, angle, 0.0)
+        assert full < 1e-6
+        assert estimate_mu(A, angle, 0.0) == full
 
 
 class TestChooseEpsilonStar:

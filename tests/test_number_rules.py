@@ -22,7 +22,8 @@ from delaysync import (DelayProfile, choose_rho, choose_theta, dare_residual,
                        simulate, solve_low_gain_dare)
 from delaysync.config import config_to_dict
 from delaysync.demos import _initial_states, demo_model, demo_scenario
-from delaysync.errors import DimensionError, ScenarioError
+from delaysync.errors import (DimensionError, ScenarioError, scalar,
+                              whole_array)
 
 from conftest import BENCH_A, BENCH_B, cycle3_graph
 
@@ -160,6 +161,36 @@ def test_loader_keeps_its_horizon_floor():
     with pytest.raises(ScenarioError) as err:
         _load("sim.k_max", 9.0)
     assert err.value.problems == ["sim.k_max: must be at least 10, got 9"]
+
+
+@pytest.mark.parametrize("kind", [np.int8, np.int16, np.int32, np.int64])
+def test_signed_integers_read_as_int64(kind):
+    # read as they are, without the float round trip: the same int64 values
+    # as Python ints, numpy scalars and arrays, up to the type's extremes
+    top = int(np.iinfo(kind).max)
+    values = [0, 2, top]
+    read = whole_array(np.array(values, dtype=kind), "k")
+    assert read.dtype == np.int64 and read.tolist() == values
+    for value in values:
+        for given in (value, kind(value), np.array(value, dtype=kind)):
+            number = scalar(given, "k", whole_array)
+            assert type(number) is int and number == value
+    bottom = int(np.iinfo(kind).min)
+    with pytest.raises(ScenarioError) as err:
+        whole_array(np.array([3, bottom], dtype=kind), "k")
+    assert str(err.value) == f"negative k: entry 1 is {bottom}"
+    for given in (bottom, kind(bottom), np.array(bottom, dtype=kind)):
+        with pytest.raises(ScenarioError) as err:
+            scalar(given, "k", whole_array)
+        assert str(err.value) == f"negative k: {bottom}"
+
+
+def test_floats_keep_the_round_trip():
+    assert scalar(2.0, "k", whole_array) == 2
+    assert type(scalar(2.0, "k", whole_array)) is int
+    with pytest.raises(ScenarioError) as err:
+        scalar(2.5, "k", whole_array)
+    assert str(err.value) == "non-integer k: 2.5"
 
 
 #: records whose fields carry these names: their values come from a design,
