@@ -284,7 +284,7 @@ def choose_epsilon_star(A, B, rho, mu, kappa_bar):
         if not sols:
             continue
         K = np.array([sol.K for sol in sols])
-        cond_a = rho * _spectral_norms(B @ K) <= mu / 2.0
+        cond_a = rho * np.linalg.norm(B @ K, 2, axis=(-2, -1)) <= mu / 2.0
         if cond_a.any():
             radii = np.max(delay_loop_radii(A, B, -rho * K[cond_a],
                                             kappa_bar), axis=0)
@@ -304,11 +304,6 @@ def choose_epsilon_star(A, B, rho, mu, kappa_bar):
                        f"of {len(EPSILON_SWEEP)} points, first {stalled[0]}")
     raise DesignError("epsilon", "sweep exhausted without an acceptable "
                       "epsilon; " + "; ".join(reasons))
-
-
-def _spectral_norms(M):
-    """2-norms of a stack's matrices, bit for bit np.linalg.norm(., 2)'s."""
-    return np.linalg.svd(M, compute_uv=False).max(-1)
 
 
 def design_observer(A, C):

@@ -9,10 +9,10 @@ observer use.  One body, `_doubling`, runs the structure-preserving
 doubling of Chu, Fan, Lin et al. on (A, BB', eps*I), whose iteration
 count stays flat as eps shrinks, for a stack of epsilons; each point is
 frozen when it stops, bit-identical to a doubling at its epsilon alone.
-`_polish` takes that stack on to the Frobenius residual DARE_TOL in one
-pass (residuals and gains K for every point, the fixed-point iteration
-only for the points above the tolerance) and returns each point's
-`DareSolution` (P and K: solve once, pass it on) or its
+`_polish` judges that stack against the Frobenius residual DARE_TOL in
+one fixed-point step (residuals, gains K and next iterates for every
+point); the rare point above the tolerance polishes alone.  It returns
+each point's `DareSolution` (P and K: solve once, pass it on) or its
 `ConvergenceError`.  `_low_gain_dare` is the one-point case, run by
 `solve_low_gain_dare` after it checks the shapes, epsilon, the closed disc
 and the PBH test; the designer, which validates its model once, solves
@@ -187,53 +187,47 @@ def _frobenius(X):
 
 def _riccati_step(A, B, P, eps):
     """For a stack P: the DARE residuals and gains K (as `dare_residual` and
-    `feedback_gain` give them for one P, bit for bit), and the mask of the
-    points above DARE_TOL with their iterates A'PA + eps*I - A'PBK."""
+    `feedback_gain` give them for one P, bit for bit), and the next
+    iterates A'PA + eps*I - A'PBK, symmetrized."""
     BP, AP = B.T @ P, A.T @ P
     K = np.linalg.solve(np.eye(B.shape[1]) + BP @ B, BP @ A)
     APA, APBK = AP @ A, AP @ B @ K
     Q = eps[:, None, None] * np.eye(A.shape[0])
-    residual = _frobenius(APA - P - APBK + Q)
-    going = residual > DARE_TOL
-    P_next = APA[going] + Q[going] - APBK[going]
-    return residual, K, going, 0.5 * (P_next + P_next.mT)
+    P_next = APA + Q - APBK
+    return _frobenius(APA - P - APBK + Q), K, 0.5 * (P_next + P_next.mT)
 
 
 def _polish(A, B, epsilons, H, iterations):
     """Fixed-point polish of a doubled stack to DARE_TOL: per point its
     `DareSolution`, or the `ConvergenceError` that ends it.
 
-    Points at the tolerance leave the stack, as `_doubling` freezes them;
-    each point's steps, stall count and budget are its own."""
+    One step over the stack judges every point; a point above the
+    tolerance goes on alone, from that step, in `_polish_point`."""
     eps = np.asarray(epsilons, dtype=float)
-    P, iterations = H.copy(), np.array(iterations, dtype=int)
-    residual, K, going, P_next = _riccati_step(A, B, P, eps)
-    stalls = np.zeros(eps.size, dtype=int)
-    failed = {}
-    live = np.flatnonzero(going)  # P_next holds the iterates of `live`
-    while live.size:
-        spent = iterations[live] >= DARE_MAX_ITER
-        for i in live[spent]:
-            failed[i] = ConvergenceError(
-                f"DARE solver exhausted {DARE_MAX_ITER} iterations "
-                f"(residual {residual[i]:.3e} > tol {DARE_TOL:.3e})",
-                residual=float(residual[i]), iterations=int(iterations[i]))
-        live, P_next = live[~spent], P_next[~spent]
-        if not live.size:
-            break
-        iterations[live] += 1
-        res, K_live, going, next_live = _riccati_step(A, B, P_next, eps[live])
-        stalls[live] = np.where(res >= residual[live], stalls[live] + 1, 0)
-        for i in live[stalls[live] >= 5]:
-            failed[i] = ConvergenceError(
-                f"DARE polish stalled at residual {residual[i]:.3e} > tol "
-                f"{DARE_TOL:.3e}", residual=float(residual[i]),
-                iterations=int(iterations[i]))
-        kept = stalls[live] < 5
-        P[live[kept]], residual[live[kept]] = P_next[kept], res[kept]
-        K[live[kept]] = K_live[kept]
-        live, P_next = live[kept & going], next_live[kept[going]]
-    return [failed[i] if i in failed else DareSolution(
-        P=P[i], epsilon=float(eps[i]), K=K[i], residual=float(residual[i]),
-        iterations=int(iterations[i])) for i in range(eps.size)]
+    residual, K, P_next = _riccati_step(A, B, H, eps)
+    return [_polish_point(A, B, eps[i:i + 1], H[i], residual[i], K[i],
+                          P_next[i:i + 1], int(iterations[i]))
+            for i in range(eps.size)]
 
+
+def _polish_point(A, B, eps, P, residual, K, P_next, iterations):
+    """One point's polish from P with its residual, gain K and next iterate
+    (eps and P_next stacks of one) after `iterations` steps."""
+    stalls = 0
+    while residual > DARE_TOL:
+        if iterations >= DARE_MAX_ITER:
+            return ConvergenceError(
+                f"DARE solver exhausted {DARE_MAX_ITER} iterations "
+                f"(residual {residual:.3e} > tol {DARE_TOL:.3e})",
+                residual=float(residual), iterations=iterations)
+        iterations += 1
+        res, K_next, P_after = _riccati_step(A, B, P_next, eps)
+        stalls = stalls + 1 if res[0] >= residual else 0
+        if stalls >= 5:
+            return ConvergenceError(
+                f"DARE polish stalled at residual {residual:.3e} > tol "
+                f"{DARE_TOL:.3e}", residual=float(residual),
+                iterations=iterations)
+        P, residual, K, P_next = P_next[0], res[0], K_next[0], P_after
+    return DareSolution(P=P, epsilon=float(eps[0]), K=K,
+                        residual=float(residual), iterations=iterations)

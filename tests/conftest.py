@@ -180,7 +180,7 @@ def companion_radii(A0, A1, kappa_bar):
 
 
 def _serial_sweep(A, B, rho, mu, kappa_bar):
-    """eps* as the sweep found it before it was chunked: one point at a
+    """eps* as the sweep found it before it was stacked: one point at a
     time, in grid order, each solved by the serial oracle and judged on
     its own companion lifts.  None when no point passes."""
     for eps in EPSILON_SWEEP:

@@ -17,8 +17,7 @@ from delaysync import (AgentModel, choose_rho, choose_theta,
                        omega_max, validate_assumptions)
 from delaysync.demos import demo_model, demo_scenario
 from delaysync.design import (EPSILON_SWEEP, MU_GRID_POINTS,
-                              _spectral_norms, choose_epsilon_star,
-                              design_observer)
+                              choose_epsilon_star, design_observer)
 from delaysync.errors import (AssumptionError, ConvergenceError,
                               DesignError, DimensionError, ScenarioError)
 from delaysync.riccati import solve_low_gain_dare
@@ -414,9 +413,10 @@ class TestChooseEpsilonStar:
         lambda n: arrays(np.float64, (k, n, n), elements=st.floats(
             -1e3, 1e3, allow_nan=False, allow_subnormal=False)))))
     def test_gain_norm_is_numpys_two_norm(self, stack):
-        # condition (a) judges a stack's gains from one batched SVD; it must
-        # see the very norm the one-by-one scan took
-        assert _spectral_norms(stack).tolist() \
+        # condition (a) judges a stack's gains by numpy's stacked 2-norm
+        # (one batched SVD); it must see the very norm the one-by-one scan
+        # took
+        assert np.linalg.norm(stack, 2, axis=(-2, -1)).tolist() \
             == [np.linalg.norm(M, 2) for M in stack]
 
     def test_delayed_loops_stable_when_gain_floor_never_binds(self):
@@ -445,7 +445,7 @@ def assert_linear_scan(design):
     return want
 
 
-class TestChunkedSweepIsTheLinearScan:
+class TestStackedSweepIsTheLinearScan:
     @pytest.mark.parametrize("mode", ["full", "partial"])
     def test_bench_agent(self, mode):
         d = design_protocol(demo_model(mode), 2, mode=mode)

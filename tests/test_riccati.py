@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,10 +10,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import conftest
+import delaysync.design
 import delaysync.riccati
-from delaysync import (AgentModel, dare_residual, feedback_gain,
-                       is_schur_stable, omega_max, solve_low_gain_dare)
-from delaysync.design import EPSILON_SWEEP, estimate_mu
+from delaysync import (AgentModel, dare_residual, design_protocol,
+                       feedback_gain, is_schur_stable, omega_max,
+                       solve_low_gain_dare)
+from delaysync.demos import DEMO_CASES, demo_model, demo_scenario
+from delaysync.design import (EPSILON_SWEEP, FULL_STATE, PARTIAL_STATE,
+                              estimate_mu)
 from delaysync.errors import (AssumptionError, ConvergenceError,
                               DimensionError, ScenarioError)
 from delaysync.riccati import (DARE_MAX_ITER, _doubling, _frobenius,
@@ -341,3 +347,54 @@ class TestStackedPolish:
                                       epsilons, H, iterations):
             _assert_bit_identical(got, _outcome(_serial_polish, A, B, eps, P,
                                                 int(count)))
+
+
+class TestPolishIsRare:
+    """The doubling alone meets DARE_TOL on every point the benchmark
+    designs solve; the fixed-point polish runs on weakly actuated pairs."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Patch `_polish` where it is called; collect per solved point its
+        DareSolution's iterations and its doubling's step count."""
+        polish, counts = delaysync.riccati._polish, []
+
+        def counted(A, B, epsilons, H, iterations):
+            sols = polish(A, B, epsilons, H, iterations)
+            counts.extend((sol.iterations, int(steps))
+                          for sol, steps in zip(sols, iterations))
+            return sols
+
+        for module in (delaysync.riccati, delaysync.design):
+            monkeypatch.setattr(module, "_polish", counted)
+        return counts
+
+    def test_benchmark_designs_never_polish(self, monkeypatch):
+        # the bench agent's sweep in both modes, the six demo pins, their
+        # observers, and the sweeps of the benchmark's random models
+        counts = self._counting(monkeypatch)
+        for mode in (FULL_STATE, PARTIAL_STATE):
+            design_protocol(demo_model(mode), 2, mode=mode)
+            for case in DEMO_CASES:
+                scenario = demo_scenario(case, mode)
+                design_protocol(scenario.model, 2, mode=mode,
+                                epsilon=scenario.epsilon)
+        family = json.loads((pathlib.Path(__file__).parents[1] / "perfbench"
+                             / "data" / "models.json").read_text())["models"]
+        for entry in family:
+            A = np.array(entry["A"])
+            design_protocol(AgentModel(A=A, B=np.array(entry["B"]),
+                                       C=np.eye(A.shape[0])),
+                            entry["kappa_bar"])
+        assert len(counts) >= 2 * len(EPSILON_SWEEP) + 10 + len(family)
+        assert all(solved == steps for solved, steps in counts)
+
+    def test_weak_pairs_polish(self, monkeypatch):
+        counts = self._counting(monkeypatch)
+        for A, B in WEAK:
+            for eps in (1.0, 1e-2, 1e-3, 1e-4):
+                try:
+                    _low_gain_dare(A, B, eps)
+                except ConvergenceError:
+                    pass
+        assert any(solved > steps for solved, steps in counts)
